@@ -188,7 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
         "replay", help="replay the case analysis and print evidence reports"
     )
     p_replay.add_argument("--case", default=None, choices=harness.REPLAY_IDS)
-    p_replay.add_argument("--all", action="store_true", help="replay every case")
     p_replay.add_argument("--out", default=None)
     p_replay.set_defaults(func=_cmd_replay)
 

@@ -150,27 +150,6 @@ def point(x: RationalLike) -> RationalInterval:
     return RationalInterval(f, f)
 
 
-def interval_arith(
-    x: RationalInterval, y, op: str
-) -> RationalInterval:
-    """Dispatch arithmetic on intervals; op in {+, -, *, /, pow}."""
-    if op in ("+",):
-        return x + y
-    if op in ("-", "−"):
-        return x - y
-    if op in ("*", "×"):
-        return x * y
-    if op in ("/", "÷"):
-        return x / y
-    if op in ("pow", "power-by-integer"):
-        if isinstance(y, RationalInterval):
-            if y.lo != y.hi or y.lo.denominator != 1:
-                raise TypeError("power-by-integer wants an integer exponent")
-            y = int(y.lo)
-        return x.power(int(y))
-    raise ValueError(f"unknown interval op {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # Series and bisection builders
 # ---------------------------------------------------------------------------

@@ -1493,7 +1493,7 @@ def _csv_text(rows: Sequence[SweepRow]) -> str:
 
 
 def thread_count(threads: Optional[int] = None) -> int:
-    """Worker count: explicit argument, then POLYA_VERIFY_THREADS, then 1."""
+    """Worker count: explicit argument, then POLYA_VERIFY_THREADS, then CPUs."""
     if threads is not None:
         return max(1, int(threads))
     env = os.environ.get("POLYA_VERIFY_THREADS")
@@ -1649,9 +1649,9 @@ def rect_monotonicity_scan(
     Checks the series values are nondecreasing within twice the truncation
     tails, that the square starts the family at its minimum, and the floor
     check F >= 64/pi^4.  The relative gap to the strip limit pi^2/12
-    (``gap_to_limit``, ``gap_within_half_percent``) is taken at the fixed
-    aspect 100, not at ``a_values[-1]``; ``last_gap`` is the absolute gap
-    of the last scanned value.
+    (``gap_to_limit``) is taken at the fixed aspect 100, not at
+    ``a_values[-1]``; ``last_gap`` is the absolute gap of the last scanned
+    value.
     """
     if a_values is None:
         a_values = [1.0 + 0.5 * k for k in range(19)]
@@ -1681,7 +1681,6 @@ def rect_monotonicity_scan(
         "F_wide": f_wide.value,
         "F_wide_tail": f_wide.tail_bound,
         "gap_to_limit": gap,
-        "gap_within_half_percent": gap <= 0.005,
         "last_gap": F_UPPER_LIMIT - values[-1],
     }
 

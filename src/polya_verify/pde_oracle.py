@@ -4,10 +4,11 @@ Conforming P1 elements on uniformly red-refined meshes: every triangle
 splits into four congruent children, so child elements stay similar to the
 base and anisotropy is represented faithfully.  The eigenproblem uses the
 consistent mass matrix (variational, so discrete eigenvalues sit above the
-true ones); the torsion load is mass-lumped.  Linear systems go through a
-deterministic sparse LU factorization, and the eigenvalue is found by
-shifted inverse power iteration with a deterministic start vector, so
-repeated runs are byte-identical.
+true ones); the torsion load is mass-lumped.  One deterministic sparse LU
+factorization per level serves both the torsion solve and unshifted
+inverse power iteration for the eigenvalue, which starts from the torsion
+function (the lumped load is M times the constant vector) or from the
+prolonged eigenvector, so repeated runs are byte-identical.
 
 Richardson extrapolation over three consecutive levels provides the
 reported value and an error gauge (distance between the extrapolated and
@@ -46,6 +47,10 @@ class NonContracting(RuntimeError):
     """Raised when a level sequence shows no error contraction."""
 
 
+class EigenNotConverged(RuntimeError):
+    """Raised when inverse iteration misses _EIG_TOL within _EIG_MAXIT steps."""
+
+
 @dataclass(frozen=True, eq=False)
 class Mesh:
     """Triangulation with vertex coordinates, elements, and boundary flags."""
@@ -71,20 +76,11 @@ class SpectralResult:
     area: float
 
 
-def _boundary_flags(vertices: np.ndarray, elements: np.ndarray) -> np.ndarray:
-    edges = np.concatenate(
-        [elements[:, [0, 1]], elements[:, [1, 2]], elements[:, [2, 0]]]
-    )
-    edges = np.sort(edges, axis=1)
-    uniq, counts = np.unique(edges, axis=0, return_counts=True)
-    flags = np.zeros(len(vertices), dtype=bool)
-    boundary_edges = uniq[counts == 1]
-    flags[boundary_edges.ravel()] = True
-    return flags
-
-
 def _base_mesh(shape) -> tuple[np.ndarray, np.ndarray, Optional[float]]:
-    """Level-0 vertices/elements and the projection radius for sectors."""
+    """Level-0 vertices/elements and the projection radius for sectors.
+
+    Every level-0 vertex lies on the boundary of the shape.
+    """
     if isinstance(shape, Triangle):
         if shape.b < 1e-6:
             raise DegenerateShape(
@@ -121,15 +117,26 @@ def _base_mesh(shape) -> tuple[np.ndarray, np.ndarray, Optional[float]]:
 def _refine_arrays(
     vertices: np.ndarray,
     elements: np.ndarray,
+    flags: np.ndarray,
     project_radius: Optional[float],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One red refinement; returns new vertices, elements, and midpoint parents."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One red refinement; returns new vertices, elements, boundary flags,
+    and midpoint parents.
+
+    Old vertices keep their flags; a midpoint is on the boundary iff its
+    parent edge belongs to a single element.
+    """
     ne = len(elements)
+    nv = len(vertices)
     pairs = np.concatenate(
         [elements[:, [0, 1]], elements[:, [1, 2]], elements[:, [2, 0]]]
     )
-    pairs = np.sort(pairs, axis=1)
-    uniq, inverse = np.unique(pairs, axis=0, return_inverse=True)
+    pairs.sort(axis=1)
+    # the order of the keys lo * nv + hi is the lexicographic order of (lo, hi)
+    keys, inverse, counts = np.unique(
+        pairs[:, 0] * nv + pairs[:, 1], return_inverse=True, return_counts=True
+    )
+    uniq = np.column_stack(np.divmod(keys, nv))
     mids = 0.5 * (vertices[uniq[:, 0]] + vertices[uniq[:, 1]])
     if project_radius is not None:
         r = project_radius
@@ -139,10 +146,9 @@ def _refine_arrays(
         ) & (np.abs(np.linalg.norm(vertices[uniq[:, 1]], axis=1) - r) < tol)
         norms = np.linalg.norm(mids[on_circle], axis=1)
         mids[on_circle] *= (r / norms)[:, None]
-    base = len(vertices)
-    m01 = base + inverse[:ne]
-    m12 = base + inverse[ne : 2 * ne]
-    m20 = base + inverse[2 * ne :]
+    m01 = nv + inverse[:ne]
+    m12 = nv + inverse[ne : 2 * ne]
+    m20 = nv + inverse[2 * ne :]
     e0, e1, e2 = elements[:, 0], elements[:, 1], elements[:, 2]
     children = np.concatenate(
         [
@@ -152,7 +158,8 @@ def _refine_arrays(
             np.column_stack([m01, m12, m20]),
         ]
     )
-    return np.vstack([vertices, mids]), children, uniq
+    new_flags = np.concatenate([flags, counts == 1])
+    return np.vstack([vertices, mids]), children, new_flags, uniq
 
 
 def mesh_domain(shape, level: int) -> Mesh:
@@ -162,13 +169,13 @@ def mesh_domain(shape, level: int) -> Mesh:
     if level > MAX_LEVEL:
         raise LevelTooHigh(f"level {level} exceeds the cap {MAX_LEVEL}")
     vertices, elements, project_radius = _base_mesh(shape)
+    flags = np.ones(len(vertices), dtype=bool)
     for _ in range(level):
-        vertices, elements, _ = _refine_arrays(vertices, elements, project_radius)
+        vertices, elements, flags, _ = _refine_arrays(
+            vertices, elements, flags, project_radius
+        )
     return Mesh(
-        vertices=vertices,
-        elements=elements,
-        boundary_flags=_boundary_flags(vertices, elements),
-        level=level,
+        vertices=vertices, elements=elements, boundary_flags=flags, level=level
     )
 
 
@@ -176,13 +183,13 @@ def refine(mesh: Mesh, project_radius: Optional[float] = None) -> tuple[Mesh, np
     """Refine once; also returns the (n_mid, 2) parent pairs of new vertices."""
     if mesh.level + 1 > MAX_LEVEL:
         raise LevelTooHigh(f"refining past the cap {MAX_LEVEL}")
-    vertices, elements, parents = _refine_arrays(
-        mesh.vertices, mesh.elements, project_radius
+    vertices, elements, flags, parents = _refine_arrays(
+        mesh.vertices, mesh.elements, mesh.boundary_flags, project_radius
     )
     new_mesh = Mesh(
         vertices=vertices,
         elements=elements,
-        boundary_flags=_boundary_flags(vertices, elements),
+        boundary_flags=flags,
         level=mesh.level + 1,
     )
     return new_mesh, parents
@@ -233,32 +240,24 @@ def _interior(mesh: Mesh) -> np.ndarray:
     return idx
 
 
-def solve_torsion(mesh: Mesh) -> dict:
-    """Torsional rigidity and maximum of the torsion function on the mesh."""
-    stiffness, _, load = _assemble(mesh)
+def _solve_level(mesh: Mesh, x0: Optional[np.ndarray] = None) -> dict:
+    """Torsion and ground eigenpair of one mesh from one LU of ``K_ii``.
+
+    Inverse iteration starts from ``x0`` (on all vertices) or, without it,
+    from the torsion function, and raises EigenNotConverged if the Rayleigh
+    quotient has not settled to _EIG_TOL within _EIG_MAXIT iterations.
+    """
+    stiffness, mass, load = _assemble(mesh)
     idx = _interior(mesh)
     k_ii = stiffness[np.ix_(idx, idx)].tocsc()
+    m_ii = mass[np.ix_(idx, idx)].tocsr()
+    lu = spla.splu(k_ii)
     f_i = load[idx]
-    u_i = spla.splu(k_ii).solve(f_i)
-    return {"T": float(f_i @ u_i), "torsion_max": float(u_i.max())}
-
-
-def _torsion_vector(mesh: Mesh) -> np.ndarray:
-    stiffness, _, load = _assemble(mesh)
-    idx = _interior(mesh)
-    k_ii = stiffness[np.ix_(idx, idx)].tocsc()
-    u = np.zeros(len(mesh.vertices))
-    u[idx] = spla.splu(k_ii).solve(load[idx])
-    return u
-
-
-def _inverse_power(k_ii, m_ii, shift: float, x0: np.ndarray) -> tuple[float, np.ndarray]:
-    op = (k_ii - shift * m_ii).tocsc() if shift != 0.0 else k_ii.tocsc()
-    lu = spla.splu(op)
-    x = x0 / math.sqrt(float(x0 @ (m_ii @ x0)))
+    u_i = lu.solve(f_i)
+    x = u_i if x0 is None else x0[idx]
+    x = x / math.sqrt(float(x @ (m_ii @ x)))
     lam_prev = math.inf
-    lam = math.inf
-    for _ in range(_EIG_MAXIT):
+    for iteration in range(1, _EIG_MAXIT + 1):
         y = lu.solve(m_ii @ x)
         norm = math.sqrt(float(y @ (m_ii @ y)))
         if norm == 0.0 or not math.isfinite(norm):
@@ -268,34 +267,31 @@ def _inverse_power(k_ii, m_ii, shift: float, x0: np.ndarray) -> tuple[float, np.
         if abs(lam - lam_prev) <= _EIG_TOL * abs(lam):
             break
         lam_prev = lam
-    return lam, x
+    else:
+        raise EigenNotConverged(
+            f"relative eigenvalue change {abs(lam - lam_prev) / abs(lam):.1e} "
+            f"after {_EIG_MAXIT} iterations exceeds {_EIG_TOL:.0e}"
+        )
+    eigvec = np.zeros(len(mesh.vertices))
+    eigvec[idx] = x
+    return {
+        "lambda1": lam,
+        "T": float(f_i @ u_i),
+        "torsion_max": float(u_i.max()),
+        "eigvec": eigvec,
+        "eigen_iterations": iteration,
+    }
 
 
-def _solve_lambda1_impl(
-    mesh: Mesh, shift: float = 0.0, x0: Optional[np.ndarray] = None
-) -> tuple[float, np.ndarray]:
-    stiffness, mass, _ = _assemble(mesh)
-    idx = _interior(mesh)
-    k_ii = stiffness[np.ix_(idx, idx)].tocsr()
-    m_ii = mass[np.ix_(idx, idx)].tocsr()
-    start = np.ones(len(idx)) if x0 is None else x0[idx]
-    if not np.any(start):
-        start = np.ones(len(idx))
-    lam, x = _inverse_power(k_ii, m_ii, shift, start)
-    # the ground mode is single-signed; a sign-changing result means the
-    # shifted iteration latched onto a higher mode, so fall back to shift 0
-    oriented = x if x.sum() >= 0 else -x
-    if oriented.min() < -1e-6 * oriented.max():
-        lam, x = _inverse_power(k_ii, m_ii, 0.0, np.ones(len(idx)))
-    full = np.zeros(len(mesh.vertices))
-    full[idx] = x
-    return lam, full
+def solve_torsion(mesh: Mesh) -> dict:
+    """Torsional rigidity and maximum of the torsion function on the mesh."""
+    level = _solve_level(mesh)
+    return {"T": level["T"], "torsion_max": level["torsion_max"]}
 
 
 def solve_lambda1(mesh: Mesh) -> float:
     """Smallest Dirichlet eigenvalue of the mesh (above the true value)."""
-    lam, _ = _solve_lambda1_impl(mesh)
-    return lam
+    return _solve_level(mesh)["lambda1"]
 
 
 def richardson(values: Sequence[float]) -> dict:
@@ -357,9 +353,11 @@ def _prolong(x: np.ndarray, parents: np.ndarray) -> np.ndarray:
 def spectral(shape, max_level: int) -> SpectralResult:
     """Eigenvalue, torsion, and their scale-invariant ratio with extrapolation.
 
-    Solves on levels max_level-2 .. max_level, warm-starting each eigenvalue
-    solve from the previous level (prolonged eigenvector and a shift just
-    below the predicted next eigenvalue), then Richardson-extrapolates.
+    Solves on levels max_level-2 .. max_level with one factorization per
+    level, warm-starting each eigenvalue solve from the prolonged
+    eigenvector of the previous level, then Richardson-extrapolates.
+    ``per_level["eigen_iterations"]`` counts the inverse iterations of each
+    level.
     """
     if max_level < 2:
         raise ValueError("spectral needs max_level >= 2")
@@ -374,26 +372,17 @@ def spectral(shape, max_level: int) -> SpectralResult:
         meshes.append(fine)
         parent_maps.append(parents)
 
-    lam_seq: list[float] = []
-    tor_seq: list[float] = []
-    tmax_seq: list[float] = []
-    eigvec: Optional[np.ndarray] = None
+    per_level: dict = {
+        key: [] for key in ("lambda1", "T", "torsion_max", "eigen_iterations")
+    }
+    warm: Optional[np.ndarray] = None
     for i, mesh in enumerate(meshes):
-        if i == 0:
-            shift = 0.0
-            warm = None
-        elif i == 1:
-            shift = max(0.0, lam_seq[-1] * 0.95)
-            warm = _prolong(eigvec, parent_maps[0])
-        else:
-            predicted = lam_seq[-1] - (lam_seq[-2] - lam_seq[-1]) / 4.0
-            shift = max(0.0, predicted * (1.0 - 1e-3))
-            warm = _prolong(eigvec, parent_maps[1])
-        lam, eigvec = _solve_lambda1_impl(mesh, shift=shift, x0=warm)
-        lam_seq.append(lam)
-        tor = solve_torsion(mesh)
-        tor_seq.append(tor["T"])
-        tmax_seq.append(tor["torsion_max"])
+        solved = _solve_level(mesh, warm)
+        for key, values in per_level.items():
+            values.append(solved[key])
+        if i < len(parent_maps):
+            warm = _prolong(solved["eigvec"], parent_maps[i])
+    lam_seq, tor_seq = per_level["lambda1"], per_level["T"]
 
     lam_ex = richardson(lam_seq)
     tor_ex = richardson(tor_seq)
@@ -415,15 +404,11 @@ def spectral(shape, max_level: int) -> SpectralResult:
     return SpectralResult(
         lambda1=lam_val,
         T=tor_val,
-        torsion_max=tmax_seq[-1],
+        torsion_max=per_level["torsion_max"][-1],
         F=f_val,
         h_sequence=tuple(_mesh_h(m) for m in meshes),
         error_gauge=gauges,
         levels=tuple(levels),
-        per_level={
-            "lambda1": tuple(lam_seq),
-            "T": tuple(tor_seq),
-            "torsion_max": tuple(tmax_seq),
-        },
+        per_level={key: tuple(values) for key, values in per_level.items()},
         area=area,
     )

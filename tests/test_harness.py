@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 from fractions import Fraction
 
 import pytest
@@ -337,7 +338,7 @@ def test_thread_count_resolution(monkeypatch):
     assert thread_count() == 5
     assert thread_count(2) == 2  # explicit argument wins
     monkeypatch.delenv("POLYA_VERIFY_THREADS")
-    assert thread_count() >= 1
+    assert thread_count() == max(1, os.cpu_count() or 1)
 
 
 # ---------------------------------------------------------------------------

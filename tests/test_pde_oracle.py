@@ -2,8 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from polya_verify import harness, pde_oracle
 from polya_verify.closed_forms import (
     bessel_first_zero,
     equilateral_exact,
@@ -13,6 +15,7 @@ from polya_verify.closed_forms import (
 from polya_verify.geometry import Rectangle, Sector, Triangle
 from polya_verify.pde_oracle import (
     MAX_LEVEL,
+    EigenNotConverged,
     LevelTooHigh,
     NonContracting,
     SpectralResult,
@@ -108,6 +111,84 @@ def test_single_level_solvers_run_standalone():
     assert lam == pytest.approx(2.0 * math.pi**2, rel=2e-2)
     assert tor["T"] == pytest.approx(0.035144, rel=2e-2)
     assert tor["torsion_max"] <= 0.0736713  # conforming nodal max from below
+
+
+def _edge_count_flags(mesh):
+    """Boundary vertices recomputed independently: ends of single-use edges."""
+    e = mesh.elements
+    pairs = np.sort(np.concatenate([e[:, [0, 1]], e[:, [1, 2]], e[:, [2, 0]]]), axis=1)
+    uniq, counts = np.unique(pairs, axis=0, return_counts=True)
+    flags = np.zeros(len(mesh.vertices), dtype=bool)
+    flags[uniq[counts == 1].ravel()] = True
+    return flags
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [Triangle(0.3, 0.4), Rectangle(0.5, 0.25), Sector(math.pi / 3.0, 1.0)],
+    ids=["triangle", "rectangle", "sector"],
+)
+def test_refinement_boundary_flags_match_edge_counts(shape):
+    radius = shape.radius if isinstance(shape, Sector) else None
+    mesh = mesh_domain(shape, level=0)
+    for level in range(6):
+        direct = mesh_domain(shape, level)
+        assert np.array_equal(direct.boundary_flags, _edge_count_flags(direct))
+        assert np.array_equal(mesh.vertices, direct.vertices)
+        assert np.array_equal(mesh.elements, direct.elements)
+        assert np.array_equal(mesh.boundary_flags, direct.boundary_flags)
+        if level < 5:
+            mesh, _ = refine(mesh, radius)
+
+
+@pytest.mark.parametrize(
+    "shape", [Triangle(0.5, EQ_B), Triangle(0.5, 0.04)], ids=["equilateral", "thin"]
+)
+def test_spectral_factors_once_per_level(monkeypatch, shape):
+    calls = []
+    splu = pde_oracle.spla.splu
+
+    def counting_splu(*args, **kwargs):
+        calls.append(args[0].shape)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(pde_oracle.spla, "splu", counting_splu)
+    res = spectral(shape, max_level=6)
+    assert len(calls) == len(res.levels) == 3
+    assert calls[0][0] < calls[1][0] < calls[2][0]
+
+
+def test_spectral_levels_match_single_level_solvers():
+    shape = Triangle(0.3, 0.4)
+    res = spectral(shape, max_level=5)
+    for i, level in enumerate(res.levels):
+        mesh = mesh_domain(shape, level)
+        tor = solve_torsion(mesh)
+        assert res.per_level["T"][i] == tor["T"]
+        assert res.per_level["torsion_max"][i] == tor["torsion_max"]
+        assert res.per_level["lambda1"][i] == pytest.approx(
+            solve_lambda1(mesh), rel=1e-11
+        )
+
+
+def test_spectral_reports_eigen_iterations_per_level():
+    res = spectral(Triangle(0.5, 0.04), max_level=6)
+    iterations = res.per_level["eigen_iterations"]
+    assert isinstance(iterations, tuple)
+    assert len(iterations) == len(res.levels)
+    assert all(isinstance(n, int) and 0 < n <= pde_oracle._EIG_MAXIT for n in iterations)
+
+
+def test_unconverged_eigen_iteration_raises_and_flags_the_sweep_row(monkeypatch):
+    monkeypatch.setattr(pde_oracle, "_EIG_MAXIT", 2)
+    with pytest.raises(EigenNotConverged):
+        spectral(Triangle(0.3, 0.4), max_level=4)
+    rows = harness.sweep_triangles(
+        grid={"na": 2, "nb": 1, "b_min": 0.5}, max_level=4, threads=1
+    )
+    assert len(rows) == 1
+    assert rows[0].error.startswith("EigenNotConverged")
+    assert math.isnan(rows[0].F)
 
 
 def test_richardson_extrapolation_recovers_quadratic_limits():
