@@ -154,7 +154,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("--a", type=float, required=True)
     p_compute.add_argument("--b", type=float, required=True)
     p_compute.add_argument("--level", type=int, default=7)
-    p_compute.add_argument("--terms", type=int, default=64)
+    p_compute.add_argument(
+        "--terms",
+        type=int,
+        default=64,
+        help="odd terms of the single rectangle series (default 64)",
+    )
     p_compute.add_argument("--out", default=None)
     p_compute.set_defaults(func=_cmd_compute)
 

@@ -2,9 +2,13 @@
 
 Every truncated series comes back as a SeriesValue carrying an explicit
 tail bound, so callers can treat [value - tail_bound, value + tail_bound]
-as an enclosure.  Bessel zeros are found by sign-change bracketing of the
-ascending series evaluated on an arbitrary-precision substrate (the series
-cancels catastrophically in double precision once the order grows).
+as an enclosure.  Rectangle torsion and centre values come from the
+classical single series along the short side (tanh and sech), whose tail
+bounds cover truncation and floating-point rounding; rect_F is
+rect_lambda1 * T / area.  Bessel zeros are bracketed by the first sign
+change of the ascending series, evaluated on an arbitrary-precision
+substrate (the series cancels catastrophically in double precision once
+the order grows), and narrowed by Illinois regula falsi.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ class ConvergenceFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class SeriesValue:
-    """Truncated series value with a certified truncation bound."""
+    """Truncated series value with a bound on its distance from the true value."""
 
     value: float
     tail_bound: float
@@ -37,6 +41,14 @@ class SeriesValue:
             raise ValueError("tail_bound must be nonnegative")
         if self.terms_used < 1:
             raise ValueError("terms_used must be at least 1")
+
+
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def _odd_inv_fifth_tail(n0: int) -> float:
+    """Upper bound for the sum of n^-5 over odd n >= n0: first term plus integral."""
+    return n0**-5.0 + n0**-4.0 / 8.0
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +110,7 @@ def sector_torsion(s: Sector, n_terms: int = 64) -> SeriesValue:
     scale = s.radius**4 / 16.0
     value = scale * (math.tan(alpha) - alpha - prefactor * total)
     n0 = 2 * n_terms + 1
-    series_tail = (n0 / (n0 - 1.0)) * (n0**-5.0 + 0.125 * n0**-4.0)
+    series_tail = (n0 / (n0 - 1.0)) * _odd_inv_fifth_tail(n0)
     return SeriesValue(
         value=value,
         tail_bound=scale * prefactor * series_tail,
@@ -110,14 +122,22 @@ def sector_torsion(s: Sector, n_terms: int = 64) -> SeriesValue:
 # Bessel first zeros (ascending series on an arbitrary-precision substrate)
 # ---------------------------------------------------------------------------
 
+# regula falsi steps allowed once the sign change is found: orders up to 100
+# settle in at most 10, and bisection from the hunt step to 1e-12 takes 41
+_BRACKET_MAXIT = 50
 
-def _series_sign(nu: float, x, mp) -> int:
-    """Sign of J_nu(x) via the even part of the ascending series.
+
+def _series_sign(nu: float, x, mp) -> tuple[int, object]:
+    """Sign and value of J_nu(x) via the even part of the ascending series.
 
     Evaluates sum_m (-1)^m (x^2/4)^m / (m! Gamma(m + nu + 1)), which shares
     the positive zeros of J_nu.  Terms stop once they are geometric with
-    ratio <= 1/2 and negligible against the largest term seen.
+    ratio <= 1/2 and negligible against the largest term seen.  Returns
+    (sign, sum); the sign is 0 when the sum is too small to resolve.  The
+    order is taken to working precision too: the terms cancel, so a float
+    rounding in nu + m would move a zero of order 33.3 by 3e-7.
     """
+    nu = mp.mpf(nu)
     t = mp.mpf(x) ** 2 / 4
     term = 1 / mp.gamma(nu + 1)
     total = term
@@ -135,14 +155,32 @@ def _series_sign(nu: float, x, mp) -> int:
             raise ConvergenceFailure("ascending series did not settle")
     # the omitted tail is geometrically dominated by the last term
     if abs(total) <= 2 * abs(term):
-        return 0
-    return 1 if total > 0 else -1
+        return 0, total
+    return (1 if total > 0 else -1), total
+
+
+def _outward(lo, hi) -> tuple[float, float]:
+    """Floats enclosing the working-precision bracket [lo, hi]."""
+    flo, fhi = float(lo), float(hi)
+    if flo > lo:
+        flo = math.nextafter(flo, -math.inf)
+    if fhi < hi:
+        fhi = math.nextafter(fhi, math.inf)
+    return flo, fhi
 
 
 def bessel_zero_bracket(nu: float, tol: float = 1e-12) -> tuple[float, float]:
     """Bracket [lo, hi] of the first positive zero of J_nu, hi - lo <= tol.
 
-    The bracket endpoints carry opposite series signs at working precision.
+    A hunt from x = nu, below the first zero, in steps shorter than the gap
+    between zeros finds the first sign change of the series.  Illinois
+    regula falsi on the series values then narrows the bracket.  Each trial
+    point keeps a quarter of tol (or of the bracket) clear of both ends, so
+    once one end is that close to the zero the next trial lands past it.
+    The float endpoints are rounded outward and carry opposite series signs
+    at working precision.  Raises ConvergenceFailure if a sign cannot be
+    resolved or the bracket is still wider than tol after _BRACKET_MAXIT
+    steps.
     """
     if nu < 0:
         raise ValueError(f"order must be nonnegative, got {nu}")
@@ -155,30 +193,48 @@ def bessel_zero_bracket(nu: float, tol: float = 1e-12) -> tuple[float, float]:
     with mp.workdps(dps):
         lo = mp.mpf(hunt_start)
         step = min(1.0 + 0.1 * nu ** (1.0 / 3.0), 2.0)
-        sign_lo = _series_sign(nu, lo, mp)
+        sign_lo, f_lo = _series_sign(nu, lo, mp)
         if sign_lo <= 0:
             raise ConvergenceFailure(
                 f"series not positive at hunt start x={float(lo)} for nu={nu}"
             )
         hi = lo + step
+        sign, f_hi = _series_sign(nu, hi, mp)
         hunts = 0
-        while _series_sign(nu, hi, mp) > 0:
-            lo, hi = hi, hi + step
+        while sign > 0:
+            lo, f_lo = hi, f_hi
+            hi = lo + step
+            sign, f_hi = _series_sign(nu, hi, mp)
             hunts += 1
             if hunts > 400:
                 raise ConvergenceFailure(f"no sign change found for nu={nu}")
-        while float(hi) - float(lo) > tol:
-            mid = (lo + hi) / 2
-            s = _series_sign(nu, mid, mp)
-            if s > 0:
-                lo = mid
-            elif s < 0:
-                hi = mid
-            else:
-                # can't resolve the sign this close to the zero; the bracket
-                # is already within working-precision distance of it
-                break
-        return float(lo), float(hi)
+        side = 0  # the end the last trial replaced: 1 for lo, -1 for hi
+        steps = 0
+        while True:
+            if sign == 0:
+                raise ConvergenceFailure(f"unresolved series sign for nu={nu}")
+            bracket = _outward(lo, hi)
+            if bracket[1] - bracket[0] <= tol:
+                return bracket
+            if steps == _BRACKET_MAXIT:
+                raise ConvergenceFailure(
+                    f"bracket for nu={nu} still {float(hi - lo):.3g} wide after "
+                    f"{steps} regula falsi steps"
+                )
+            steps += 1
+            margin = min(mp.mpf(tol), hi - lo) / 4
+            x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+            x = min(max(x, lo + margin), hi - margin)
+            sign, f = _series_sign(nu, x, mp)
+            if sign > 0:
+                lo, f_lo = x, f
+                if side == 1:
+                    f_hi /= 2
+            elif sign < 0:
+                hi, f_hi = x, f
+                if side == -1:
+                    f_lo /= 2
+            side = sign
 
 
 @functools.lru_cache(maxsize=4096)
@@ -193,7 +249,8 @@ def bessel_first_zero(nu: float, tol: float = 1e-12) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Rectangles R_{a,b} = (-a, a) x (-b, b)
+# Rectangles R_{a,b} = (-a, a) x (-b, b); A >= B are the longer and shorter
+# half-widths, and each series runs along the short side
 # ---------------------------------------------------------------------------
 
 
@@ -202,98 +259,86 @@ def rect_lambda1(r: Rectangle) -> float:
     return (math.pi / (2.0 * r.a)) ** 2 + (math.pi / (2.0 * r.b)) ** 2
 
 
-def _odd_fourth_tail(k: int) -> float:
-    """Upper bound for sum over odd n >= 2k+1 of n^-4."""
-    n0 = 2 * k + 1
-    return n0**-4.0 + n0**-3.0 / 6.0
+def _torsion_series(r: Rectangle, n_terms: int) -> tuple[float, float]:
+    """Torsional rigidity by the tanh series, and a bound on its error.
 
-
-_SUM_ODD_INV_SQ = math.pi**2 / 8.0
+    The omitted terms are positive and below n^-5, so truncation makes the
+    value an overestimate by at most the odd n^-5 tail.  Each summed term
+    carries a few roundings and the running sum one per term; with
+    (192/pi^5)(B/A) * sum < 0.64 all of it stays below (n_terms + 24) unit
+    roundoffs of (4/3) A B^3.
+    """
+    big, small = max(r.a, r.b), min(r.a, r.b)
+    ratio = big / small
+    total = 0.0
+    for j in range(n_terms):
+        n = 2 * j + 1
+        total += math.tanh(n * math.pi * ratio / 2.0) / n**5
+    scale = (4.0 / 3.0) * big * small**3
+    factor = (192.0 / math.pi**5) / ratio
+    truncation = scale * factor * _odd_inv_fifth_tail(2 * n_terms + 1)
+    rounding = scale * (n_terms + 24) * _UNIT_ROUNDOFF
+    return scale * (1.0 - factor * total), truncation + rounding
 
 
 def rect_torsion(r: Rectangle, n_terms: int = 64) -> SeriesValue:
-    """Torsional rigidity by the double sine series, square truncation.
+    """Torsional rigidity by the single tanh series over n_terms odd n.
 
-    T = (4^5 a^3 b^3 / pi^6) * sum over n, m of
-    1 / (b^2 (2n+1)^4 (2m+1)^2 + a^2 (2m+1)^4 (2n+1)^2).
+    T = (4/3) A B^3 [1 - (192/pi^5)(B/A) sum_{n odd} tanh(n pi A/(2B))/n^5]
+    (Polya & Szego 1951; Timoshenko & Goodier, Theory of Elasticity,
+    sec. 109).  The truncated value is an overestimate.
     """
-    a, b = r.a, r.b
-    total = 0.0
-    for n in range(n_terms):
-        p = 2 * n + 1
-        p2, p4 = p * p, p * p * p * p
-        for m in range(n_terms):
-            q = 2 * m + 1
-            q2 = q * q
-            total += 1.0 / (b * b * p4 * q2 + a * a * q2 * q2 * p2)
-    prefactor = 4**5 * a**3 * b**3 / math.pi**6
-    # n-tail: sum_{n>=K, all m} <= (1/b^2) (sum odd n^-4 tail) (pi^2/8); symmetric in m
-    tail = _odd_fourth_tail(n_terms) * _SUM_ODD_INV_SQ * (1.0 / b**2 + 1.0 / a**2)
-    return SeriesValue(
-        value=prefactor * total,
-        tail_bound=prefactor * tail,
-        terms_used=n_terms * n_terms,
-    )
+    value, bound = _torsion_series(r, n_terms)
+    return SeriesValue(value=value, tail_bound=bound, terms_used=n_terms)
 
 
 def rect_F(r: Rectangle, n_terms: int = 64) -> SeriesValue:
     """The scale-invariant eigenvalue-torsion functional of a rectangle.
 
-    Identical term by term to rect_lambda1 * rect_torsion / area; summed
-    directly for an independent route.
+    rect_lambda1 * T / area, with T from the tanh series over n_terms odd n;
+    the bound adds ten unit roundoffs of F for the eigenvalue, the area and
+    the two products.
     """
-    a, b = r.a, r.b
-    total = 0.0
-    s = a * a + b * b
-    for n in range(n_terms):
-        p = 2 * n + 1
-        p2, p4 = p * p, p * p * p * p
-        for m in range(n_terms):
-            q = 2 * m + 1
-            q2 = q * q
-            total += s / (b * b * p4 * q2 + a * a * q2 * q2 * p2)
-    prefactor = 4**3 / math.pi**4
-    tail = s * _odd_fourth_tail(n_terms) * _SUM_ODD_INV_SQ * (
-        1.0 / b**2 + 1.0 / a**2
-    )
+    lam = rect_lambda1(r)
+    area = 4.0 * r.a * r.b
+    torsion, bound = _torsion_series(r, n_terms)
+    value = lam * torsion / area
     return SeriesValue(
-        value=prefactor * total,
-        tail_bound=prefactor * tail,
-        terms_used=n_terms * n_terms,
+        value=value,
+        tail_bound=lam * bound / area + 10.0 * _UNIT_ROUNDOFF * value,
+        terms_used=n_terms,
     )
+
+
+def _sech(x: float) -> float:
+    """1/cosh(x) for x >= 0, written so that no intermediate overflows."""
+    e = math.exp(-x)
+    return 2.0 * e / (1.0 + e * e)
 
 
 def rect_center_torsion(r: Rectangle, n_terms: int = 256) -> SeriesValue:
     """Value of the torsion function at the rectangle center.
 
-    u(0,0) = (4^3 a^2 / pi^4) * sum over n, m of
-    (-1)^(n+m) / ((2n+1)^3 (2m+1)) / (1 + a^2 (2m+1)^2 / (b^2 (2n+1)^2)).
-    Both index directions are alternating with decreasing magnitude, so the
-    truncation error is controlled by first-omitted-term bounds.
+    u(0,0) = B^2/2 - (16 B^2/pi^3) sum_{n odd} (-1)^((n-1)/2) sech(n pi A/(2B)) / n^3,
+    summed over n_terms odd n.  The terms alternate and shrink, so the
+    truncation error is at most the first omitted term.  Every partial sum
+    is below sech(pi/2) < 0.4 and each term carries a few roundings, so the
+    rounding stays below (n_terms + 10) unit roundoffs of B^2.
     """
-    a, b = r.a, r.b
-    c = a * a / (b * b)
+    big, small = max(r.a, r.b), min(r.a, r.b)
+    ratio = big / small
     total = 0.0
-    for n in range(n_terms):
-        p = 2 * n + 1
-        inner = 0.0
-        for m in range(n_terms):
-            q = 2 * m + 1
-            term = 1.0 / (q * (1.0 + c * q * q / (p * p)))
-            inner += term if m % 2 == 0 else -term
-        total += (inner / p**3) if n % 2 == 0 else (-inner / p**3)
-    prefactor = 4**3 * a * a / math.pi**4
-    q0 = 2 * n_terms + 1
-    # m-truncation: first omitted magnitude per n, summed over n < K
-    m_tail = sum(
-        1.0 / ((2 * n + 1) ** 3 * q0 * (1.0 + c * q0 * q0 / (2 * n + 1) ** 2))
-        for n in range(n_terms)
-    )
-    # n-truncation: every omitted n-block is an alternating inner sum with
-    # magnitude below 1, so the block total is below sum of odd p^-3
-    n_tail = q0**-3.0 + 0.25 * q0**-2.0
+    for j in range(n_terms):
+        n = 2 * j + 1
+        term = _sech(n * math.pi * ratio / 2.0) / n**3
+        total += term if j % 2 == 0 else -term
+    b2 = small * small
+    scale = 16.0 * b2 / math.pi**3
+    n0 = 2 * n_terms + 1
+    truncation = scale * _sech(n0 * math.pi * ratio / 2.0) / n0**3
+    rounding = b2 * (n_terms + 10) * _UNIT_ROUNDOFF
     return SeriesValue(
-        value=prefactor * total,
-        tail_bound=prefactor * (m_tail + n_tail),
-        terms_used=n_terms * n_terms,
+        value=0.5 * b2 - scale * total,
+        tail_bound=truncation + rounding,
+        terms_used=n_terms,
     )

@@ -1302,7 +1302,7 @@ def _replay_rect_monotone() -> CaseReport:
     ev.append(
         EvidenceItem(
             check="series values along the aspect grid are nondecreasing "
-            "within twice the truncation tails",
+            "within twice the series tail bounds",
             method="grid+modulus",
             margin=scan["min_increment_with_slack"],
             passed=scan["nondecreasing"],
@@ -1646,8 +1646,8 @@ def rect_monotonicity_scan(
 ) -> dict:
     """Scan F over rectangles (-a,a) x (-1,1) for monotonicity in a.
 
-    Checks the series values are nondecreasing within twice the truncation
-    tails, that the square starts the family at its minimum, and the floor
+    Checks the series values are nondecreasing within twice their tail
+    bounds, that the square starts the family at its minimum, and the floor
     check F >= 64/pi^4.  The relative gap to the strip limit pi^2/12
     (``gap_to_limit``) is taken at the fixed aspect 100, not at
     ``a_values[-1]``; ``last_gap`` is the absolute gap of the last scanned

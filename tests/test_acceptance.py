@@ -131,10 +131,10 @@ def test_wide_rectangle_reaches_strip_limit_within_half_percent():
     gap_100 = scan["gap_to_limit"]
     assert abs(gap_100 - single_gap) <= slack, (gap_100, single_gap)
 
-    # every summed term of rect_F is positive, so the truncated value is below
-    # F and its gap bounds the true gap from above
+    # F lies in [value - tail_bound, value + tail_bound], so the gap of the
+    # lower end bounds the true gap from above
     wide = closed_forms.rect_F(Rectangle(200.0, 1.0), n_terms=600)
-    gap = (F_HIGH - wide.value) / F_HIGH
+    gap = (F_HIGH - (wide.value - wide.tail_bound)) / F_HIGH
     assert 0.0 < gap <= 0.005, gap
 
 
