@@ -93,8 +93,15 @@ def sector_torsion(s: Sector, n_terms: int = 64) -> SeriesValue:
     """Torsional rigidity of a sector with opening angle below pi/2.
 
     T = (r^4/16) (tan(angle) - angle - (128 angle^4 / pi^5) * S) where S sums
-    1/(n^2 (n + 2 angle/pi)^2 (n - 2 angle/pi)) over odd n.  The truncation
-    makes the returned value an overestimate by at most tail_bound.
+    1/(n^2 (n + 2 angle/pi)^2 (n - 2 angle/pi)) over odd n.  Truncation
+    makes the value an overestimate; tail_bound covers it and floating-point
+    rounding.  The ratio q = 2 angle/pi carries about 1.35 unit roundoffs
+    (the division and the float pi), which term n amplifies by at most
+    1/(n - q) on top of its ten roundings, and the positive running sum adds
+    one per term: the subtracted part is off by at most
+    (n_terms + 20 + 2/(1 - q)) unit roundoffs of itself.  tan, the two
+    subtractions and the scaling add at most eight unit roundoffs of
+    tan(angle), which bounds every other intermediate.
     """
     alpha = s.angle
     if not 0.0 < alpha < math.pi / 2.0:
@@ -108,12 +115,18 @@ def sector_torsion(s: Sector, n_terms: int = 64) -> SeriesValue:
         total += 1.0 / (n * n * (n + r) * (n + r) * (n - r))
     prefactor = 128.0 * alpha**4 / math.pi**5
     scale = s.radius**4 / 16.0
-    value = scale * (math.tan(alpha) - alpha - prefactor * total)
+    tan = math.tan(alpha)
+    value = scale * (tan - alpha - prefactor * total)
     n0 = 2 * n_terms + 1
-    series_tail = (n0 / (n0 - 1.0)) * _odd_inv_fifth_tail(n0)
+    truncation = scale * prefactor * (n0 / (n0 - 1.0)) * _odd_inv_fifth_tail(n0)
+    rounding = (
+        scale
+        * _UNIT_ROUNDOFF
+        * ((n_terms + 20 + 2.0 / (1.0 - r)) * prefactor * total + 8.0 * tan)
+    )
     return SeriesValue(
         value=value,
-        tail_bound=scale * prefactor * series_tail,
+        tail_bound=truncation + rounding,
         terms_used=n_terms,
     )
 

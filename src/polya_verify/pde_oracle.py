@@ -12,9 +12,11 @@ prolonged eigenvector, so repeated runs are byte-identical.
 
 Richardson extrapolation over three consecutive levels provides the
 reported value and an error gauge (distance between the extrapolated and
-finest-level values).  Sector meshes are polygonal fans whose arc midpoints
-are re-projected to the circle on every refinement; their gauges are
-inflated by the remaining polygon area defect.
+finest-level values).  Sector meshes start from a fan of
+ceil(angle / (pi/3)) wedges about the apex: the accuracy of a level is set
+by its radial resolution, so more wedges would only add elements.  Arc
+midpoints are re-projected to the circle on every refinement, and sector
+gauges are inflated by the remaining polygon area defect.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import scipy.sparse.linalg as spla
 from .geometry import Rectangle, Sector, Triangle
 
 MAX_LEVEL = 9
-_SECTOR_BASE_FAN = 64
 _EIG_TOL = 1e-12
 _EIG_MAXIT = 400
 
@@ -79,7 +80,9 @@ class SpectralResult:
 def _base_mesh(shape) -> tuple[np.ndarray, np.ndarray, Optional[float]]:
     """Level-0 vertices/elements and the projection radius for sectors.
 
-    Every level-0 vertex lies on the boundary of the shape.
+    Every level-0 vertex lies on the boundary of the shape.  A sector is a
+    fan of ceil(angle / (pi/3)) equal wedges about its apex, so every wedge
+    opens at most 60 degrees and no level-0 angle exceeds 90 degrees.
     """
     if isinstance(shape, Triangle):
         if shape.b < 1e-6:
@@ -99,7 +102,7 @@ def _base_mesh(shape) -> tuple[np.ndarray, np.ndarray, Optional[float]]:
         elements = np.array([[0, 1, 2], [0, 2, 3]], dtype=np.int64)
         return vertices, elements, None
     if isinstance(shape, Sector):
-        k = _SECTOR_BASE_FAN
+        k = math.ceil(shape.angle / (math.pi / 3.0))
         angles = np.linspace(0.0, shape.angle, k + 1)
         arc = shape.radius * np.column_stack([np.cos(angles), np.sin(angles)])
         vertices = np.vstack([[0.0, 0.0], arc])
@@ -280,6 +283,8 @@ def _solve_level(mesh: Mesh, x0: Optional[np.ndarray] = None) -> dict:
         "torsion_max": float(u_i.max()),
         "eigvec": eigvec,
         "eigen_iterations": iteration,
+        "elements": len(mesh.elements),
+        "dofs": len(idx),
     }
 
 
@@ -357,7 +362,8 @@ def spectral(shape, max_level: int) -> SpectralResult:
     level, warm-starting each eigenvalue solve from the prolonged
     eigenvector of the previous level, then Richardson-extrapolates.
     ``per_level["eigen_iterations"]`` counts the inverse iterations of each
-    level.
+    level, ``per_level["elements"]`` its elements and ``per_level["dofs"]``
+    its interior vertices, the unknowns of its solves.
     """
     if max_level < 2:
         raise ValueError("spectral needs max_level >= 2")
@@ -373,7 +379,10 @@ def spectral(shape, max_level: int) -> SpectralResult:
         parent_maps.append(parents)
 
     per_level: dict = {
-        key: [] for key in ("lambda1", "T", "torsion_max", "eigen_iterations")
+        key: []
+        for key in (
+            "lambda1", "T", "torsion_max", "eigen_iterations", "elements", "dofs"
+        )
     }
     warm: Optional[np.ndarray] = None
     for i, mesh in enumerate(meshes):

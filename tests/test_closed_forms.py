@@ -315,6 +315,27 @@ def test_sector_torsion_grows_with_angle():
         sector_torsion(Sector(math.pi / 2.0, 1.0), n_terms=64)
 
 
+def _mp_sector_torsion(angle):
+    """Torsional rigidity of Sector(angle, 1) to 40 digits (the same series, summed by nsum)."""
+    with mpmath.workdps(40):
+        alpha = mpmath.mpf(angle)
+        q = 2 * alpha / mpmath.pi
+        total = mpmath.nsum(
+            lambda j: 1 / ((2 * j + 1) ** 2 * (2 * j + 1 + q) ** 2 * (2 * j + 1 - q)),
+            [0, mpmath.inf],
+        )
+        return (mpmath.tan(alpha) - alpha - 128 * alpha**4 / mpmath.pi**5 * total) / 16
+
+
+@pytest.mark.parametrize("angle", (0.3, math.pi / 3.0, 1.4, 1.5))
+def test_sector_torsion_encloses_the_40_digit_value(angle):
+    # at 4000 terms rounding exceeds the truncation tail by up to 1500x
+    truth = _mp_sector_torsion(angle)
+    for n_terms in (64, 600, 4000):
+        tor = sector_torsion(Sector(angle, 1.0), n_terms=n_terms)
+        assert abs(tor.value - truth) <= tor.tail_bound, (n_terms, tor)
+
+
 def test_series_value_is_a_frozen_record():
     tor = rect_torsion(Rectangle(1.0, 1.0), n_terms=16)
     with pytest.raises(AttributeError):

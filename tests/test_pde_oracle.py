@@ -58,6 +58,45 @@ def test_sector_convergence_with_boundary_projection():
     assert res.area == pytest.approx(math.pi / 6.0, rel=1e-12)
 
 
+def _corner_angles(mesh):
+    """(ne, 3) interior angles of every element."""
+    v = mesh.vertices[mesh.elements]
+    angles = []
+    for i in range(3):
+        e1 = v[:, (i + 1) % 3] - v[:, i]
+        e2 = v[:, (i + 2) % 3] - v[:, i]
+        cos = np.sum(e1 * e2, axis=1) / (
+            np.linalg.norm(e1, axis=1) * np.linalg.norm(e2, axis=1)
+        )
+        angles.append(np.arccos(np.clip(cos, -1.0, 1.0)))
+    return np.column_stack(angles)
+
+
+@pytest.mark.parametrize("angle", (0.3, math.pi / 3.0, 1.4, 2.5, 3.1))
+def test_sector_base_fan_is_sized_to_the_opening(angle):
+    base = mesh_domain(Sector(angle, 1.0), level=0)
+    wedges = math.ceil(angle / (math.pi / 3.0))
+    assert len(base.elements) == wedges
+    assert len(base.vertices) == wedges + 2
+    assert np.all(_corner_angles(base) <= math.pi / 2.0 + 1e-12)
+    assert np.all(base.boundary_flags)
+
+
+@pytest.mark.parametrize("angle", (0.3, math.pi / 6.0, math.pi / 3.0, 1.4))
+def test_sector_gauges_and_per_level_sides_are_calibrated(angle):
+    sec = Sector(angle, 1.0)
+    res = spectral(sec, max_level=6)
+    lam_truth = bessel_first_zero(math.pi / angle) ** 2
+    tor = sector_torsion(sec, n_terms=4000)
+    # conforming elements: eigenvalues from above, torsion energy from below
+    assert all(lam >= lam_truth for lam in res.per_level["lambda1"])
+    assert all(t <= tor.value - tor.tail_bound for t in res.per_level["T"])
+    assert abs(res.lambda1 - lam_truth) <= res.error_gauge["lambda1"]
+    assert abs(res.T - tor.value) + tor.tail_bound <= res.error_gauge["T"]
+    wedges = math.ceil(angle / (math.pi / 3.0))
+    assert res.per_level["elements"] == tuple(wedges * 4**level for level in res.levels)
+
+
 def test_conforming_bounds_bracket_the_truth_per_level():
     truth = equilateral_exact()
     res = spectral(Triangle(0.5, EQ_B), max_level=6)
@@ -163,6 +202,8 @@ def test_spectral_levels_match_single_level_solvers():
     res = spectral(shape, max_level=5)
     for i, level in enumerate(res.levels):
         mesh = mesh_domain(shape, level)
+        assert res.per_level["elements"][i] == len(mesh.elements)
+        assert res.per_level["dofs"][i] == int(np.count_nonzero(~mesh.boundary_flags))
         tor = solve_torsion(mesh)
         assert res.per_level["T"][i] == tor["T"]
         assert res.per_level["torsion_max"][i] == tor["torsion_max"]
