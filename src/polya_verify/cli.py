@@ -43,6 +43,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
             "margin_high": harness.F_UPPER_LIMIT - res.F,
             "levels": res.levels,
             "error_gauge": dict(res.error_gauge),
+            "observed_order": dict(res.observed_order),
         }
     else:
         rect = Rectangle(args.a, args.b)

@@ -288,34 +288,6 @@ def _bessel_zero_interval(nu: Fraction, eps: Fraction) -> RationalInterval:
 # Constant registry
 # ---------------------------------------------------------------------------
 
-_ALIASES = {
-    "π": "pi",
-    "pi^2": "pi_pow_2",
-    "pi^5": "pi_pow_5",
-    "π²": "pi_pow_2",
-    "π⁵": "pi_pow_5",
-    "pi^{1/3}": "pi_pow_1_3",
-    "pi^{2/3}": "pi_pow_2_3",
-    "pi^{4/3}": "pi_pow_4_3",
-    "π^{1/3}": "pi_pow_1_3",
-    "π^{2/3}": "pi_pow_2_3",
-    "π^{4/3}": "pi_pow_4_3",
-    "zeta(5)": "zeta5",
-    "ζ(5)": "zeta5",
-    "2^{1/3}": "two_pow_1_3",
-    "2^{2/3}": "two_pow_2_3",
-    "cbrt2": "two_pow_1_3",
-    "sqrt(2)": "sqrt2",
-    "sqrt(3)": "sqrt3",
-    "sqrt(pi)": "sqrt_pi",
-    "√2": "sqrt2",
-    "√3": "sqrt3",
-    "√π": "sqrt_pi",
-    "-a1": "neg_a1",
-    "−a₁": "neg_a1",
-    "c₁": "c1",
-}
-
 C1 = Fraction(2338107, 1000000)
 K = Fraction(23, 10)
 
@@ -369,6 +341,11 @@ def _build(cid: str, eps: Fraction) -> RationalInterval:
 def enclose(constant_id: str, eps: RationalLike = Fraction(1, 10**12)) -> RationalInterval:
     """Rational enclosure of width <= eps for a housed constant.
 
+    constant_id is a canonical id: pi, pi_pow_2, pi_pow_5, pi_pow_1_3,
+    pi_pow_2_3, pi_pow_4_3, sqrt_pi, sqrt2, sqrt3, two_pow_1_3, two_pow_2_3,
+    zeta5, neg_a1, c1, k, or j_<nu> for the first zero of J_nu; anything
+    else raises UnknownConstant.
+
     Repeated calls refine monotonically: the cached interval only ever
     shrinks (new results are intersected with previous ones), so
     enclose(c, eps/2) is contained in enclose(c, eps).
@@ -376,27 +353,26 @@ def enclose(constant_id: str, eps: RationalLike = Fraction(1, 10**12)) -> Ration
     eps_f = as_fraction(eps)
     if eps_f <= 0:
         raise ValueError("eps must be positive")
-    cid = _ALIASES.get(constant_id, constant_id)
 
     with _CACHE_LOCK:
-        cached = _CACHE.get(cid)
+        cached = _CACHE.get(constant_id)
     if cached is not None and cached.width <= eps_f:
         return cached
 
-    result = _build(cid, eps_f)
+    result = _build(constant_id, eps_f)
     attempts = 0
     while result.width > eps_f and attempts < 8:
         attempts += 1
-        result = _build(cid, eps_f / 4**attempts)
+        result = _build(constant_id, eps_f / 4**attempts)
     if result.width > eps_f:
         raise UnknownConstant(
-            f"could not tighten {cid} to requested width {eps_f}"
+            f"could not tighten {constant_id} to requested width {eps_f}"
         )
     if cached is not None:
         result = result.intersect(cached)
     with _CACHE_LOCK:
-        newest = _CACHE.get(cid)
+        newest = _CACHE.get(constant_id)
         if newest is not None and newest is not cached:
             result = result.intersect(newest)
-        _CACHE[cid] = result
+        _CACHE[constant_id] = result
     return result

@@ -11,7 +11,9 @@ Every replayed case produces a CaseReport holding EvidenceItem entries.
 Each item records the check performed, the method that settled it, and a
 numeric margin.  Methods:
 
-- "exact-rational": settled in integer/Fraction arithmetic, no rounding;
+- "exact-rational": settled in integer/Fraction arithmetic, no rounding,
+  and holding on the whole stated region (a polynomial identity or an
+  exact bound, never a finite sample of points);
 - "certificate": settled by a polynomial nonpositivity certificate over
   outward-rounded rational coefficients;
 - "grid+modulus": settled by sampling together with an explicit
@@ -377,62 +379,14 @@ def case_function(name: str, point) -> Number:
     return fn(pt)
 
 
-# ---------------------------------------------------------------------------
-# Case context
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CaseContext:
-    """Chart point plus the derived window quantities the cases consume.
-
-    gamma_b is the apex angle 2 arctan(1/(2b)) of the isosceles triangle
-    of height b over a unit base; gamma_min is arctan(1/b), its value for
-    the right triangle.  For b <= 1/2, a_b = 1/2 - sqrt(1/4 - b^2) marks
-    where the right-angle circle meets height b, x_b = (1 - a_b)/b, and
-    beta_b = arctan(1/x_b) is the base angle there.  They are None above
-    b = 1/2 where the circle has no point at that height.
-    """
-
-    chart: str
-    point: tuple
-    gamma_b: Optional[float]
-    gamma_min: Optional[float]
-    beta_b: Optional[float]
-    a_b: Optional[float]
-    x_b: Optional[float]
-
-
-def case_context(point: tuple, chart: str = "T") -> CaseContext:
-    if chart not in ("T", "T_prime"):
-        raise ValueError(f"unknown chart {chart!r}")
-    a, b = float(point[0]), float(point[1])
-    if b <= 0:
-        raise OutOfRegion(f"height must be positive, got b={b}")
-    gamma_b = 2.0 * math.atan(1.0 / (2.0 * b))
-    gamma_min = math.atan(1.0 / b)
-    beta_b = a_b = x_b = None
-    if b <= 0.5:
-        a_b = 0.5 - math.sqrt(0.25 - b * b)
-        x_b = (1.0 - a_b) / b
-        beta_b = math.atan(1.0 / x_b)
-    return CaseContext(
-        chart=chart,
-        point=(a, b),
-        gamma_b=gamma_b,
-        gamma_min=gamma_min,
-        beta_b=beta_b,
-        a_b=a_b,
-        x_b=x_b,
-    )
-
-
 def xb_ge_3_exact(b: Number) -> bool:
     """Exact test of x_b >= 3 for rational 0 < b <= 1/2, no square roots.
 
-    x_b >= 3 rearranges to 1/2 + sqrt(1/4 - b^2) >= 3b; for b <= 1/6 the
-    right side is already below 1/2, otherwise both sides square to the
-    comparison 1/4 - b^2 >= (3b - 1/2)^2, whose difference is b(3 - 10b).
+    At height b the right-angle circle meets the chart at
+    a_b = 1/2 - sqrt(1/4 - b^2), and x_b = (1 - a_b)/b.  x_b >= 3
+    rearranges to 1/2 + sqrt(1/4 - b^2) >= 3b; for b <= 1/6 the right side
+    is already below 1/2, otherwise both sides square to the comparison
+    1/4 - b^2 >= (3b - 1/2)^2, whose difference is b(3 - 10b).
     """
     b = as_fraction(b)
     if not 0 < b <= Fraction(1, 2):
@@ -517,40 +471,6 @@ def certify_g_floor(
     cert = CellCertificate(floor=floor, box=box, cells=cells, max_depth=deepest)
     _G_FLOOR_CACHE[key] = cert
     return cert
-
-
-def g_floor_uniform(
-    floor: Number = Fraction(1),
-    box: Optional[tuple] = None,
-    n: int = 256,
-) -> dict:
-    """Uniform-grid floor check for g with the exact cell bound as modulus.
-
-    Partitions the box into an n x n grid of cells and takes the minimum
-    of the per-cell rational lower bound; independent of the adaptive
-    subdivision route, with a fixed predictable cell count.  The default
-    floor 1 is the claim itself; the sharper 201/200 floor needs the
-    adaptive certifier, whose cells shrink only where g runs low.
-    """
-    floor = as_fraction(floor)
-    if box is None:
-        box = (Fraction(0), Fraction(1, 2), Fraction(43, 50), Fraction(29, 10))
-    a0, a1, b0, b1 = (as_fraction(v) for v in box)
-    da = (a1 - a0) / n
-    db = (b1 - b0) / n
-    worst = None
-    for i in range(n):
-        ai, aj = a0 + i * da, a0 + (i + 1) * da
-        for j in range(n):
-            cell = _g_cell_lower(ai, aj, b0 + j * db, b0 + (j + 1) * db)
-            if worst is None or cell < worst:
-                worst = cell
-    return {
-        "floor": floor,
-        "cell_min": worst,
-        "passed": worst >= floor,
-        "cells": n * n,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -843,14 +763,6 @@ def _replay_acute_2() -> CaseReport:
             "the linearized tail factor stays positive on the angle window",
         )
     )
-    ev.append(
-        _exact_item(
-            "closed-form torsion bound is valid here: side ratio M >= 3 >= 2",
-            Fraction(3, 1) >= 2,
-            1,
-            "b >= 3 forces the slant side past the validity threshold",
-        )
-    )
     notes = (
         "The chain reduces a general tall triangle to the isosceles one by "
         "the altitude comparison and the certified monotone angle map, then "
@@ -894,31 +806,15 @@ def _replay_obtuse_1() -> CaseReport:
             "so the ratio clears 1 exactly between the quadratic's roots",
         )
     )
-    # the upper root (3 + sqrt(r))/2 stays above the chart: r >= 5 > 4
     ev.append(
         _exact_item(
-            "upper root exceeds the chart ceiling: (3 + sqrt(r))/2 >= 5/2 > 1/2",
-            Fraction(5, 1) >= 4,
-            2,
-            "r = 5 + 10a(1-a) >= 5 on 0 <= a <= 1, so sqrt(r) >= 2",
-        )
-    )
-    worst = None
-    ok_samples = True
-    for a, b in (
-        (Fraction(1, 5), Fraction(2, 5)),
-        (Fraction(1, 10), Fraction(3, 10)),
-        (Fraction(1, 2), Fraction(1, 2)),
-    ):
-        val = case_function("obtuse-1-f", (a, b))
-        ok_samples = ok_samples and val >= 1
-        worst = val if worst is None else min(worst, val)
-    ev.append(
-        _exact_item(
-            "ratio at rational points of the upper boundary curve is >= 1",
-            ok_samples,
-            worst - 1,
-            "sampled where a - a^2 is a rational square, so b is rational",
+            "the band stays below the upper root: 1/4 - (a - a^2) = (a - 1/2)^2",
+            identity_vanishes(
+                lambda a: Fraction(1, 4) - (a - a * a) - (a - Fraction(1, 2)) ** 2,
+                (2,),
+            ),
+            Fraction(3, 2) - Fraction(1, 2),
+            "so b^2 <= a - a^2 <= 1/4 forces b <= 1/2 < 3/2 <= (3 + sqrt(r))/2",
         )
     )
     notes = (
@@ -946,30 +842,16 @@ def _replay_obtuse_2() -> CaseReport:
             "exact grid evaluation at 3 x 3 rational nodes",
         )
     )
-    ok_boundary = True
-    worst_interior = None
-    for a in (Fraction(1, 20), Fraction(1, 10), Fraction(1, 8), Fraction(1, 6)):
-        w = a - a * a
-        curve = 2 * w / (1 - w)
-        ok_boundary = ok_boundary and case_function("obtuse-2-f", (a, curve)) == 1
-        interior = case_function("obtuse-2-f", (a, curve / 2))
-        worst_interior = (
-            interior if worst_interior is None else min(worst_interior, interior)
-        )
     ev.append(
         _exact_item(
-            "exact equality of the ratio on the region's upper curve",
-            ok_boundary,
-            0,
-            "f(a, 2w/(1-w)) = 1 with w = a - a^2 at four rational nodes",
-        )
-    )
-    ev.append(
-        _exact_item(
-            "strictly inside the region the ratio exceeds 1",
-            worst_interior is not None and worst_interior > 1,
-            (worst_interior - 1) if worst_interior is not None else -1,
-            "the factored form is positive when 0 < b < 2w/(1-w)",
+            "the region's curve divisor is positive: 1 - a + a^2 = (a - 1/2)^2 + 3/4",
+            identity_vanishes(
+                lambda a: 1 - a + a * a - (a - Fraction(1, 2)) ** 2 - Fraction(3, 4),
+                (2,),
+            ),
+            Fraction(3, 4),
+            "so b(1-a+a^2) <= 2a(1-a) and b >= 0 make the factored form >= 0, "
+            "and the ratio >= 1, on the whole region",
         )
     )
     ev.append(
@@ -1075,16 +957,17 @@ def _replay_obtuse_3() -> CaseReport:
     )
     ev.append(
         _exact_item(
-            "the sector of the base angle fits: the far side is shortest "
-            "within the fan",
+            "the sector of the base angle fits: with P = (a, b), V = (1, 0), "
+            "O = (0, 0), (P - V).(O - P) = a - a^2 - b^2",
             identity_vanishes(
-                lambda a, b: ((1 - a) ** 2 + b * b) - (1 - a) - (b * b - a + a * a),
+                lambda a, b: (a - 1) * (-a) + b * (-b) - (a - a * a - b * b),
                 (2, 2),
             ),
             0,
-            "N^2 <= 1 - a <= 1 on b^2 <= a - a^2; with the apex angle "
-            "obtuse, the chord from (1,0) shortens monotonically across "
-            "the fan, so the radius-N sector is contained",
+            "the dot product is >= 0 on b^2 <= a - a^2, so the distance to V "
+            "grows from N = |P - V| along the side from P to O; that side "
+            "stays outside the open radius-N disc about V, and the radius-N "
+            "sector at V lies in the triangle",
         )
     )
     notes = (
@@ -1198,15 +1081,6 @@ def _replay_upper_triangle(max_level: int = 5) -> CaseReport:
 def _replay_upper_tangential(max_level: int = 6) -> CaseReport:
     region = "tangential domains; among rectangles, exactly the squares"
     ev = []
-    ev.append(
-        _exact_item(
-            "square saturates the tangential eigenvalue cap: "
-            "lambda |D|^2 / P^2 = pi^2/8 exactly",
-            Fraction(2, 16) == Fraction(1, 8),
-            0,
-            "lambda = 2 pi^2 / s^2, |D|^2 = s^4, P^2 = 16 s^2",
-        )
-    )
     ev.append(
         _exact_item(
             "cap product identity: (1/8)(2/3) = 1/12",

@@ -64,7 +64,18 @@ class Mesh:
 
 @dataclass(frozen=True)
 class SpectralResult:
-    """Extrapolated spectral quantities with per-level data and error gauges."""
+    """Extrapolated spectral quantities with per-level data and error gauges.
+
+    ``error_gauge[q]`` is ``|extrapolated - finest|`` for q in lambda1, T
+    and F (plus the area defect on sectors).  It estimates the error of the
+    finest level, not of the extrapolated value reported here: at level 8
+    on the equilateral triangle and the square it is about 1e4 times the
+    extrapolated value's true error.  ``observed_order[q]`` for q in
+    lambda1 and T is log2 of the contraction of the level differences
+    (``richardson``), about 2 on regular shapes; it reads 0.86 for lambda1
+    at ``Triangle(0.5, 0.04)``, level 6, where the gauge's order-2 premise
+    fails.
+    """
 
     lambda1: float
     T: float
@@ -72,6 +83,7 @@ class SpectralResult:
     F: float
     h_sequence: tuple
     error_gauge: dict
+    observed_order: dict
     levels: tuple
     per_level: dict
     area: float
@@ -417,6 +429,10 @@ def spectral(shape, max_level: int) -> SpectralResult:
         F=f_val,
         h_sequence=tuple(_mesh_h(m) for m in meshes),
         error_gauge=gauges,
+        observed_order={
+            "lambda1": lam_ex["observed_order"],
+            "T": tor_ex["observed_order"],
+        },
         levels=tuple(levels),
         per_level={key: tuple(values) for key, values in per_level.items()},
         area=area,

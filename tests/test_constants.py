@@ -60,6 +60,8 @@ def test_enclosures_refine_monotonically():
 def test_unknown_constant_raises():
     with pytest.raises(UnknownConstant):
         enclose("feigenbaum")
+    with pytest.raises(UnknownConstant):
+        enclose("π")  # display spellings are not ids; pi is
 
 
 def test_interval_addition_and_subtraction():

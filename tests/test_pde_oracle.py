@@ -118,6 +118,18 @@ def test_error_gauges_bound_the_true_error_at_the_equilateral():
     assert res.error_gauge["F"] >= 0.0
 
 
+@pytest.mark.parametrize(
+    "shape",
+    [Triangle(0.5, EQ_B), Rectangle(0.5, 0.5), Sector(math.pi / 3.0, 1.0)],
+    ids=["equilateral", "square", "sector"],
+)
+def test_observed_orders_are_two_on_smooth_references(shape):
+    res = spectral(shape, max_level=6)
+    assert set(res.observed_order) == {"lambda1", "T"}
+    for order in res.observed_order.values():
+        assert 1.9 <= order <= 2.1
+
+
 def test_dilation_invariance_of_the_functional():
     small = spectral(Rectangle(0.5, 0.5), max_level=5)
     big = spectral(Rectangle(1.0, 1.0), max_level=5)
