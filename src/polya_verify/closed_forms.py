@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .geometry import Rectangle, Sector
 
@@ -146,9 +147,11 @@ def _series_sign(nu: float, x, mp) -> tuple[int, object]:
     Evaluates sum_m (-1)^m (x^2/4)^m / (m! Gamma(m + nu + 1)), which shares
     the positive zeros of J_nu.  Terms stop once they are geometric with
     ratio <= 1/2 and negligible against the largest term seen.  Returns
-    (sign, sum); the sign is 0 when the sum is too small to resolve.  The
-    order is taken to working precision too: the terms cancel, so a float
-    rounding in nu + m would move a zero of order 33.3 by 3e-7.
+    (sign, sum); the sign is 0 when the sum is too small to resolve: within
+    twice the last term (the omitted tail) plus 4 m^2 eps max|term|, which
+    bounds the rounding of m recursive term updates and their summation.
+    The order is taken to working precision too: the terms cancel, so a
+    float rounding in nu + m would move a zero of order 33.3 by 3e-7.
     """
     nu = mp.mpf(nu)
     t = mp.mpf(x) ** 2 / 4
@@ -166,8 +169,7 @@ def _series_sign(nu: float, x, mp) -> tuple[int, object]:
             break
         if m > 100000:  # pragma: no cover - defensive
             raise ConvergenceFailure("ascending series did not settle")
-    # the omitted tail is geometrically dominated by the last term
-    if abs(total) <= 2 * abs(term):
+    if abs(total) <= 2 * abs(term) + 4 * m * m * mp.eps * largest:
         return 0, total
     return (1 if total > 0 else -1), total
 
@@ -182,7 +184,18 @@ def _outward(lo, hi) -> tuple[float, float]:
     return flo, fhi
 
 
-def bessel_zero_bracket(nu: float, tol: float = 1e-12) -> tuple[float, float]:
+def _exact(lo, hi) -> tuple[Fraction, Fraction]:
+    """The working-precision bracket [lo, hi] itself, as binary rationals."""
+    return tuple(Fraction(m) * Fraction(2) ** e for m, e in (lo.man_exp, hi.man_exp))
+
+
+def _working(q, mp):
+    """A float or Fraction at working precision: exact for a float."""
+    q = Fraction(q)
+    return mp.mpf(q.numerator) / q.denominator
+
+
+def bessel_zero_bracket(nu: float | Fraction, tol: float | Fraction = 1e-12) -> tuple:
     """Bracket [lo, hi] of the first positive zero of J_nu, hi - lo <= tol.
 
     A hunt from x = nu, below the first zero, in steps shorter than the gap
@@ -190,10 +203,14 @@ def bessel_zero_bracket(nu: float, tol: float = 1e-12) -> tuple[float, float]:
     regula falsi on the series values then narrows the bracket.  Each trial
     point keeps a quarter of tol (or of the bracket) clear of both ends, so
     once one end is that close to the zero the next trial lands past it.
-    The float endpoints are rounded outward and carry opposite series signs
-    at working precision.  Raises ConvergenceFailure if a sign cannot be
-    resolved or the bracket is still wider than tol after _BRACKET_MAXIT
-    steps.
+    The order enters the series at working precision, exactly for a float
+    and rounded once for a Fraction.  For a float tol the endpoints are
+    floats rounded outward; for a Fraction tol they are the
+    working-precision endpoints themselves, as exact rationals, and the
+    working precision grows with the digits tol asks for.  Either way the
+    endpoints carry opposite series signs at working precision.  Raises
+    ConvergenceFailure if a sign cannot be resolved or the bracket is still
+    wider than tol after _BRACKET_MAXIT steps.
     """
     if nu < 0:
         raise ValueError(f"order must be nonnegative, got {nu}")
@@ -201,32 +218,38 @@ def bessel_zero_bracket(nu: float, tol: float = 1e-12) -> tuple[float, float]:
         raise ValueError("tol must be positive")
     import mpmath as mp
 
-    hunt_start = nu if nu > 0 else 0.25
-    dps = 30 + int(0.5 * (nu + 12.0))
+    endpoints = _exact if isinstance(tol, Fraction) else _outward
+    nu_f = float(nu)
+    hunt_start = nu_f if nu_f > 0 else 0.25
+    dps = 30 + int(0.5 * (nu_f + 12.0))
+    if endpoints is _exact:  # one more digit per decimal digit of 1/tol past 12
+        dps += max(0, len(str(tol.denominator // tol.numerator)) - 13)
     with mp.workdps(dps):
+        order = _working(nu, mp)
         lo = mp.mpf(hunt_start)
-        step = min(1.0 + 0.1 * nu ** (1.0 / 3.0), 2.0)
-        sign_lo, f_lo = _series_sign(nu, lo, mp)
+        step = min(1.0 + 0.1 * nu_f ** (1.0 / 3.0), 2.0)
+        sign_lo, f_lo = _series_sign(order, lo, mp)
         if sign_lo <= 0:
             raise ConvergenceFailure(
                 f"series not positive at hunt start x={float(lo)} for nu={nu}"
             )
         hi = lo + step
-        sign, f_hi = _series_sign(nu, hi, mp)
+        sign, f_hi = _series_sign(order, hi, mp)
         hunts = 0
         while sign > 0:
             lo, f_lo = hi, f_hi
             hi = lo + step
-            sign, f_hi = _series_sign(nu, hi, mp)
+            sign, f_hi = _series_sign(order, hi, mp)
             hunts += 1
             if hunts > 400:
                 raise ConvergenceFailure(f"no sign change found for nu={nu}")
         side = 0  # the end the last trial replaced: 1 for lo, -1 for hi
         steps = 0
+        tol_wp = _working(tol, mp)
         while True:
             if sign == 0:
                 raise ConvergenceFailure(f"unresolved series sign for nu={nu}")
-            bracket = _outward(lo, hi)
+            bracket = endpoints(lo, hi)
             if bracket[1] - bracket[0] <= tol:
                 return bracket
             if steps == _BRACKET_MAXIT:
@@ -235,11 +258,17 @@ def bessel_zero_bracket(nu: float, tol: float = 1e-12) -> tuple[float, float]:
                     f"{steps} regula falsi steps"
                 )
             steps += 1
-            margin = min(mp.mpf(tol), hi - lo) / 4
+            margin = min(tol_wp, hi - lo) / 4
             x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
             x = min(max(x, lo + margin), hi - margin)
-            sign, f = _series_sign(nu, x, mp)
-            if sign > 0:
+            sign, f = _series_sign(order, x, mp)
+            if sign == 0:  # x is within rounding of the zero: straddle it
+                lo, hi = x - margin, x + margin
+                (sign_lo, f_lo), (sign_hi, f_hi) = (
+                    _series_sign(order, end, mp) for end in (lo, hi)
+                )
+                sign = -1 if (sign_lo, sign_hi) == (1, -1) else 0
+            elif sign > 0:
                 lo, f_lo = x, f
                 if side == 1:
                     f_hi /= 2

@@ -3,11 +3,12 @@
 Every enclosure is a pair of exact rationals that bracket the target value:
 alternating partial sums with remainder control for the arctangent series
 behind pi, an Euler-Maclaurin tail bracket for zeta(5), and rational
-bisection for algebraic roots.  The only floating-point-derived brackets are
-the reference-grade Bessel and Airy ones, which are verified by sign changes
-at high working precision and padded outward; certified inequality chains
-never consume them (they use the exact rational lower-bound constant c1
-instead).
+bisection for algebraic roots.  The only brackets from floating-point
+searches are the reference-grade Bessel and Airy ones, located by sign
+changes at high working precision (the Bessel endpoints are the
+working-precision points themselves, the Airy ones are padded outward);
+certified inequality chains never consume them (they use the exact
+rational lower-bound constant c1 instead).
 """
 
 from __future__ import annotations
@@ -182,8 +183,8 @@ def _pi_interval(eps: Fraction) -> RationalInterval:
     return point(16) * a - point(4) * b
 
 
-def _root_below(c: Fraction, n: int, eps: Fraction) -> Fraction:
-    """Rational lower bound for c**(1/n) within eps, by bisection."""
+def _root_bracket(c: Fraction, n: int, eps: Fraction) -> tuple[Fraction, Fraction]:
+    """Rational (lo, hi) with lo**n <= c <= hi**n and hi - lo <= eps, by bisection."""
     lo, hi = Fraction(0), max(Fraction(1), c)
     while hi - lo > eps:
         mid = (lo + hi) / 2
@@ -191,19 +192,7 @@ def _root_below(c: Fraction, n: int, eps: Fraction) -> Fraction:
             lo = mid
         else:
             hi = mid
-    return lo
-
-
-def _root_above(c: Fraction, n: int, eps: Fraction) -> Fraction:
-    """Rational upper bound for c**(1/n) within eps, by bisection."""
-    lo, hi = Fraction(0), max(Fraction(1), c)
-    while hi - lo > eps:
-        mid = (lo + hi) / 2
-        if mid**n >= c:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return lo, hi
 
 
 def _nth_root_interval(c: RationalInterval, n: int, eps: Fraction) -> RationalInterval:
@@ -211,7 +200,7 @@ def _nth_root_interval(c: RationalInterval, n: int, eps: Fraction) -> RationalIn
     if c.lo < 0:
         raise ValueError("nth root of an interval with negative endpoint")
     return RationalInterval(
-        _root_below(c.lo, n, eps / 2), _root_above(c.hi, n, eps / 2)
+        _root_bracket(c.lo, n, eps / 2)[0], _root_bracket(c.hi, n, eps / 2)[1]
     )
 
 
@@ -277,11 +266,14 @@ def _reference_bracket_neg_a1(eps: Fraction) -> RationalInterval:
 
 
 def _bessel_zero_interval(nu: Fraction, eps: Fraction) -> RationalInterval:
-    """Reference-grade bracket for the first positive zero of J_nu."""
+    """Reference-grade bracket for the first positive zero of J_nu.
+
+    The order enters the series from its Fraction, and the endpoints are
+    the working-precision bracket itself, so the width reaches any eps.
+    """
     from . import closed_forms
 
-    lo, hi = closed_forms.bessel_zero_bracket(float(nu), tol=min(float(eps) / 2, 1e-12))
-    return RationalInterval(Fraction(lo), Fraction(hi))
+    return RationalInterval(*closed_forms.bessel_zero_bracket(nu, eps))
 
 
 # ---------------------------------------------------------------------------

@@ -35,10 +35,10 @@ import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from . import bounds, closed_forms, geometry, pde_oracle, polycert
-from .constants import C1, K, RationalInterval, as_fraction, enclose
+from .constants import C1, K, as_fraction, enclose, point
 from .geometry import Rectangle, Triangle
 
 Number = Union[int, float, Fraction]
@@ -177,17 +177,6 @@ def tan_upper_quintic_frac(x: Number) -> Fraction:
     return x + x**3 / 3 + Fraction(2, 5) * x**5
 
 
-def sqrt_bracket(x: Number, digits: int = 15) -> tuple:
-    """Rational bracket (lo, hi) around sqrt(x) with hi - lo <= 2/10^digits."""
-    x = as_fraction(x)
-    if x < 0:
-        raise ValueError("square root bracket needs x >= 0")
-    scale = 10**digits
-    floor_scaled = (x.numerator * scale * scale) // x.denominator
-    root = math.isqrt(floor_scaled)
-    return Fraction(root, scale), Fraction(root + 2, scale)
-
-
 def identity_vanishes(fn: Callable[..., Fraction], degrees: Sequence[int]) -> bool:
     """Exact zero test for a polynomial map given per-variable degree caps.
 
@@ -200,27 +189,26 @@ def identity_vanishes(fn: Callable[..., Fraction], degrees: Sequence[int]) -> bo
     return all(fn(*pt) == 0 for pt in itertools.product(*grids))
 
 
-def _riv(x: Number) -> RationalInterval:
-    f = as_fraction(x)
-    return RationalInterval(f, f)
-
-
 # ---------------------------------------------------------------------------
 # Case functions
 # ---------------------------------------------------------------------------
 
 
-def _all_rational(values: Iterable[Number]) -> bool:
-    return all(isinstance(v, (int, Fraction)) for v in values)
+def _exact_or_float(a: Number, b: Number) -> tuple:
+    """(a, b) as Fractions when both are rational, as floats otherwise.
+
+    The case formulas below then serve both: Fraction(3, 5) * x is 0.6 * x
+    on a float x.
+    """
+    if all(isinstance(v, (int, Fraction)) for v in (a, b)):
+        return as_fraction(a), as_fraction(b)
+    return float(a), float(b)
 
 
 def _g_acute_1a(a: Number, b: Number) -> Number:
-    if _all_rational((a, b)):
-        a, b = as_fraction(a), as_fraction(b)
-        u = (1 - a) ** 2 + b * b
-        return Fraction(3, 5) * (u + b) ** 2 / (u * (u + a))
-    u = (1.0 - a) ** 2 + b * b
-    return 0.6 * (u + b) ** 2 / (u * (u + a))
+    a, b = _exact_or_float(a, b)
+    u = (1 - a) ** 2 + b * b
+    return Fraction(3, 5) * (u + b) ** 2 / (u * (u + a))
 
 
 def _f_acute_1b(x: float) -> float:
@@ -265,17 +253,13 @@ def _g_mgeq3(x: float) -> float:
 
 
 def _f_obtuse_1(a: Number, b: Number) -> Number:
-    if _all_rational((a, b)):
-        a, b = as_fraction(a), as_fraction(b)
-        return Fraction(3, 5) * (1 + b) ** 2 / (1 - a + a * a + b * b)
-    return 0.6 * (1.0 + b) ** 2 / (1.0 - a + a * a + b * b)
+    a, b = _exact_or_float(a, b)
+    return Fraction(3, 5) * (1 + b) ** 2 / (1 - a + a * a + b * b)
 
 
 def _f_obtuse_2(a: Number, b: Number) -> Number:
-    if _all_rational((a, b)):
-        a, b = as_fraction(a), as_fraction(b)
-        return a * (1 - a) * (1 + b) ** 2 / (a - a * a + b * b)
-    return a * (1.0 - a) * (1.0 + b) ** 2 / (a - a * a + b * b)
+    a, b = _exact_or_float(a, b)
+    return a * (1 - a) * (1 + b) ** 2 / (a - a * a + b * b)
 
 
 def _prefactor_obtuse_3(b: float) -> float:
@@ -477,18 +461,20 @@ def certify_g_floor(
 # Certificate plan
 # ---------------------------------------------------------------------------
 
-_CERT_PLAN = (
-    ("P2_acute", Fraction(285, 1000)),
-    ("negP1prime_mono", Fraction(444, 1000)),
-    ("negP1prime_mono_shifted", Fraction(444, 1000)),
-    ("Q_mgeq3", Fraction(686, 1000)),
-)
+# lemma -> right end dx of its certified window (0, dx]; the replays' window
+# arithmetic reads the windows from here
+_CERT_PLAN = {
+    "P2_acute": Fraction(285, 1000),
+    "negP1prime_mono": Fraction(444, 1000),
+    "negP1prime_mono_shifted": Fraction(444, 1000),
+    "Q_mgeq3": Fraction(686, 1000),
+}
 
 
 def certify_all(max_depth: int = 40) -> list:
     """Run the four planned lemma certificates; returns per-run summaries."""
     out = []
-    for name, dx in _CERT_PLAN:
+    for name, dx in _CERT_PLAN.items():
         poly = polycert.build_lemma_polynomial(name, rounding="upper")
         t0 = time.perf_counter()
         cert = polycert.certify_nonpositive(poly, dx, max_depth=max_depth)
@@ -506,7 +492,8 @@ def certify_all(max_depth: int = 40) -> list:
     return out
 
 
-def _certificate_item(name: str, dx: Fraction, check: str) -> EvidenceItem:
+def _certificate_item(name: str, check: str) -> EvidenceItem:
+    dx = _CERT_PLAN[name]
     poly = polycert.build_lemma_polynomial(name, rounding="upper")
     cert = polycert.certify_nonpositive(poly, dx)
     worst = max(c0 for _, _, c0 in cert.intervals) if cert.intervals else Fraction(0)
@@ -532,6 +519,18 @@ def _exact_item(check: str, passed: bool, margin: Number, detail: str = "") -> E
     )
 
 
+def _angle_window_item(detail: str) -> EvidenceItem:
+    """arctan(1/3) lies below the cube of the Q_mgeq3 window's right end."""
+    dx = _CERT_PLAN["Q_mgeq3"]
+    _, hi13 = arctan_enclosure(Fraction(1, 3), 3)
+    return _exact_item(
+        f"arctan(1/3) <= 391/1215 <= ({dx})^3",
+        hi13 <= Fraction(391, 1215) <= dx**3,
+        dx**3 - Fraction(391, 1215),
+        detail,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Displayed sparse coefficients of the band polynomial, for cross-checking
 # ---------------------------------------------------------------------------
@@ -548,18 +547,18 @@ def _p1_display_intervals() -> dict:
     p23 = enclose("pi_pow_2_3")
     p43 = enclose("pi_pow_4_3")
     return {
-        3: _riv(2),
-        5: _riv(Fraction(-69, 5)) * t13 / p23,
-        7: _riv(Fraction(-1587, 50)) / (t13 * p43),
-        9: _riv(19),
-        11: _riv(Fraction(-23, 5)) * t13 / p23,
-        13: _riv(Fraction(-529, 50)) / (t13 * p43),
-        15: _riv(Fraction(194, 15)),
-        17: _riv(Fraction(-46, 25)) * t13 / p23,
-        19: _riv(Fraction(-529, 125)) / (t13 * p43),
-        21: _riv(Fraction(164, 9)),
-        27: _riv(Fraction(16, 3)),
-        33: _riv(Fraction(16, 5)),
+        3: point(2),
+        5: point(Fraction(-69, 5)) * t13 / p23,
+        7: point(Fraction(-1587, 50)) / (t13 * p43),
+        9: point(19),
+        11: point(Fraction(-23, 5)) * t13 / p23,
+        13: point(Fraction(-529, 50)) / (t13 * p43),
+        15: point(Fraction(194, 15)),
+        17: point(Fraction(-46, 25)) * t13 / p23,
+        19: point(Fraction(-529, 125)) / (t13 * p43),
+        21: point(Fraction(164, 9)),
+        27: point(Fraction(16, 3)),
+        33: point(Fraction(16, 5)),
     }
 
 
@@ -640,9 +639,7 @@ def _replay_acute_1b() -> CaseReport:
     ev = []
     ev.append(
         _certificate_item(
-            "P2_acute",
-            Fraction(285, 1000),
-            "shifted band polynomial nonpositive on (0, 285/1000]",
+            "P2_acute", "shifted band polynomial nonpositive on its window"
         )
     )
     lo18, _ = arctan_enclosure(Fraction(1, 8), 4)
@@ -664,17 +661,14 @@ def _replay_acute_1b() -> CaseReport:
             f"alternating partial sum gives arctan(1/2) <= {hi12}",
         )
     )
+    _, shift = polycert.RECENTERED["P2_acute"]
+    top = shift + _CERT_PLAN["P2_acute"]
     ev.append(
         _exact_item(
-            "cube-window arithmetic: 12/100 >= (49/100)^3, 464/1000 <= (775/1000)^3, "
-            "and 49/100 + 285/1000 = 775/1000",
-            Fraction(12, 100) >= Fraction(49, 100) ** 3
-            and Fraction(464, 1000) <= Fraction(775, 1000) ** 3
-            and Fraction(49, 100) + Fraction(285, 1000) == Fraction(775, 1000),
-            min(
-                Fraction(12, 100) - Fraction(49, 100) ** 3,
-                Fraction(775, 1000) ** 3 - Fraction(464, 1000),
-            ),
+            f"cube-window arithmetic: 12/100 >= ({shift})^3 and 464/1000 <= "
+            f"({top})^3, where {top} = {shift} + the P2_acute window",
+            Fraction(12, 100) >= shift**3 and Fraction(464, 1000) <= top**3,
+            min(Fraction(12, 100) - shift**3, top**3 - Fraction(464, 1000)),
             "the substituted variable window lands inside the certified shift",
         )
     )
@@ -704,33 +698,30 @@ def _replay_acute_2() -> CaseReport:
     ev.append(
         _certificate_item(
             "negP1prime_mono",
-            Fraction(444, 1000),
             "negated derivative of the monotone-map polynomial nonpositive "
-            "on (0, 444/1000]",
+            "on its window",
         )
     )
     ev.append(
         _certificate_item(
             "negP1prime_mono_shifted",
-            Fraction(444, 1000),
-            "negated derivative, shifted by 444/1000, nonpositive on "
-            "(0, 444/1000]",
+            "negated derivative, re-centered, nonpositive on its window",
         )
     )
     ev.append(
         _certificate_item(
-            "Q_mgeq3",
-            Fraction(686, 1000),
-            "tall-triangle comparison polynomial nonpositive on (0, 686/1000]",
+            "Q_mgeq3", "tall-triangle comparison polynomial nonpositive on its window"
         )
     )
+    _, shift = polycert.RECENTERED["negP1prime_mono_shifted"]
+    top = shift + _CERT_PLAN["negP1prime_mono_shifted"]
     ev.append(
         _exact_item(
-            "the two derivative certificates tile (0, 888/1000] and "
-            "7/10 <= (888/1000)^3",
-            Fraction(444, 1000) * 2 == Fraction(888, 1000)
-            and Fraction(7, 10) <= Fraction(888, 1000) ** 3,
-            Fraction(888, 1000) ** 3 - Fraction(7, 10),
+            f"the two derivative certificates tile (0, {top}] and "
+            f"7/10 <= ({top})^3",
+            shift <= _CERT_PLAN["negP1prime_mono"] and Fraction(7, 10) <= top**3,
+            top**3 - Fraction(7, 10),
+            f"the first window reaches the re-centering point {shift}, so "
             "monotonicity of the angle map holds on (0, 7/10]",
         )
     )
@@ -743,17 +734,12 @@ def _replay_acute_2() -> CaseReport:
             "the apex angle of every tall triangle here stays below 1/3",
         )
     )
-    _, hi13 = arctan_enclosure(Fraction(1, 3), 3)
     ev.append(
-        _exact_item(
-            "arctan(1/3) <= 391/1215 <= (686/1000)^3",
-            hi13 <= Fraction(391, 1215)
-            and Fraction(391, 1215) <= Fraction(686, 1000) ** 3,
-            Fraction(686, 1000) ** 3 - Fraction(391, 1215),
-            "the comparison certificate window covers the full angle range",
+        _angle_window_item(
+            "the comparison certificate window covers the full angle range"
         )
     )
-    dhat = _riv(372) * enclose("zeta5") / enclose("pi_pow_5")
+    dhat = point(372) * enclose("zeta5") / enclose("pi_pow_5")
     ev.append(
         _exact_item(
             "372 zeta(5) / pi^5 <= 13/10 and (13/10)(34/100) < 1",
@@ -897,33 +883,16 @@ def _replay_obtuse_3() -> CaseReport:
     )
     ev.append(
         _certificate_item(
-            "Q_mgeq3",
-            Fraction(686, 1000),
-            "comparison polynomial certificate reused for the base angle map",
+            "Q_mgeq3", "comparison polynomial certificate reused for the base angle map"
         )
     )
-    _, hi13 = arctan_enclosure(Fraction(1, 3), 3)
+    ev.append(_angle_window_item("x_b >= 3 keeps beta_b inside the certified window"))
     ev.append(
-        _exact_item(
-            "arctan(1/3) <= 391/1215 <= (686/1000)^3 covers the angle window",
-            hi13 <= Fraction(391, 1215)
-            and Fraction(391, 1215) <= Fraction(686, 1000) ** 3,
-            Fraction(686, 1000) ** 3 - Fraction(391, 1215),
-            "x_b >= 3 keeps beta_b inside the certified window",
-        )
+        _certificate_item("negP1prime_mono", "monotone angle map certificate, first tile")
     )
     ev.append(
         _certificate_item(
-            "negP1prime_mono",
-            Fraction(444, 1000),
-            "monotone angle map certificate, first tile",
-        )
-    )
-    ev.append(
-        _certificate_item(
-            "negP1prime_mono_shifted",
-            Fraction(444, 1000),
-            "monotone angle map certificate, second tile",
+            "negP1prime_mono_shifted", "monotone angle map certificate, second tile"
         )
     )
     ev.append(
@@ -942,17 +911,19 @@ def _replay_obtuse_3() -> CaseReport:
         lambda w: 2 * (2 * w * w + 2 * w) ** 2 - 8 * w * w * (w + 1) ** 2,
         (4,),
     )
-    lo_s10, hi_s10 = sqrt_bracket(Fraction(10))
-    pref_low = 760 - 240 * hi_s10
+    # 760 - 240 sqrt(10) >= 1 compares as squares: 759^2 >= 240^2 * 10, and
+    # then 759 - 240 sqrt(10) = gap / (759 + 240 sqrt(10)) >= gap / (2 * 759)
+    gap = 759**2 - 240**2 * 10
     ev.append(
         _exact_item(
             "sector prefactor simplifies to 4/(1+w)^2 with w = sqrt((1+s)/2) "
             "and is >= 1 on the region",
-            ok_w and pref_low >= 1,
-            pref_low - 1,
+            ok_w and gap >= 0,
+            Fraction(gap, 2 * 759),
             "denominator identity 2(2w^2+2w)^2 = 8w^2(w+1)^2 is exact; "
             "w <= 1 since s = sqrt(1-4b^2) <= 1; at b = 3/10 the exact "
-            "value 760 - 240 sqrt(10) still exceeds 1",
+            "value 760 - 240 sqrt(10) still exceeds 1, compared as squares: "
+            f"759^2 - 240^2 * 10 = {gap}",
         )
     )
     ev.append(
@@ -986,17 +957,22 @@ def _replay_obtuse_3() -> CaseReport:
 # ---------------------------------------------------------------------------
 
 
-def _sample_triangles(n_target: int = 500) -> list:
-    """Deterministic spread of valid chart triangles for spot checks."""
+def _sample_triangles() -> list:
+    """The valid chart triangles of a 32 x 23 grid on [0, 1/2] x [1/20, sqrt(3)/2].
+
+    Both grid ends are hit exactly, so the sample holds the a = 1/2 column
+    up to the equilateral apex (1/2, sqrt(3)/2): 498 triangles.
+    """
+    na, nb = 32, 23
+    top = math.sqrt(3.0) / 2.0
     out = []
-    na, nb = 36, 30
     for i in range(na):
         a = 0.5 * i / (na - 1)
         for j in range(nb):
-            b = 0.05 + (math.sqrt(3.0) / 2.0 - 0.05) * j / (nb - 1)
+            b = top - (top - 0.05) * (nb - 1 - j) / (nb - 1)
             if (a - 1.0) ** 2 + b * b <= 1.0 + 1e-12:
                 out.append(Triangle(a, b))
-    return out[:n_target]
+    return out
 
 
 def _replay_upper_triangle(max_level: int = 5) -> CaseReport:
@@ -1036,14 +1012,15 @@ def _replay_upper_triangle(max_level: int = 5) -> CaseReport:
     worst_eig = math.inf
     worst_tor = math.inf
     worst_cap = math.inf
-    cap_eig = PI_SQ / 9.0
     for tri in tris:
         data = geometry.derive(tri)
         res = pde_oracle.spectral(tri, max_level=max_level)
-        factor_eig = res.lambda1 * data.area**2 / data.P**2
-        factor_tor = res.T * data.P**2 / data.area**3
-        worst_eig = min(worst_eig, cap_eig * (1.0 + 2e-3) - factor_eig)
-        worst_tor = min(worst_tor, 2.0 / 3.0 - factor_tor)
+        chain = bounds.upper_chain(
+            {"lambda1": res.lambda1, "T": res.T, "area": data.area, "P": data.P},
+            "triangle",
+        ).details
+        worst_eig = min(worst_eig, chain["cap_eig"] * (1.0 + 2e-3) - chain["factor_eig"])
+        worst_tor = min(worst_tor, chain["cap_tor"] - chain["factor_tor"])
         worst_cap = min(worst_cap, 2.0 * PI_SQ / 27.0 + 1e-3 - res.F)
     ev.append(
         EvidenceItem(
@@ -1580,7 +1557,7 @@ def g_remark_check(a_values: Optional[Sequence[float]] = None, n_terms: int = 25
     lam_sq = closed_forms.rect_lambda1(sq)
     center_sq = closed_forms.rect_center_torsion(sq, n_terms=n_terms)
     p2 = enclose("pi_pow_2")
-    thr_sq = (_riv(5) * p2) / (_riv(58) - _riv(5) * p2)
+    thr_sq = (point(5) * p2) / (point(58) - point(5) * p2)
     bracket_ok = (
         Fraction(238, 100) ** 2 < thr_sq.lo and thr_sq.hi < Fraction(239, 100) ** 2
     )

@@ -7,17 +7,21 @@ c_0 > 0 the interval is split in half, the right half being handled by an
 exact Taylor shift.  Everything is Fraction arithmetic end to end, so a
 returned certificate is a proof, not a numeric indication.
 
-The module also builds the four specific polynomials whose nonpositivity
-underlies the triangle lower-bound case analysis.  Their irrational
-coefficients are first enclosed in rational intervals and then rounded
-upward once; since the certification domain lies in x > 0, the rounded
-polynomial dominates the true one pointwise and its certificate transfers.
+The module also builds the lemma polynomials whose nonpositivity underlies
+the triangle lower-bound case analysis.  Their irrational coefficients are
+first enclosed in rational intervals and then rounded upward once; since
+the certification domain lies in x > 0, the rounded polynomial dominates
+the true one pointwise and its certificate transfers.  A lemma is one
+coefficient tuple (dense, ascending, RationalInterval entries), built once
+per process; the re-centered lemmas shift the cached tuple with the same
+synthetic division that taylor_shift applies to Fraction coefficients.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -84,15 +88,22 @@ def eval_exact(poly: RationalPoly, x) -> Fraction:
     return acc
 
 
+def _shift(coeffs: Sequence, c: Fraction) -> list:
+    """Ascending coefficients of p(x + c) by synthetic division.
+
+    The entries may be Fractions or RationalIntervals: the same loop shifts
+    certified polynomials and lemma coefficient tuples.
+    """
+    b = list(coeffs)
+    for i in range(len(b) - 1):
+        for j in range(len(b) - 2, i - 1, -1):
+            b[j] = b[j] + b[j + 1] * c
+    return b
+
+
 def taylor_shift(poly: RationalPoly, c) -> RationalPoly:
     """Exact coefficients of poly(x + c), by synthetic division."""
-    c = as_fraction(c)
-    b = list(poly.coeffs)
-    n = len(b)
-    for i in range(n - 1):
-        for j in range(n - 2, i - 1, -1):
-            b[j] += c * b[j + 1]
-    return RationalPoly(tuple(b))
+    return RationalPoly(tuple(_shift(poly.coeffs, as_fraction(c))))
 
 
 @dataclass(frozen=True)
@@ -199,78 +210,39 @@ def certify_nonpositive(
 
 
 # ---------------------------------------------------------------------------
-# Interval-coefficient polynomial helpers (sparse, degree -> RationalInterval)
+# Lemma coefficient tuples: dense, ascending, RationalInterval entries
 # ---------------------------------------------------------------------------
 
-IntervalPoly = dict[int, RationalInterval]
 
-
-def _ip(entries: dict[int, object]) -> IntervalPoly:
-    out: IntervalPoly = {}
-    for deg, val in entries.items():
-        out[deg] = val if isinstance(val, RationalInterval) else point(val)
-    return out
-
-
-def _ip_add(p: IntervalPoly, q: IntervalPoly) -> IntervalPoly:
-    out = dict(p)
-    for deg, iv in q.items():
-        out[deg] = out[deg] + iv if deg in out else iv
-    return out
-
-
-def _ip_mul(p: IntervalPoly, q: IntervalPoly) -> IntervalPoly:
-    out: IntervalPoly = {}
-    for d1, iv1 in p.items():
-        for d2, iv2 in q.items():
-            prod = iv1 * iv2
-            deg = d1 + d2
-            out[deg] = out[deg] + prod if deg in out else prod
-    return out
-
-
-def _ip_scale(p: IntervalPoly, s) -> IntervalPoly:
-    s_iv = s if isinstance(s, RationalInterval) else point(s)
-    return {deg: iv * s_iv for deg, iv in p.items()}
-
-
-def _ip_pow(p: IntervalPoly, n: int) -> IntervalPoly:
-    out = _ip({0: 1})
-    for _ in range(n):
-        out = _ip_mul(out, p)
-    return out
-
-
-def _ip_neg_derivative(p: IntervalPoly) -> IntervalPoly:
-    return {deg - 1: _coerce_neg(iv) * point(deg) for deg, iv in p.items() if deg > 0}
-
-
-def _coerce_neg(iv: RationalInterval) -> RationalInterval:
-    return RationalInterval(-iv.hi, -iv.lo)
-
-
-def _ip_to_dense(p) -> list[RationalInterval]:
-    """Dense ascending coefficient list from a sparse dict or a dense list."""
-    if isinstance(p, (list, tuple)):
-        return list(p)
-    if not p:
-        return []
-    top = max(p)
+def _poly(terms: dict) -> tuple:
+    """Dense coefficients from {degree: value}, values rational or intervals."""
     zero = point(0)
-    return [p.get(deg, zero) for deg in range(top + 1)]
+    return tuple(zero + terms.get(deg, 0) for deg in range(max(terms) + 1))
 
 
-def _ip_taylor_shift(p: IntervalPoly, c: Fraction) -> IntervalPoly:
-    dense = _ip_to_dense(p)
-    n = len(dense)
-    for i in range(n - 1):
-        for j in range(n - 2, i - 1, -1):
-            dense[j] = dense[j] + dense[j + 1] * point(c)
-    return {deg: iv for deg, iv in enumerate(dense)}
+def _add(p: tuple, q: tuple) -> tuple:
+    if len(p) < len(q):
+        p, q = q, p
+    return tuple(a + b for a, b in zip(p, q)) + p[len(q):]
+
+
+def _mul(p: tuple, q: tuple) -> tuple:
+    out = [point(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] = out[i + j] + a * b
+    return tuple(out)
+
+
+def _pow(p: tuple, n: int) -> tuple:
+    out = _poly({0: 1})
+    for _ in range(n):
+        out = _mul(out, p)
+    return out
 
 
 # ---------------------------------------------------------------------------
-# The four lemma polynomials
+# The lemma polynomials
 # ---------------------------------------------------------------------------
 
 _COEFF_EPS = Fraction(1, 10**30)
@@ -285,28 +257,22 @@ def _c_ratio() -> RationalInterval:
     )
 
 
-def _p1_acute_intervals() -> IntervalPoly:
+def _p1_acute_intervals() -> tuple:
     """Degree-33 polynomial whose nonpositivity gives the medium-aspect case.
 
     5x^3 (1 + 4 A(x)^2) - 3 B(x) (1 + C x^2)^2 with
     A = x^3 + x^9/3 + 2x^15/5, B = x^3 + x^9/3 + 2x^15/15,
     C = k 2^(1/3) / pi^(2/3).
     """
-    a_poly = _ip({3: 1, 9: Fraction(1, 3), 15: Fraction(2, 5)})
-    b_poly = _ip({3: 1, 9: Fraction(1, 3), 15: Fraction(2, 15)})
-    c_iv = _c_ratio()
-    quad = _ip({0: 1, 2: c_iv})
-    first = _ip_add(_ip({3: 5}), _ip_scale(_ip_mul(_ip({3: 1}), _ip_pow(a_poly, 2)), 20))
-    second = _ip_scale(_ip_mul(b_poly, _ip_pow(quad, 2)), -3)
-    return _ip_add(first, second)
+    a_poly = _poly({3: 1, 9: Fraction(1, 3), 15: Fraction(2, 5)})
+    b_poly = _poly({3: 1, 9: Fraction(1, 3), 15: Fraction(2, 15)})
+    quad = _poly({0: 1, 2: _c_ratio()})
+    first = _add(_poly({3: 5}), _mul(_poly({0: 20}), _mul(_poly({3: 1}), _pow(a_poly, 2))))
+    second = _mul(_poly({0: -3}), _mul(b_poly, _pow(quad, 2)))
+    return _add(first, second)
 
 
-def _p2_acute_intervals() -> IntervalPoly:
-    """The medium-aspect polynomial re-centered at 49/100."""
-    return _ip_taylor_shift(_p1_acute_intervals(), Fraction(49, 100))
-
-
-def _monotone_product_intervals() -> IntervalPoly:
+def _monotone_product_intervals() -> tuple:
     """Degree-22 product whose increase drives the thin-acute reduction.
 
     (x^6/3 + c2 x^9 + 2x^12/15 + 17x^18/315)
@@ -320,19 +286,20 @@ def _monotone_product_intervals() -> IntervalPoly:
     pi5 = enclose("pi_pow_5", _COEFF_EPS)
     cbrt4 = enclose("two_pow_2_3", _COEFF_EPS)
     c1 = point(C1)
-    c2 = _coerce_neg(point(124) * zeta5 / pi5)
-    series = _ip(
+    c2 = -(point(124) * zeta5 / pi5)
+    series = _poly(
         {6: Fraction(1, 3), 9: c2, 12: Fraction(2, 15), 18: Fraction(17, 315)}
     )
-    quad = _ip({0: pi2, 2: cbrt4 * c1 * pi43, 4: c1 * c1 * pi23 / cbrt4})
-    return _ip_mul(series, quad)
+    quad = _poly({0: pi2, 2: cbrt4 * c1 * pi43, 4: c1 * c1 * pi23 / cbrt4})
+    return _mul(series, quad)
 
 
-def _neg_p1prime_intervals() -> IntervalPoly:
-    return _ip_neg_derivative(_monotone_product_intervals())
+def _neg_p1prime_intervals() -> tuple:
+    product = _monotone_product_intervals()
+    return tuple(-c * deg for deg, c in enumerate(product) if deg > 0)
 
 
-def _q_mgeq3_intervals() -> IntervalPoly:
+def _q_mgeq3_intervals() -> tuple:
     """Degree-31 polynomial for the thin-triangle threshold reduction.
 
     (1 + x^6/3 + 2x^12/5)^2
@@ -345,33 +312,41 @@ def _q_mgeq3_intervals() -> IntervalPoly:
     cbrt2 = enclose("two_pow_1_3", _COEFF_EPS)
     c_iv = point(C1) / (cbrt2 * pi23)
     d_iv = point(372) * zeta5 / pi5
-    part1 = _ip_pow(_ip({0: 1, 6: Fraction(1, 3), 12: Fraction(2, 5)}), 2)
-    part2 = _ip_mul(
-        _ip_mul(
-            _ip_pow(_ip({0: 1, 6: Fraction(-1, 8)}), 4),
-            _ip_pow(_ip({0: 1, 2: c_iv}), 2),
+    part1 = _pow(_poly({0: 1, 6: Fraction(1, 3), 12: Fraction(2, 5)}), 2)
+    part2 = _mul(
+        _mul(
+            _pow(_poly({0: 1, 6: Fraction(-1, 8)}), 4),
+            _pow(_poly({0: 1, 2: c_iv}), 2),
         ),
-        _ip({0: 1, 3: _coerce_neg(d_iv)}),
+        _poly({0: 1, 3: -d_iv}),
     )
-    return _ip_add(part1, _ip_scale(part2, -1))
-
-
-def _neg_p1prime_shifted_intervals() -> IntervalPoly:
-    """The derivative polynomial re-centered at 444/1000.
-
-    Certifying this on (0, 444/1000] extends the base certificate from
-    (0, 444/1000] to (0, 888/1000].
-    """
-    return _ip_taylor_shift(_neg_p1prime_intervals(), Fraction(444, 1000))
+    return _add(part1, tuple(-c for c in part2))
 
 
 _LEMMA_BUILDERS = {
     "P1_acute": _p1_acute_intervals,
-    "P2_acute": _p2_acute_intervals,
     "negP1prime_mono": _neg_p1prime_intervals,
-    "negP1prime_mono_shifted": _neg_p1prime_shifted_intervals,
     "Q_mgeq3": _q_mgeq3_intervals,
 }
+
+# re-centered lemmas: name -> (lemma, c), the coefficients of lemma(x + c).
+# A certificate of P2_acute on (0, dx] covers P1_acute on (49/100, 49/100 +
+# dx]; one of negP1prime_mono_shifted extends negP1prime_mono past 444/1000.
+RECENTERED = {
+    "P2_acute": ("P1_acute", Fraction(49, 100)),
+    "negP1prime_mono_shifted": ("negP1prime_mono", Fraction(444, 1000)),
+}
+
+
+@functools.cache
+def _lemma(name: str) -> tuple:
+    """Interval coefficients of a named lemma, built once per process."""
+    if name in RECENTERED:
+        base, c = RECENTERED[name]
+        return tuple(_shift(_lemma(base), c))
+    if name not in _LEMMA_BUILDERS:
+        raise UnknownName(name)
+    return _LEMMA_BUILDERS[name]()
 
 
 def build_lemma_polynomial(name: str, rounding: str = "upper"):
@@ -382,11 +357,9 @@ def build_lemma_polynomial(name: str, rounding: str = "upper"):
     certificates transfer).  rounding="interval" returns the dense list of
     RationalInterval coefficients.
     """
-    if name not in _LEMMA_BUILDERS:
-        raise UnknownName(name)
-    dense = _ip_to_dense(_LEMMA_BUILDERS[name]())
+    coeffs = _lemma(name)
     if rounding == "interval":
-        return dense
+        return list(coeffs)
     if rounding == "upper":
-        return RationalPoly(tuple(iv.hi for iv in dense))
+        return RationalPoly(tuple(iv.hi for iv in coeffs))
     raise ValueError(f"unknown rounding mode {rounding!r}")

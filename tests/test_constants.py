@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from polya_verify.constants import (
@@ -55,6 +56,26 @@ def test_enclosures_refine_monotonically():
     assert coarse.contains_interval(fine)
     again = enclose("zeta5", eps=Fraction(1, 10**8))
     assert again.width <= fine.width  # cache only ever shrinks
+
+
+@pytest.mark.parametrize(
+    "cid,nu,eps,digits",
+    [
+        ("j_3", Fraction(3), Fraction(1, 10**20), 60),
+        ("j_1/3", Fraction(1, 3), Fraction(1, 10**20), 60),
+        # a regula falsi trial lands within rounding of this zero
+        ("j_3", Fraction(3), Fraction(1, 10**80), 120),
+    ],
+    ids=["j_3", "j_1/3", "j_3-at-1e-80"],
+)
+def test_bessel_zero_enclosures_reach_any_width(cid, nu, eps, digits):
+    iv = enclose(cid, eps)
+    assert iv.width <= eps
+    with mpmath.workdps(digits):
+        zero = mpmath.besseljzero(mpmath.mpf(nu.numerator) / nu.denominator, 1)
+        lo = mpmath.mpf(iv.lo.numerator) / iv.lo.denominator
+        hi = mpmath.mpf(iv.hi.numerator) / iv.hi.denominator
+        assert lo <= zero <= hi
 
 
 def test_unknown_constant_raises():

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from polya_verify import bounds, cli, harness
+from polya_verify import bounds, cli, harness, polycert
 from polya_verify.harness import (
     CellSubdivisionFailure,
     EvidenceItem,
@@ -22,7 +22,6 @@ from polya_verify.harness import (
     parse_config,
     rect_monotonicity_scan,
     replay_case,
-    sqrt_bracket,
     sweep_triangles,
     tan_lower_frac,
     tan_upper_quintic_frac,
@@ -55,15 +54,6 @@ def test_tan_brackets_on_the_unit_interval():
         x = Fraction(k, 10)
         assert float(tan_lower_frac(x)) <= math.tan(float(x))
         assert math.tan(float(x)) <= float(tan_upper_quintic_frac(x))
-
-
-def test_sqrt_bracket_is_exact_and_tight():
-    for x in (2, 10, Fraction(9, 4), Fraction(1, 3)):
-        lo, hi = sqrt_bracket(x)
-        assert lo * lo <= Fraction(x) <= hi * hi
-        assert hi - lo <= Fraction(2, 10**15)
-    with pytest.raises(ValueError):
-        sqrt_bracket(-1)
 
 
 def test_identity_vanishes_separates_zero_from_nonzero():
@@ -242,6 +232,65 @@ def test_obtuse_replays_evaluate_no_sample_points(case_id, monkeypatch):
     )
     assert replay_case(case_id).verdict == "Verified"
     assert calls == []
+
+
+def test_analytic_pass_builds_each_lemma_once(monkeypatch):
+    # the five lemmas are built once per process and shared by every
+    # replay and by certify_all; each certificate is still a fresh run
+    calls = {"product": 0, "certify": 0}
+    product = polycert._monotone_product_intervals
+    certify = polycert.certify_nonpositive
+
+    def counting_product():
+        calls["product"] += 1
+        return product()
+
+    def counting_certify(*args, **kwargs):
+        calls["certify"] += 1
+        return certify(*args, **kwargs)
+
+    monkeypatch.setattr(polycert, "_monotone_product_intervals", counting_product)
+    monkeypatch.setattr(polycert, "certify_nonpositive", counting_certify)
+    polycert._lemma.cache_clear()
+    for case_id in ANALYTIC_CASES:
+        assert replay_case(case_id).verdict == "Verified"
+    certify_all()
+    assert polycert._lemma.cache_info().misses == 5
+    assert calls == {"product": 1, "certify": 11}
+
+
+def test_replay_windows_come_from_the_certificate_plan(monkeypatch):
+    # (600/1000)^3 = 0.216 < 391/1215, an upper bound of arctan(1/3): the
+    # narrowed Q_mgeq3 window no longer covers the angle range, and both
+    # replays that rely on it must say so
+    monkeypatch.setitem(harness._CERT_PLAN, "Q_mgeq3", Fraction(600, 1000))
+    for case_id in ("acute-2", "obtuse-3"):
+        report = replay_case(case_id)
+        assert report.verdict == "Failed"
+        failed = [item.check for item in report.evidence if not item.passed]
+        assert failed == ["arctan(1/3) <= 391/1215 <= (3/5)^3"]
+
+
+def test_upper_triangle_sample_reaches_the_equilateral_corner():
+    tris = harness._sample_triangles()
+    apex = math.sqrt(3.0) / 2.0
+    assert len(tris) == 498
+    assert any(t.a == 0.5 and t.b == apex for t in tris)
+    column = sorted(t.b for t in tris if t.a == 0.5)
+    assert len(column) == 23 and column[-1] == apex
+    assert max(t.b for t in tris) == apex
+
+
+@pytest.mark.parametrize(
+    "case_id", ("upper-triangle", "upper-tangential", "sharpness-thinning")
+)
+def test_oracle_backed_replays_pass(case_id):
+    report = replay_case(case_id)
+    assert report.verdict == "VerifiedNumerically"
+    assert "oracle" in {item.method for item in report.evidence}
+    assert all(item.passed for item in report.evidence), [
+        (item.check, item.margin) for item in report.evidence if not item.passed
+    ]
 
 
 def test_series_only_replay_is_numeric_but_passing():

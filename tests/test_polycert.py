@@ -129,6 +129,13 @@ def test_lemma_builders_produce_both_roundings(name):
         assert c == iv.hi  # upper rounding takes the top endpoint
 
 
+def test_interval_rounding_returns_a_fresh_list():
+    # the lemma is built once per process; callers still own what they get
+    first = build_lemma_polynomial("P1_acute", rounding="interval")
+    first.clear()
+    assert len(build_lemma_polynomial("P1_acute", rounding="interval")) == 34
+
+
 def test_lemma_builder_rejects_unknown_names():
     with pytest.raises(UnknownName):
         build_lemma_polynomial("P3_acute", rounding="upper")
