@@ -1195,7 +1195,7 @@ def _replay_rect_monotone() -> CaseReport:
     return _report("rect-monotone", region, ev, notes)
 
 
-def _replay_sharpness_thinning(max_level: int = 8) -> CaseReport:
+def _replay_sharpness_thinning(max_level: int = 7) -> CaseReport:
     region = "isosceles triangles of height b over a unit base, b -> 0"
     ev = []
     bs = (0.2, 0.1, 0.05)
@@ -1353,14 +1353,6 @@ def thread_count(threads: Optional[int] = None) -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def _effective_level(b: float, base: int) -> int:
-    """Raise the level for thin rows until about four layers span the height."""
-    level = base
-    while level < pde_oracle.MAX_LEVEL and (1 << level) * b < 4.0:
-        level += 1
-    return level
-
-
 def _analytic_bound_gaps(tri: Triangle, data, res) -> dict:
     """Gaps (bound minus oracle F) for every applicable analytic bound.
 
@@ -1408,11 +1400,11 @@ def _analytic_bound_gaps(tri: Triangle, data, res) -> dict:
 
 
 def _sweep_one(task) -> SweepRow:
-    a, b, base_level = task
+    a, b, max_level = task
     tri = Triangle(a, b)
     cls = geometry.classify(tri).value
     try:
-        res = pde_oracle.spectral(tri, max_level=_effective_level(b, base_level))
+        res = pde_oracle.spectral(tri, max_level=max_level)
     except Exception as exc:  # keep the sweep going, flag the row
         nan = float("nan")
         return SweepRow(

@@ -1,28 +1,39 @@
 """Independent finite-element oracle for torsion and the principal eigenvalue.
 
-Conforming P1 elements on uniformly red-refined meshes: every triangle
-splits into four congruent children, so child elements stay similar to the
-base and anisotropy is represented faithfully.  The eigenproblem uses the
-consistent mass matrix (variational, so discrete eigenvalues sit above the
-true ones); the torsion load is mass-lumped.  One deterministic sparse LU
-factorization per level serves both the torsion solve and unshifted
-inverse power iteration for the eigenvalue, which starts from the torsion
-function (the lumped load is M times the constant vector) or from the
-prolonged eigenvector, so repeated runs are byte-identical.
+Conforming P1 elements on uniformly red-refined meshes.  A triangle whose
+apex lies above the interior of its base is split at the foot of the apex
+altitude into two right triangles, so every refined element keeps a right
+angle and the maximum-angle condition (Babuska & Aziz, 1976) holds however
+thin the triangle; any other triangle is one element, and a rectangle two.
+Each of these meshes is the image of a reference mesh under one affine map
+per piece, and red refinement commutes with affine maps.  So the refined
+reference mesh, its interior index, a nested-dissection ordering of the
+interior unknowns, and the per-piece stiffness components, mass and load
+are built once per (layout, level) and shared by every shape and thread; a
+solve only combines them with the coefficients of its maps.  Sector meshes
+start from a fan of ceil(angle / (pi/3)) wedges about the apex (the
+accuracy of a level is set by its radial resolution, so more wedges would
+only add elements), re-project arc midpoints to the circle on every
+refinement, and are assembled element by element.
+
+The eigenproblem uses the consistent mass matrix (variational, so discrete
+eigenvalues sit above the true ones); the torsion load is mass-lumped.  One
+deterministic sparse LU factorization per level serves both the torsion
+solve and unshifted inverse power iteration for the eigenvalue, which starts
+from the torsion function (the lumped load is M times the constant vector)
+or from the prolonged eigenvector, so repeated runs are byte-identical.
 
 Richardson extrapolation over three consecutive levels provides the
 reported value and an error gauge (distance between the extrapolated and
-finest-level values).  Sector meshes start from a fan of
-ceil(angle / (pi/3)) wedges about the apex: the accuracy of a level is set
-by its radial resolution, so more wedges would only add elements.  Arc
-midpoints are re-projected to the circle on every refinement, and sector
-gauges are inflated by the remaining polygon area defect.
+finest-level values).  Sector gauges are inflated by the remaining polygon
+area defect.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,6 +45,17 @@ from .geometry import Rectangle, Sector, Triangle
 MAX_LEVEL = 9
 _EIG_TOL = 1e-12
 _EIG_MAXIT = 400
+# vertex sets this small are not dissected further
+_DISSECTION_LEAF = 16
+
+# Reference layouts: base vertices, base elements, and the piece of each
+# base element.  Pieces meet only along edges on which their maps agree.
+_LAYOUTS = {
+    # two right triangles that share the altitude foot (1, 0) and apex (1, 1)
+    "split": (((0, 0), (1, 0), (2, 0), (1, 1)), ((0, 1, 3), (1, 2, 3)), (0, 1)),
+    "shear": (((0, 0), (1, 0), (0, 1)), ((0, 1, 2),), (0,)),
+    "square": (((-1, -1), (1, -1), (1, 1), (-1, 1)), ((0, 1, 2), (0, 2, 3)), (0, 0)),
+}
 
 
 class DegenerateShape(ValueError):
@@ -54,12 +76,19 @@ class EigenNotConverged(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class Mesh:
-    """Triangulation with vertex coordinates, elements, and boundary flags."""
+    """Triangulation with vertex coordinates, elements, and boundary flags.
+
+    ``shape`` is the shape the mesh discretizes.  For a triangle or a
+    rectangle the mesh is the image of a cached reference mesh, and the
+    solvers use the cached assembly; a mesh without one is assembled
+    element by element.
+    """
 
     vertices: np.ndarray  # (nv, 2) float
     elements: np.ndarray  # (ne, 3) int
     boundary_flags: np.ndarray  # (nv,) bool
     level: int
+    shape: object = None
 
 
 @dataclass(frozen=True)
@@ -69,12 +98,13 @@ class SpectralResult:
     ``error_gauge[q]`` is ``|extrapolated - finest|`` for q in lambda1, T
     and F (plus the area defect on sectors).  It estimates the error of the
     finest level, not of the extrapolated value reported here: at level 8
-    on the equilateral triangle and the square it is about 1e4 times the
+    on the equilateral triangle and the square it is about 4e4 times the
     extrapolated value's true error.  ``observed_order[q]`` for q in
     lambda1 and T is log2 of the contraction of the level differences
-    (``richardson``), about 2 on regular shapes; it reads 0.86 for lambda1
-    at ``Triangle(0.5, 0.04)``, level 6, where the gauge's order-2 premise
-    fails.
+    (``richardson``), about 2 on regular shapes; on the altitude-split mesh
+    it reads 1.88 for lambda1 at ``Triangle(0.5, 0.04)``, level 7, and
+    lower on coarser levels of thin triangles, where the gauge's order-2
+    premise is weaker.
     """
 
     lambda1: float
@@ -89,44 +119,103 @@ class SpectralResult:
     area: float
 
 
-def _base_mesh(shape) -> tuple[np.ndarray, np.ndarray, Optional[float]]:
-    """Level-0 vertices/elements and the projection radius for sectors.
+@dataclass(frozen=True, eq=False)
+class _Reference:
+    """Red-refined reference mesh of one layout at one level."""
 
-    Every level-0 vertex lies on the boundary of the shape.  A sector is a
-    fan of ceil(angle / (pi/3)) equal wedges about its apex, so every wedge
-    opens at most 60 degrees and no level-0 angle exceeds 90 degrees.
+    vertices: np.ndarray
+    elements: np.ndarray
+    flags: np.ndarray
+    pieces: np.ndarray  # piece of each element
+    parents: Optional[np.ndarray]  # parent pairs of the vertices new at this level
+
+
+@dataclass(frozen=True, eq=False)
+class _ReferenceSystem:
+    """Per-piece components of one layout's interior system at one level.
+
+    The unknowns are the interior vertices in nested-dissection order.
+    Stiffness and mass share one symmetric CSC pattern; ``stiffness`` holds
+    the xx, xy + yx and yy parts of every piece on it.
     """
+
+    interior: np.ndarray  # (n,) vertex of each unknown
+    indptr: np.ndarray
+    indices: np.ndarray
+    stiffness: np.ndarray  # (pieces, 3, nnz)
+    mass: np.ndarray  # (pieces, nnz)
+    load: np.ndarray  # (pieces, n)
+    n_vertices: int
+    n_elements: int
+
+
+@dataclass(frozen=True, eq=False)
+class _System:
+    """Interior stiffness, mass and load of one mesh, ready to solve."""
+
+    stiffness: sp.csc_matrix
+    mass: sp.spmatrix
+    load: np.ndarray
+    interior: np.ndarray  # vertex of each unknown
+    n_vertices: int
+    n_elements: int
+    ordered: bool  # unknowns already in a fill-reducing order
+
+
+_CACHE_LOCK = threading.RLock()
+_REFERENCES: dict = {}
+_REFERENCE_SYSTEMS: dict = {}
+
+
+def _frozen(record):
+    for field in fields(record):
+        value = getattr(record, field.name)
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    return record
+
+
+def _piece_maps(shape) -> tuple[str, tuple]:
+    """Layout of a triangle or rectangle and one map (A, o, t) per piece.
+
+    Piece p maps a reference point x to ``A (x - o) + t``.
+    """
+    origin = (0.0, 0.0)
     if isinstance(shape, Triangle):
-        if shape.b < 1e-6:
-            raise DegenerateShape(
-                f"apex height {shape.b} is below the meshing cutoff 1e-6"
-            )
-        vertices = np.array(
-            [[0.0, 0.0], [1.0, 0.0], [shape.a, shape.b]], dtype=float
-        )
-        elements = np.array([[0, 1, 2]], dtype=np.int64)
-        return vertices, elements, None
-    if isinstance(shape, Rectangle):
         a, b = shape.a, shape.b
-        vertices = np.array(
-            [[-a, -b], [a, -b], [a, b], [-a, b]], dtype=float
-        )
-        elements = np.array([[0, 1, 2], [0, 2, 3]], dtype=np.int64)
-        return vertices, elements, None
-    if isinstance(shape, Sector):
-        k = math.ceil(shape.angle / (math.pi / 3.0))
-        angles = np.linspace(0.0, shape.angle, k + 1)
-        arc = shape.radius * np.column_stack([np.cos(angles), np.sin(angles)])
-        vertices = np.vstack([[0.0, 0.0], arc])
-        elements = np.column_stack(
-            [
-                np.zeros(k, dtype=np.int64),
-                np.arange(1, k + 1, dtype=np.int64),
-                np.arange(2, k + 2, dtype=np.int64),
-            ]
-        )
-        return vertices, elements, shape.radius
+        if b < 1e-6:
+            raise DegenerateShape(
+                f"apex height {b} is below the meshing cutoff 1e-6"
+            )
+        if 0.0 < a < 1.0:
+            return "split", (
+                (np.diag([a, b]), origin, origin),
+                (np.diag([1.0 - a, b]), (1.0, 0.0), (a, 0.0)),
+            )
+        return "shear", ((np.array([[1.0, a], [0.0, b]]), origin, origin),)
+    if isinstance(shape, Rectangle):
+        return "square", ((np.diag([shape.a, shape.b]), origin, origin),)
     raise DegenerateShape(f"unsupported shape {type(shape).__name__}")
+
+
+def _sector_base(shape: Sector) -> tuple[np.ndarray, np.ndarray]:
+    """Level-0 fan of ceil(angle / (pi/3)) equal wedges about the apex.
+
+    Every wedge opens at most 60 degrees, so no level-0 angle exceeds 90
+    degrees, and every level-0 vertex lies on the boundary.
+    """
+    k = math.ceil(shape.angle / (math.pi / 3.0))
+    angles = np.linspace(0.0, shape.angle, k + 1)
+    arc = shape.radius * np.column_stack([np.cos(angles), np.sin(angles)])
+    vertices = np.vstack([[0.0, 0.0], arc])
+    elements = np.column_stack(
+        [
+            np.zeros(k, dtype=np.int64),
+            np.arange(1, k + 1, dtype=np.int64),
+            np.arange(2, k + 2, dtype=np.int64),
+        ]
+    )
+    return vertices, elements
 
 
 def _refine_arrays(
@@ -139,7 +228,8 @@ def _refine_arrays(
     and midpoint parents.
 
     Old vertices keep their flags; a midpoint is on the boundary iff its
-    parent edge belongs to a single element.
+    parent edge belongs to a single element.  Child k of every element
+    forms block k of the new elements.
     """
     ne = len(elements)
     nv = len(vertices)
@@ -177,41 +267,65 @@ def _refine_arrays(
     return np.vstack([vertices, mids]), children, new_flags, uniq
 
 
-def mesh_domain(shape, level: int) -> Mesh:
-    """Uniform red-refined mesh of a triangle, rectangle, or sector."""
-    if level < 0:
-        raise ValueError(f"level must be nonnegative, got {level}")
-    if level > MAX_LEVEL:
-        raise LevelTooHigh(f"level {level} exceeds the cap {MAX_LEVEL}")
-    vertices, elements, project_radius = _base_mesh(shape)
-    flags = np.ones(len(vertices), dtype=bool)
-    for _ in range(level):
-        vertices, elements, flags, _ = _refine_arrays(
-            vertices, elements, flags, project_radius
-        )
-    return Mesh(
-        vertices=vertices, elements=elements, boundary_flags=flags, level=level
-    )
+def _reference(layout: str, level: int) -> _Reference:
+    """The cached reference mesh of ``layout`` at ``level`` (read-only)."""
+    key = (layout, level)
+    with _CACHE_LOCK:
+        ref = _REFERENCES.get(key)
+        if ref is None:
+            if level == 0:
+                vertices, elements, pieces = _LAYOUTS[layout]
+                ref = _Reference(
+                    vertices=np.array(vertices, dtype=float),
+                    elements=np.array(elements, dtype=np.int64),
+                    flags=np.ones(len(vertices), dtype=bool),
+                    pieces=np.array(pieces, dtype=np.int64),
+                    parents=None,
+                )
+            else:
+                coarse = _reference(layout, level - 1)
+                vertices, elements, flags, parents = _refine_arrays(
+                    coarse.vertices, coarse.elements, coarse.flags, None
+                )
+                ref = _Reference(
+                    vertices=vertices,
+                    elements=elements,
+                    flags=flags,
+                    pieces=np.tile(coarse.pieces, 4),
+                    parents=parents,
+                )
+            _REFERENCES[key] = ref = _frozen(ref)
+        return ref
 
 
-def refine(mesh: Mesh, project_radius: Optional[float] = None) -> tuple[Mesh, np.ndarray]:
-    """Refine once; also returns the (n_mid, 2) parent pairs of new vertices."""
-    if mesh.level + 1 > MAX_LEVEL:
-        raise LevelTooHigh(f"refining past the cap {MAX_LEVEL}")
-    vertices, elements, flags, parents = _refine_arrays(
-        mesh.vertices, mesh.elements, mesh.boundary_flags, project_radius
-    )
-    new_mesh = Mesh(
-        vertices=vertices,
-        elements=elements,
-        boundary_flags=flags,
-        level=mesh.level + 1,
-    )
-    return new_mesh, parents
+def _dissection_order(grid: np.ndarray) -> np.ndarray:
+    """Nested-dissection order of vertices at integer grid points (George, 1973).
+
+    Every edge of a red-refined reference mesh joins grid points at most
+    one step apart in x and in y, so the vertices on one grid line separate
+    those on either side of it.  A set is cut at the median line across its
+    longer extent; both sides are ordered first, recursively, then the line.
+    """
+    order = []
+
+    def dissect(ids):
+        if len(ids) <= _DISSECTION_LEAF:
+            order.append(ids)
+            return
+        points = grid[ids]
+        axis = int(np.argmax(points.max(axis=0) - points.min(axis=0)))
+        coord = points[:, axis]
+        cut = np.partition(coord, len(coord) // 2)[len(coord) // 2]
+        dissect(ids[coord < cut])
+        dissect(ids[coord > cut])
+        order.append(ids[coord == cut])
+
+    dissect(np.arange(len(grid)))
+    return np.concatenate(order)
 
 
-def _element_geometry(mesh: Mesh):
-    v = mesh.vertices[mesh.elements]  # (ne, 3, 2)
+def _element_geometry(vertices: np.ndarray, elements: np.ndarray):
+    v = vertices[elements]  # (ne, 3, 2)
     x, y = v[:, :, 0], v[:, :, 1]
     bvec = np.stack(
         [y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1
@@ -223,18 +337,205 @@ def _element_geometry(mesh: Mesh):
     return bvec, cvec, area2 / 2.0
 
 
+_MASS_REF = (np.ones((3, 3)) + np.eye(3)) / 12.0
+
+
+def _reference_system(layout: str, level: int) -> _ReferenceSystem:
+    """The cached per-piece interior system of ``layout`` at ``level``."""
+    key = (layout, level)
+    with _CACHE_LOCK:
+        system = _REFERENCE_SYSTEMS.get(key)
+        if system is not None:
+            return system
+        ref = _reference(layout, level)
+        interior = np.flatnonzero(~ref.flags)
+        if len(interior) == 0:
+            raise DegenerateShape(
+                f"mesh at level {level} has no interior vertices; refine further"
+            )
+        grid = np.rint(ref.vertices[interior] * 2.0**level).astype(np.int64)
+        interior = interior[_dissection_order(grid)]
+        n = len(interior)
+        unknown = np.full(len(ref.vertices), -1, dtype=np.int64)
+        unknown[interior] = np.arange(n)
+
+        elems = ref.elements
+        bvec, cvec, areas = _element_geometry(ref.vertices, elems)
+        rows = unknown[np.repeat(elems, 3, axis=1)].ravel()
+        cols = unknown[np.tile(elems, (1, 3))].ravel()
+        keep = (rows >= 0) & (cols >= 0)
+        pattern, slot = np.unique(cols[keep] * n + rows[keep], return_inverse=True)
+        entry_piece = np.repeat(ref.pieces, 9)[keep]
+        n_pieces = int(ref.pieces.max()) + 1
+
+        def per_piece(values, piece, at, size):
+            # bincount sums in input order, so the components are reproducible
+            return np.stack(
+                [
+                    np.bincount(
+                        at, weights=np.where(piece == p, values, 0.0), minlength=size
+                    )
+                    for p in range(n_pieces)
+                ]
+            )
+
+        def on_pattern(blocks):
+            return per_piece(blocks.ravel()[keep], entry_piece, slot, len(pattern))
+
+        def outer(u, v):
+            return u[:, :, None] * v[:, None, :] / (4.0 * areas)[:, None, None]
+
+        vertex_unknown = unknown[elems].ravel()
+        on_interior = vertex_unknown >= 0
+        system = _ReferenceSystem(
+            interior=interior,
+            indptr=np.concatenate(
+                [[0], np.cumsum(np.bincount(pattern // n, minlength=n))]
+            ).astype(np.int32),
+            indices=(pattern % n).astype(np.int32),
+            stiffness=np.stack(
+                [
+                    on_pattern(outer(bvec, bvec)),
+                    on_pattern(outer(bvec, cvec) + outer(cvec, bvec)),
+                    on_pattern(outer(cvec, cvec)),
+                ],
+                axis=1,
+            ),
+            mass=on_pattern(areas[:, None, None] * _MASS_REF),
+            load=per_piece(
+                np.repeat(areas / 3.0, 3)[on_interior],
+                np.repeat(ref.pieces, 3)[on_interior],
+                vertex_unknown[on_interior],
+                n,
+            ),
+            n_vertices=len(ref.vertices),
+            n_elements=len(elems),
+        )
+        _REFERENCE_SYSTEMS[key] = system = _frozen(system)
+        return system
+
+
+def _combine(parts, coefficients) -> np.ndarray:
+    """``sum_k coefficients[k] * parts[k]``, in a fixed order."""
+    out = None
+    for c, part in zip(coefficients, parts):
+        if c == 0.0:
+            continue
+        out = c * part if out is None else out + c * part
+    return out
+
+
+def _mapped_system(shape, level: int) -> _System:
+    """Interior system of a triangle or rectangle from its layout's cache.
+
+    A piece with map A contributes ``|det A| (G11 Kxx + G12 Kxy + G22 Kyy)``
+    to the stiffness, with ``G = A^-1 A^-T``, and ``|det A|`` times its
+    reference mass and load.
+    """
+    layout, maps = _piece_maps(shape)
+    ref = _reference_system(layout, level)
+    k_coef, m_coef = [], []
+    for A, _, _ in maps:
+        det = abs(float(np.linalg.det(A)))
+        inv = np.linalg.inv(A)
+        g = inv @ inv.T
+        k_coef += [det * g[0, 0], det * g[0, 1], det * g[1, 1]]
+        m_coef.append(det)
+    n = len(ref.interior)
+    pattern = (ref.indices, ref.indptr)
+    stiffness = _combine(ref.stiffness.reshape(-1, ref.stiffness.shape[-1]), k_coef)
+    mass = _combine(ref.mass, m_coef)
+    return _System(
+        stiffness=sp.csc_matrix((stiffness, *pattern), shape=(n, n)),
+        # symmetric values on a symmetric pattern: read as CSR it is the same matrix
+        mass=sp.csr_matrix((mass, *pattern), shape=(n, n)),
+        load=_combine(ref.load, m_coef),
+        interior=ref.interior,
+        n_vertices=ref.n_vertices,
+        n_elements=ref.n_elements,
+        ordered=True,
+    )
+
+
+def _image(shape, level: int) -> Mesh:
+    """The physical mesh of a triangle or rectangle: its layout's image."""
+    layout, maps = _piece_maps(shape)
+    ref = _reference(layout, level)
+    owner = np.zeros(len(ref.vertices), dtype=np.int64)
+    owner[ref.elements] = ref.pieces[:, None]
+    vertices = np.empty_like(ref.vertices)
+    for p, (A, origin, shift) in enumerate(maps):
+        mine = owner == p
+        vertices[mine] = (ref.vertices[mine] - origin) @ A.T + shift
+    return Mesh(
+        vertices=vertices,
+        elements=ref.elements,
+        boundary_flags=ref.flags,
+        level=level,
+        shape=shape,
+    )
+
+
+def mesh_domain(shape, level: int) -> Mesh:
+    """Uniform red-refined mesh of a triangle, rectangle, or sector."""
+    if level < 0:
+        raise ValueError(f"level must be nonnegative, got {level}")
+    if level > MAX_LEVEL:
+        raise LevelTooHigh(f"level {level} exceeds the cap {MAX_LEVEL}")
+    if not isinstance(shape, Sector):
+        return _image(shape, level)
+    vertices, elements = _sector_base(shape)
+    flags = np.ones(len(vertices), dtype=bool)
+    for _ in range(level):
+        vertices, elements, flags, _ = _refine_arrays(
+            vertices, elements, flags, shape.radius
+        )
+    return Mesh(
+        vertices=vertices,
+        elements=elements,
+        boundary_flags=flags,
+        level=level,
+        shape=shape,
+    )
+
+
+def refine(mesh: Mesh, project_radius: Optional[float] = None) -> tuple[Mesh, np.ndarray]:
+    """Refine once; also returns the (n_mid, 2) parent pairs of new vertices.
+
+    A triangle or rectangle mesh from ``mesh_domain`` refines to the next
+    level of its cached layout; any other mesh is refined as given, with
+    midpoints of arc edges projected to ``project_radius`` when set.
+    """
+    if mesh.level + 1 > MAX_LEVEL:
+        raise LevelTooHigh(f"refining past the cap {MAX_LEVEL}")
+    if isinstance(mesh.shape, (Triangle, Rectangle)):
+        layout, _ = _piece_maps(mesh.shape)
+        fine = _image(mesh.shape, mesh.level + 1)
+        return fine, _reference(layout, mesh.level + 1).parents
+    vertices, elements, flags, parents = _refine_arrays(
+        mesh.vertices, mesh.elements, mesh.boundary_flags, project_radius
+    )
+    new_mesh = Mesh(
+        vertices=vertices,
+        elements=elements,
+        boundary_flags=flags,
+        level=mesh.level + 1,
+        shape=mesh.shape,
+    )
+    return new_mesh, parents
+
+
 def _assemble(mesh: Mesh):
     """Stiffness K, consistent mass M, and lumped load f on all vertices."""
     nv = len(mesh.vertices)
     elems = mesh.elements
-    bvec, cvec, areas = _element_geometry(mesh)
+    bvec, cvec, areas = _element_geometry(mesh.vertices, elems)
     if np.any(areas <= 0):
         raise DegenerateShape("mesh contains an element with nonpositive area")
     ke = (
         bvec[:, :, None] * bvec[:, None, :] + cvec[:, :, None] * cvec[:, None, :]
     ) / (4.0 * areas)[:, None, None]
-    m_ref = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    me = areas[:, None, None] * m_ref[None, :, :]
+    me = areas[:, None, None] * _MASS_REF[None, :, :]
     rows = np.repeat(elems, 3, axis=1).ravel()
     cols = np.tile(elems, (1, 3)).ravel()
     stiffness = sp.coo_matrix(
@@ -246,39 +547,63 @@ def _assemble(mesh: Mesh):
     return stiffness, mass, load
 
 
-def _interior(mesh: Mesh) -> np.ndarray:
+def _assembled_system(mesh: Mesh) -> _System:
+    """Interior system of any mesh, assembled element by element."""
+    stiffness, mass, load = _assemble(mesh)
     idx = np.where(~mesh.boundary_flags)[0]
     if len(idx) == 0:
         raise DegenerateShape(
             f"mesh at level {mesh.level} has no interior vertices; refine further"
         )
-    return idx
+    return _System(
+        stiffness=stiffness[np.ix_(idx, idx)].tocsc(),
+        mass=mass[np.ix_(idx, idx)].tocsr(),
+        load=load[idx],
+        interior=idx,
+        n_vertices=len(mesh.vertices),
+        n_elements=len(mesh.elements),
+        ordered=False,
+    )
 
 
-def _solve_level(mesh: Mesh, x0: Optional[np.ndarray] = None) -> dict:
-    """Torsion and ground eigenpair of one mesh from one LU of ``K_ii``.
+def _system(mesh: Mesh) -> _System:
+    if isinstance(mesh.shape, (Triangle, Rectangle)):
+        return _mapped_system(mesh.shape, mesh.level)
+    return _assembled_system(mesh)
 
+
+def _solve_system(system: _System, x0: Optional[np.ndarray] = None) -> dict:
+    """Torsion and ground eigenpair of one system from one LU of its stiffness.
+
+    An ordered system is factored in its own order without pivoting (the
+    stiffness is symmetric positive definite); any other in SuperLU's.
     Inverse iteration starts from ``x0`` (on all vertices) or, without it,
-    from the torsion function, and raises EigenNotConverged if the Rayleigh
-    quotient has not settled to _EIG_TOL within _EIG_MAXIT iterations.
+    from the torsion function.  Each step takes two mass products: with
+    ``K y = M x``, the Rayleigh quotient of y is ``(y . M x) / (y . M y)``.
+    It raises EigenNotConverged if the quotient has not settled to
+    _EIG_TOL within _EIG_MAXIT iterations.
     """
-    stiffness, mass, load = _assemble(mesh)
-    idx = _interior(mesh)
-    k_ii = stiffness[np.ix_(idx, idx)].tocsc()
-    m_ii = mass[np.ix_(idx, idx)].tocsr()
-    lu = spla.splu(k_ii)
-    f_i = load[idx]
-    u_i = lu.solve(f_i)
-    x = u_i if x0 is None else x0[idx]
-    x = x / math.sqrt(float(x @ (m_ii @ x)))
+    if system.ordered:
+        lu = spla.splu(
+            system.stiffness,
+            permc_spec="NATURAL",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+    else:
+        lu = spla.splu(system.stiffness)
+    mass, idx = system.mass, system.interior
+    u = lu.solve(system.load)
+    x = u if x0 is None else x0[idx]
     lam_prev = math.inf
     for iteration in range(1, _EIG_MAXIT + 1):
-        y = lu.solve(m_ii @ x)
-        norm = math.sqrt(float(y @ (m_ii @ y)))
-        if norm == 0.0 or not math.isfinite(norm):
+        mx = mass @ x
+        y = lu.solve(mx)
+        yy = float(y @ (mass @ y))
+        if yy <= 0.0 or not math.isfinite(yy):
             raise RuntimeError("inverse power iteration broke down")
-        x = y / norm
-        lam = float(x @ (k_ii @ x)) / float(x @ (m_ii @ x))
+        lam = float(y @ mx) / yy
+        x = y / math.sqrt(yy)
         if abs(lam - lam_prev) <= _EIG_TOL * abs(lam):
             break
         lam_prev = lam
@@ -287,28 +612,28 @@ def _solve_level(mesh: Mesh, x0: Optional[np.ndarray] = None) -> dict:
             f"relative eigenvalue change {abs(lam - lam_prev) / abs(lam):.1e} "
             f"after {_EIG_MAXIT} iterations exceeds {_EIG_TOL:.0e}"
         )
-    eigvec = np.zeros(len(mesh.vertices))
+    eigvec = np.zeros(system.n_vertices)
     eigvec[idx] = x
     return {
         "lambda1": lam,
-        "T": float(f_i @ u_i),
-        "torsion_max": float(u_i.max()),
+        "T": float(system.load @ u),
+        "torsion_max": float(u.max()),
         "eigvec": eigvec,
         "eigen_iterations": iteration,
-        "elements": len(mesh.elements),
+        "elements": system.n_elements,
         "dofs": len(idx),
     }
 
 
 def solve_torsion(mesh: Mesh) -> dict:
     """Torsional rigidity and maximum of the torsion function on the mesh."""
-    level = _solve_level(mesh)
+    level = _solve_system(_system(mesh))
     return {"T": level["T"], "torsion_max": level["torsion_max"]}
 
 
 def solve_lambda1(mesh: Mesh) -> float:
     """Smallest Dirichlet eigenvalue of the mesh (above the true value)."""
-    return _solve_level(mesh)["lambda1"]
+    return _solve_system(_system(mesh))["lambda1"]
 
 
 def richardson(values: Sequence[float]) -> dict:
@@ -348,7 +673,7 @@ def _exact_area(shape) -> float:
 
 
 def _mesh_area(mesh: Mesh) -> float:
-    _, _, areas = _element_geometry(mesh)
+    _, _, areas = _element_geometry(mesh.vertices, mesh.elements)
     return float(areas.sum())
 
 
@@ -375,20 +700,30 @@ def spectral(shape, max_level: int) -> SpectralResult:
     eigenvector of the previous level, then Richardson-extrapolates.
     ``per_level["eigen_iterations"]`` counts the inverse iterations of each
     level, ``per_level["elements"]`` its elements and ``per_level["dofs"]``
-    its interior vertices, the unknowns of its solves.
+    its interior vertices, the unknowns of its solves.  A triangle or
+    rectangle is solved from its layout's cache without building physical
+    meshes, and its h halves per level from the longest base edge.
     """
     if max_level < 2:
         raise ValueError("spectral needs max_level >= 2")
     if max_level > MAX_LEVEL:
         raise LevelTooHigh(f"max_level {max_level} exceeds the cap {MAX_LEVEL}")
-    project_radius = shape.radius if isinstance(shape, Sector) else None
     levels = [max_level - 2, max_level - 1, max_level]
-    meshes = [mesh_domain(shape, levels[0])]
-    parent_maps = []
-    for _ in range(2):
-        fine, parents = refine(meshes[-1], project_radius)
-        meshes.append(fine)
-        parent_maps.append(parents)
+    if isinstance(shape, Sector):
+        meshes = [mesh_domain(shape, levels[0])]
+        parent_maps = []
+        for _ in range(2):
+            fine, parents = refine(meshes[-1], shape.radius)
+            meshes.append(fine)
+            parent_maps.append(parents)
+        systems = (_assembled_system(mesh) for mesh in meshes)
+        h_sequence = tuple(_mesh_h(m) for m in meshes)
+    else:
+        layout, _ = _piece_maps(shape)
+        parent_maps = [_reference(layout, level).parents for level in levels[1:]]
+        systems = (_mapped_system(shape, level) for level in levels)
+        h_base = _mesh_h(_image(shape, 0))
+        h_sequence = tuple(h_base / 2.0**level for level in levels)
 
     per_level: dict = {
         key: []
@@ -397,8 +732,8 @@ def spectral(shape, max_level: int) -> SpectralResult:
         )
     }
     warm: Optional[np.ndarray] = None
-    for i, mesh in enumerate(meshes):
-        solved = _solve_level(mesh, warm)
+    for i, system in enumerate(systems):
+        solved = _solve_system(system, warm)
         for key, values in per_level.items():
             values.append(solved[key])
         if i < len(parent_maps):
@@ -417,7 +752,7 @@ def spectral(shape, max_level: int) -> SpectralResult:
         "T": tor_ex["error_gauge"],
         "F": abs(f_val - f_finest),
     }
-    if project_radius is not None:
+    if isinstance(shape, Sector):
         defect = abs(area - _mesh_area(meshes[-1])) / area
         gauges["lambda1"] += 2.0 * defect * abs(lam_val)
         gauges["T"] += 2.0 * defect * abs(tor_val)
@@ -427,7 +762,7 @@ def spectral(shape, max_level: int) -> SpectralResult:
         T=tor_val,
         torsion_max=per_level["torsion_max"][-1],
         F=f_val,
-        h_sequence=tuple(_mesh_h(m) for m in meshes),
+        h_sequence=h_sequence,
         error_gauge=gauges,
         observed_order={
             "lambda1": lam_ex["observed_order"],

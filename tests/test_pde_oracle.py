@@ -1,6 +1,8 @@
 """Finite element oracle: convergence, invariances, and failure modes."""
 
+import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -271,3 +273,75 @@ def test_thin_triangle_still_solves():
     res = spectral(Triangle(0.5, 0.05), max_level=7)
     assert res.F > math.pi**2 / 24.0
     assert res.F < 0.55
+
+
+# P2 values with consistent mass on the altitude-split mesh (see CHANGES.md)
+@pytest.mark.parametrize("b, f_p2", [(0.04, 0.471452), (0.05, 0.481216)])
+@pytest.mark.parametrize("level", [6, 7])
+def test_thin_triangle_gauges_cover_the_p2_value(b, f_p2, level):
+    res = spectral(Triangle(0.5, b), max_level=level)
+    assert abs(res.F - f_p2) <= res.error_gauge["F"], (res.F, res.error_gauge["F"])
+    if level == 7:
+        assert res.observed_order["lambda1"] >= 1.8, res.observed_order
+
+
+@pytest.mark.parametrize(
+    "shape, elements",
+    [
+        (Triangle(0.3, 0.4), 2),
+        (Triangle(0.5, 0.05), 2),
+        (Triangle(0.0, 0.7), 1),
+        (Triangle(-0.2, 0.5), 1),
+        (Triangle(1.3, 0.6), 1),
+        (Rectangle(0.5, 0.25), 2),
+    ],
+    ids=["split", "thin-split", "a=0", "a=-0.2", "a=1.3", "rectangle"],
+)
+def test_cached_assembly_matches_elementwise_assembly(shape, elements):
+    level = 4
+    mesh = mesh_domain(shape, level)
+    assert len(mesh.elements) == elements * 4**level
+    cached = pde_oracle._mapped_system(shape, level)
+    stiffness, mass, load = pde_oracle._assemble(mesh)
+    idx = cached.interior
+    for combined, direct in (
+        (cached.stiffness, stiffness[np.ix_(idx, idx)]),
+        (cached.mass, mass[np.ix_(idx, idx)]),
+    ):
+        scale = abs(direct).max()
+        assert abs(combined - direct).max() <= 1e-13 * scale
+    assert np.allclose(cached.load, load[idx], rtol=1e-13, atol=0.0)
+
+    # the same mesh without its shape is assembled element by element
+    plain = dataclasses.replace(mesh, shape=None)
+    torsion = solve_torsion(plain)["T"]
+    assert solve_torsion(mesh)["T"] == pytest.approx(torsion, rel=1e-12)
+    assert solve_lambda1(mesh) == pytest.approx(solve_lambda1(plain), rel=1e-12)
+
+
+def test_cached_reference_arrays_are_read_only():
+    mesh = mesh_domain(Triangle(0.3, 0.4), 3)
+    system = pde_oracle._reference_system("split", 3)
+    arrays = (mesh.elements, mesh.boundary_flags, system.stiffness, system.interior)
+    assert not any(array.flags.writeable for array in arrays)
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_sweep_rows_do_not_depend_on_the_thread_count(monkeypatch, workers):
+    # a cold cache and frequent thread switches, so that the workers race to
+    # build the shared reference systems
+    monkeypatch.setattr(pde_oracle, "_REFERENCES", {})
+    monkeypatch.setattr(pde_oracle, "_REFERENCE_SYSTEMS", {})
+    grid = {"na": 4, "nb": 4, "b_min": 0.05}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        many = harness.sweep_triangles(grid=grid, max_level=5, threads=workers)
+    finally:
+        sys.setswitchinterval(interval)
+    one = harness.sweep_triangles(grid=grid, max_level=5, threads=1)
+    assert len(one) == 9
+    assert not any(row.error for row in one)
+    assert many == one
+    built = set(pde_oracle._REFERENCE_SYSTEMS)
+    assert built == {("split", level) for level in (3, 4, 5)}
