@@ -739,7 +739,12 @@ def _replay_acute_2() -> CaseReport:
             "the comparison certificate window covers the full angle range"
         )
     )
-    dhat = point(372) * enclose("zeta5") / enclose("pi_pow_5")
+    # the lemma width, so the margin is the same whatever is cached
+    dhat = (
+        point(372)
+        * enclose("zeta5", polycert._COEFF_EPS)
+        / enclose("pi_pow_5", polycert._COEFF_EPS)
+    )
     ev.append(
         _exact_item(
             "372 zeta(5) / pi^5 <= 13/10 and (13/10)(34/100) < 1",
@@ -1548,7 +1553,7 @@ def g_remark_check(a_values: Optional[Sequence[float]] = None, n_terms: int = 25
     sq = Rectangle(math.sqrt(2.0) / 2.0, math.sqrt(2.0) / 2.0)
     lam_sq = closed_forms.rect_lambda1(sq)
     center_sq = closed_forms.rect_center_torsion(sq, n_terms=n_terms)
-    p2 = enclose("pi_pow_2")
+    p2 = enclose("pi_pow_2", polycert._COEFF_EPS)
     thr_sq = (point(5) * p2) / (point(58) - point(5) * p2)
     bracket_ok = (
         Fraction(238, 100) ** 2 < thr_sq.lo and thr_sq.hi < Fraction(239, 100) ** 2

@@ -5,23 +5,27 @@ apex lies above the interior of its base is split at the foot of the apex
 altitude into two right triangles, so every refined element keeps a right
 angle and the maximum-angle condition (Babuska & Aziz, 1976) holds however
 thin the triangle; any other triangle is one element, and a rectangle two.
-Each of these meshes is the image of a reference mesh under one affine map
-per piece, and red refinement commutes with affine maps.  So the refined
-reference mesh, its interior index, a nested-dissection ordering of the
-interior unknowns, and the per-piece stiffness components, mass and load
-are built once per (layout, level) and shared by every shape and thread; a
-solve only combines them with the coefficients of its maps.  Sector meshes
-start from a fan of ceil(angle / (pi/3)) wedges about the apex (the
+A sector is a fan of ceil(angle / (pi/3)) wedges about the apex (the
 accuracy of a level is set by its radial resolution, so more wedges would
-only add elements), re-project arc midpoints to the circle on every
-refinement, and are assembled element by element.
+only add elements).  Each base mesh is the image of a reference mesh on the
+integer grid under one affine map per piece.  The refined reference mesh,
+its parent maps and its interior vertices in a nested-dissection order are
+built once per (layout, level) and shared by every shape and thread.  Every
+mesh is its level-0 image prolonged through the parent maps one level at a
+time, and on a sector each new arc midpoint is projected back to the circle.
+
+Red refinement commutes with affine maps, so a triangle or rectangle solve
+only combines the cached per-piece stiffness components, mass and load with
+the coefficients of its maps.  A projected sector mesh is no such image; it
+is assembled element by element, on the same cached interior order.
 
 The eigenproblem uses the consistent mass matrix (variational, so discrete
 eigenvalues sit above the true ones); the torsion load is mass-lumped.  One
-deterministic sparse LU factorization per level serves both the torsion
-solve and unshifted inverse power iteration for the eigenvalue, which starts
-from the torsion function (the lumped load is M times the constant vector)
-or from the prolonged eigenvector, so repeated runs are byte-identical.
+deterministic sparse LU factorization per level, in the nested-dissection
+order and without pivoting, serves both the torsion solve and unshifted
+inverse power iteration for the eigenvalue, which starts from the torsion
+function (the lumped load is M times the constant vector) or from the
+prolonged eigenvector, so repeated runs are byte-identical.
 
 Richardson extrapolation over three consecutive levels provides the
 reported value and an error gauge (distance between the extrapolated and
@@ -56,6 +60,16 @@ _LAYOUTS = {
     "shear": (((0, 0), (1, 0), (0, 1)), ((0, 1, 2),), (0,)),
     "square": (((-1, -1), (1, -1), (1, 1), (-1, 1)), ((0, 1, 2), (0, 2, 3)), (0, 0)),
 }
+# fan{k}: k wedges about the apex (0, 0), one piece each, on the first k + 1
+# rim points; the rim, where max(x, y) = 1, maps to the arc of a sector
+_RIM = ((1, 0), (1, 1), (0, 1), (-1, 1))
+_LAYOUTS.update(
+    (
+        f"fan{k}",
+        (((0, 0),) + _RIM[: k + 1], [(0, p + 1, p + 2) for p in range(k)], range(k)),
+    )
+    for k in (1, 2, 3)
+)
 
 
 class DegenerateShape(ValueError):
@@ -78,17 +92,18 @@ class EigenNotConverged(RuntimeError):
 class Mesh:
     """Triangulation with vertex coordinates, elements, and boundary flags.
 
-    ``shape`` is the shape the mesh discretizes.  For a triangle or a
-    rectangle the mesh is the image of a cached reference mesh, and the
-    solvers use the cached assembly; a mesh without one is assembled
-    element by element.
+    ``shape`` is the shape the mesh discretizes, and the mesh is its
+    layout's reference mesh at ``level`` carried to the shape: elements and
+    flags are the cached reference arrays, and the interior unknowns are
+    the reference interior.  The solvers use the cached assembly for a
+    triangle or a rectangle and assemble a sector element by element.
     """
 
     vertices: np.ndarray  # (nv, 2) float
     elements: np.ndarray  # (ne, 3) int
     boundary_flags: np.ndarray  # (nv,) bool
     level: int
-    shape: object = None
+    shape: object
 
 
 @dataclass(frozen=True)
@@ -128,25 +143,23 @@ class _Reference:
     flags: np.ndarray
     pieces: np.ndarray  # piece of each element
     parents: Optional[np.ndarray]  # parent pairs of the vertices new at this level
+    interior: np.ndarray  # interior vertices in nested-dissection order
 
 
 @dataclass(frozen=True, eq=False)
 class _ReferenceSystem:
     """Per-piece components of one layout's interior system at one level.
 
-    The unknowns are the interior vertices in nested-dissection order.
-    Stiffness and mass share one symmetric CSC pattern; ``stiffness`` holds
-    the xx, xy + yx and yy parts of every piece on it.
+    The unknowns are the reference interior.  Stiffness and mass share one
+    symmetric CSC pattern; ``stiffness`` holds the xx, xy + yx and yy parts
+    of every piece on it.
     """
 
-    interior: np.ndarray  # (n,) vertex of each unknown
     indptr: np.ndarray
     indices: np.ndarray
     stiffness: np.ndarray  # (pieces, 3, nnz)
     mass: np.ndarray  # (pieces, nnz)
     load: np.ndarray  # (pieces, n)
-    n_vertices: int
-    n_elements: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,10 +169,9 @@ class _System:
     stiffness: sp.csc_matrix
     mass: sp.spmatrix
     load: np.ndarray
-    interior: np.ndarray  # vertex of each unknown
+    interior: np.ndarray  # vertex of each unknown, in nested-dissection order
     n_vertices: int
     n_elements: int
-    ordered: bool  # unknowns already in a fill-reducing order
 
 
 _CACHE_LOCK = threading.RLock()
@@ -176,9 +188,12 @@ def _frozen(record):
 
 
 def _piece_maps(shape) -> tuple[str, tuple]:
-    """Layout of a triangle or rectangle and one map (A, o, t) per piece.
+    """Layout of a shape and one map (A, o, t) per piece.
 
-    Piece p maps a reference point x to ``A (x - o) + t``.
+    Piece p maps a reference point x to ``A (x - o) + t``.  Wedge p of a
+    sector maps its rim points to the arc points at angles ``p theta`` and
+    ``(p + 1) theta``, with theta the angle over the number of wedges; each
+    wedge opens at most 60 degrees, so no level-0 angle exceeds 90 degrees.
     """
     origin = (0.0, 0.0)
     if isinstance(shape, Triangle):
@@ -195,34 +210,20 @@ def _piece_maps(shape) -> tuple[str, tuple]:
         return "shear", ((np.array([[1.0, a], [0.0, b]]), origin, origin),)
     if isinstance(shape, Rectangle):
         return "square", ((np.diag([shape.a, shape.b]), origin, origin),)
+    if isinstance(shape, Sector):
+        k = math.ceil(shape.angle / (math.pi / 3.0))
+        angles = np.linspace(0.0, shape.angle, k + 1)
+        arc = shape.radius * np.column_stack([np.cos(angles), np.sin(angles)])
+        rim = np.array(_RIM, dtype=float)
+        return f"fan{k}", tuple(
+            (arc[p : p + 2].T @ np.linalg.inv(rim[p : p + 2].T), origin, origin)
+            for p in range(k)
+        )
     raise DegenerateShape(f"unsupported shape {type(shape).__name__}")
 
 
-def _sector_base(shape: Sector) -> tuple[np.ndarray, np.ndarray]:
-    """Level-0 fan of ceil(angle / (pi/3)) equal wedges about the apex.
-
-    Every wedge opens at most 60 degrees, so no level-0 angle exceeds 90
-    degrees, and every level-0 vertex lies on the boundary.
-    """
-    k = math.ceil(shape.angle / (math.pi / 3.0))
-    angles = np.linspace(0.0, shape.angle, k + 1)
-    arc = shape.radius * np.column_stack([np.cos(angles), np.sin(angles)])
-    vertices = np.vstack([[0.0, 0.0], arc])
-    elements = np.column_stack(
-        [
-            np.zeros(k, dtype=np.int64),
-            np.arange(1, k + 1, dtype=np.int64),
-            np.arange(2, k + 2, dtype=np.int64),
-        ]
-    )
-    return vertices, elements
-
-
 def _refine_arrays(
-    vertices: np.ndarray,
-    elements: np.ndarray,
-    flags: np.ndarray,
-    project_radius: Optional[float],
+    vertices: np.ndarray, elements: np.ndarray, flags: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One red refinement; returns new vertices, elements, boundary flags,
     and midpoint parents.
@@ -243,14 +244,6 @@ def _refine_arrays(
     )
     uniq = np.column_stack(np.divmod(keys, nv))
     mids = 0.5 * (vertices[uniq[:, 0]] + vertices[uniq[:, 1]])
-    if project_radius is not None:
-        r = project_radius
-        tol = 1e-9 * r
-        on_circle = (
-            np.abs(np.linalg.norm(vertices[uniq[:, 0]], axis=1) - r) < tol
-        ) & (np.abs(np.linalg.norm(vertices[uniq[:, 1]], axis=1) - r) < tol)
-        norms = np.linalg.norm(mids[on_circle], axis=1)
-        mids[on_circle] *= (r / norms)[:, None]
     m01 = nv + inverse[:ne]
     m12 = nv + inverse[ne : 2 * ne]
     m20 = nv + inverse[2 * ne :]
@@ -275,25 +268,27 @@ def _reference(layout: str, level: int) -> _Reference:
         if ref is None:
             if level == 0:
                 vertices, elements, pieces = _LAYOUTS[layout]
-                ref = _Reference(
-                    vertices=np.array(vertices, dtype=float),
-                    elements=np.array(elements, dtype=np.int64),
-                    flags=np.ones(len(vertices), dtype=bool),
-                    pieces=np.array(pieces, dtype=np.int64),
-                    parents=None,
-                )
+                vertices = np.array(vertices, dtype=float)
+                elements = np.array(elements, dtype=np.int64)
+                pieces = np.array(pieces, dtype=np.int64)
+                flags = np.ones(len(vertices), dtype=bool)
+                parents = None
             else:
                 coarse = _reference(layout, level - 1)
                 vertices, elements, flags, parents = _refine_arrays(
-                    coarse.vertices, coarse.elements, coarse.flags, None
+                    coarse.vertices, coarse.elements, coarse.flags
                 )
-                ref = _Reference(
-                    vertices=vertices,
-                    elements=elements,
-                    flags=flags,
-                    pieces=np.tile(coarse.pieces, 4),
-                    parents=parents,
-                )
+                pieces = np.tile(coarse.pieces, 4)
+            interior = np.flatnonzero(~flags)
+            grid = np.rint(vertices[interior] * 2.0**level).astype(np.int64)
+            ref = _Reference(
+                vertices=vertices,
+                elements=elements,
+                flags=flags,
+                pieces=pieces,
+                parents=parents,
+                interior=interior[_dissection_order(grid)],
+            )
             _REFERENCES[key] = ref = _frozen(ref)
         return ref
 
@@ -348,16 +343,13 @@ def _reference_system(layout: str, level: int) -> _ReferenceSystem:
         if system is not None:
             return system
         ref = _reference(layout, level)
-        interior = np.flatnonzero(~ref.flags)
-        if len(interior) == 0:
+        n = len(ref.interior)
+        if n == 0:
             raise DegenerateShape(
                 f"mesh at level {level} has no interior vertices; refine further"
             )
-        grid = np.rint(ref.vertices[interior] * 2.0**level).astype(np.int64)
-        interior = interior[_dissection_order(grid)]
-        n = len(interior)
         unknown = np.full(len(ref.vertices), -1, dtype=np.int64)
-        unknown[interior] = np.arange(n)
+        unknown[ref.interior] = np.arange(n)
 
         elems = ref.elements
         bvec, cvec, areas = _element_geometry(ref.vertices, elems)
@@ -388,7 +380,6 @@ def _reference_system(layout: str, level: int) -> _ReferenceSystem:
         vertex_unknown = unknown[elems].ravel()
         on_interior = vertex_unknown >= 0
         system = _ReferenceSystem(
-            interior=interior,
             indptr=np.concatenate(
                 [[0], np.cumsum(np.bincount(pattern // n, minlength=n))]
             ).astype(np.int32),
@@ -408,8 +399,6 @@ def _reference_system(layout: str, level: int) -> _ReferenceSystem:
                 vertex_unknown[on_interior],
                 n,
             ),
-            n_vertices=len(ref.vertices),
-            n_elements=len(elems),
         )
         _REFERENCE_SYSTEMS[key] = system = _frozen(system)
         return system
@@ -433,7 +422,7 @@ def _mapped_system(shape, level: int) -> _System:
     reference mass and load.
     """
     layout, maps = _piece_maps(shape)
-    ref = _reference_system(layout, level)
+    ref, system = _reference(layout, level), _reference_system(layout, level)
     k_coef, m_coef = [], []
     for A, _, _ in maps:
         det = abs(float(np.linalg.det(A)))
@@ -442,87 +431,82 @@ def _mapped_system(shape, level: int) -> _System:
         k_coef += [det * g[0, 0], det * g[0, 1], det * g[1, 1]]
         m_coef.append(det)
     n = len(ref.interior)
-    pattern = (ref.indices, ref.indptr)
-    stiffness = _combine(ref.stiffness.reshape(-1, ref.stiffness.shape[-1]), k_coef)
-    mass = _combine(ref.mass, m_coef)
+    pattern = (system.indices, system.indptr)
+    stiffness = _combine(
+        system.stiffness.reshape(-1, system.stiffness.shape[-1]), k_coef
+    )
+    mass = _combine(system.mass, m_coef)
     return _System(
         stiffness=sp.csc_matrix((stiffness, *pattern), shape=(n, n)),
         # symmetric values on a symmetric pattern: read as CSR it is the same matrix
         mass=sp.csr_matrix((mass, *pattern), shape=(n, n)),
-        load=_combine(ref.load, m_coef),
+        load=_combine(system.load, m_coef),
         interior=ref.interior,
-        n_vertices=ref.n_vertices,
-        n_elements=ref.n_elements,
-        ordered=True,
+        n_vertices=len(ref.vertices),
+        n_elements=len(ref.elements),
     )
 
 
-def _image(shape, level: int) -> Mesh:
-    """The physical mesh of a triangle or rectangle: its layout's image."""
-    layout, maps = _piece_maps(shape)
-    ref = _reference(layout, level)
-    owner = np.zeros(len(ref.vertices), dtype=np.int64)
-    owner[ref.elements] = ref.pieces[:, None]
-    vertices = np.empty_like(ref.vertices)
-    for p, (A, origin, shift) in enumerate(maps):
-        mine = owner == p
-        vertices[mine] = (ref.vertices[mine] - origin) @ A.T + shift
+def _prolonged(mesh: Mesh, ref: _Reference) -> Mesh:
+    """``mesh`` carried to the next level, ``ref``, of its layout.
+
+    New vertices are the midpoints of their parents; on a sector, those on
+    the rim are projected back to the circle.
+    """
+    vertices = _prolong(mesh.vertices, ref.parents)
+    if isinstance(mesh.shape, Sector):
+        old = len(mesh.vertices)
+        arc = old + np.flatnonzero(ref.vertices[old:].max(axis=1) == 1.0)
+        norms = np.linalg.norm(vertices[arc], axis=1)
+        vertices[arc] *= (mesh.shape.radius / norms)[:, None]
     return Mesh(
         vertices=vertices,
         elements=ref.elements,
         boundary_flags=ref.flags,
-        level=level,
-        shape=shape,
+        level=mesh.level + 1,
+        shape=mesh.shape,
     )
 
 
 def mesh_domain(shape, level: int) -> Mesh:
-    """Uniform red-refined mesh of a triangle, rectangle, or sector."""
+    """Uniform red-refined mesh of a triangle, rectangle, or sector.
+
+    The level-0 image of the shape's layout, prolonged one level at a time.
+    """
     if level < 0:
         raise ValueError(f"level must be nonnegative, got {level}")
     if level > MAX_LEVEL:
         raise LevelTooHigh(f"level {level} exceeds the cap {MAX_LEVEL}")
-    if not isinstance(shape, Sector):
-        return _image(shape, level)
-    vertices, elements = _sector_base(shape)
-    flags = np.ones(len(vertices), dtype=bool)
-    for _ in range(level):
-        vertices, elements, flags, _ = _refine_arrays(
-            vertices, elements, flags, shape.radius
-        )
-    return Mesh(
+    layout, maps = _piece_maps(shape)
+    base = _reference(layout, 0)
+    vertices = np.empty_like(base.vertices)
+    # a vertex that pieces share takes the first piece's map; theirs agree
+    # there up to rounding
+    for p, (A, origin, shift) in reversed(tuple(enumerate(maps))):
+        mine = base.elements[base.pieces == p].ravel()
+        vertices[mine] = (base.vertices[mine] - origin) @ A.T + shift
+    mesh = Mesh(
         vertices=vertices,
-        elements=elements,
-        boundary_flags=flags,
-        level=level,
+        elements=base.elements,
+        boundary_flags=base.flags,
+        level=0,
         shape=shape,
     )
+    for fine in range(1, level + 1):
+        mesh = _prolonged(mesh, _reference(layout, fine))
+    return mesh
 
 
-def refine(mesh: Mesh, project_radius: Optional[float] = None) -> tuple[Mesh, np.ndarray]:
-    """Refine once; also returns the (n_mid, 2) parent pairs of new vertices.
+def refine(mesh: Mesh) -> tuple[Mesh, np.ndarray]:
+    """Refine a mesh from ``mesh_domain`` once, to the next level of its layout.
 
-    A triangle or rectangle mesh from ``mesh_domain`` refines to the next
-    level of its cached layout; any other mesh is refined as given, with
-    midpoints of arc edges projected to ``project_radius`` when set.
+    Also returns the (n_mid, 2) parent pairs of the new vertices.
     """
     if mesh.level + 1 > MAX_LEVEL:
         raise LevelTooHigh(f"refining past the cap {MAX_LEVEL}")
-    if isinstance(mesh.shape, (Triangle, Rectangle)):
-        layout, _ = _piece_maps(mesh.shape)
-        fine = _image(mesh.shape, mesh.level + 1)
-        return fine, _reference(layout, mesh.level + 1).parents
-    vertices, elements, flags, parents = _refine_arrays(
-        mesh.vertices, mesh.elements, mesh.boundary_flags, project_radius
-    )
-    new_mesh = Mesh(
-        vertices=vertices,
-        elements=elements,
-        boundary_flags=flags,
-        level=mesh.level + 1,
-        shape=mesh.shape,
-    )
-    return new_mesh, parents
+    layout, _ = _piece_maps(mesh.shape)
+    ref = _reference(layout, mesh.level + 1)
+    return _prolonged(mesh, ref), ref.parents
 
 
 def _assemble(mesh: Mesh):
@@ -548,13 +532,14 @@ def _assemble(mesh: Mesh):
 
 
 def _assembled_system(mesh: Mesh) -> _System:
-    """Interior system of any mesh, assembled element by element."""
-    stiffness, mass, load = _assemble(mesh)
-    idx = np.where(~mesh.boundary_flags)[0]
+    """Interior system of a mesh, assembled element by element."""
+    layout, _ = _piece_maps(mesh.shape)
+    idx = _reference(layout, mesh.level).interior
     if len(idx) == 0:
         raise DegenerateShape(
             f"mesh at level {mesh.level} has no interior vertices; refine further"
         )
+    stiffness, mass, load = _assemble(mesh)
     return _System(
         stiffness=stiffness[np.ix_(idx, idx)].tocsc(),
         mass=mass[np.ix_(idx, idx)].tocsr(),
@@ -562,7 +547,6 @@ def _assembled_system(mesh: Mesh) -> _System:
         interior=idx,
         n_vertices=len(mesh.vertices),
         n_elements=len(mesh.elements),
-        ordered=False,
     )
 
 
@@ -575,23 +559,20 @@ def _system(mesh: Mesh) -> _System:
 def _solve_system(system: _System, x0: Optional[np.ndarray] = None) -> dict:
     """Torsion and ground eigenpair of one system from one LU of its stiffness.
 
-    An ordered system is factored in its own order without pivoting (the
-    stiffness is symmetric positive definite); any other in SuperLU's.
+    The stiffness is factored in the nested-dissection order of its
+    unknowns, without pivoting, since it is symmetric positive definite.
     Inverse iteration starts from ``x0`` (on all vertices) or, without it,
     from the torsion function.  Each step takes two mass products: with
     ``K y = M x``, the Rayleigh quotient of y is ``(y . M x) / (y . M y)``.
     It raises EigenNotConverged if the quotient has not settled to
     _EIG_TOL within _EIG_MAXIT iterations.
     """
-    if system.ordered:
-        lu = spla.splu(
-            system.stiffness,
-            permc_spec="NATURAL",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
-    else:
-        lu = spla.splu(system.stiffness)
+    lu = spla.splu(
+        system.stiffness,
+        permc_spec="NATURAL",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
     mass, idx = system.mass, system.interior
     u = lu.solve(system.load)
     x = u if x0 is None else x0[idx]
@@ -622,6 +603,7 @@ def _solve_system(system: _System, x0: Optional[np.ndarray] = None) -> dict:
         "eigen_iterations": iteration,
         "elements": system.n_elements,
         "dofs": len(idx),
+        "lu_nnz": lu.nnz,
     }
 
 
@@ -699,36 +681,36 @@ def spectral(shape, max_level: int) -> SpectralResult:
     level, warm-starting each eigenvalue solve from the prolonged
     eigenvector of the previous level, then Richardson-extrapolates.
     ``per_level["eigen_iterations"]`` counts the inverse iterations of each
-    level, ``per_level["elements"]`` its elements and ``per_level["dofs"]``
-    its interior vertices, the unknowns of its solves.  A triangle or
+    level, ``per_level["elements"]`` its elements, ``per_level["dofs"]``
+    its interior vertices, the unknowns of its solves, and
+    ``per_level["lu_nnz"]`` the fill of its LU factors.  A triangle or
     rectangle is solved from its layout's cache without building physical
-    meshes, and its h halves per level from the longest base edge.
+    meshes, and its h halves per level from the longest base edge; a
+    sector's mesh is built at the first level and refined to the others.
     """
     if max_level < 2:
         raise ValueError("spectral needs max_level >= 2")
     if max_level > MAX_LEVEL:
         raise LevelTooHigh(f"max_level {max_level} exceeds the cap {MAX_LEVEL}")
     levels = [max_level - 2, max_level - 1, max_level]
+    layout, _ = _piece_maps(shape)
+    parent_maps = [_reference(layout, level).parents for level in levels[1:]]
     if isinstance(shape, Sector):
         meshes = [mesh_domain(shape, levels[0])]
-        parent_maps = []
         for _ in range(2):
-            fine, parents = refine(meshes[-1], shape.radius)
-            meshes.append(fine)
-            parent_maps.append(parents)
+            meshes.append(refine(meshes[-1])[0])
         systems = (_assembled_system(mesh) for mesh in meshes)
         h_sequence = tuple(_mesh_h(m) for m in meshes)
     else:
-        layout, _ = _piece_maps(shape)
-        parent_maps = [_reference(layout, level).parents for level in levels[1:]]
         systems = (_mapped_system(shape, level) for level in levels)
-        h_base = _mesh_h(_image(shape, 0))
+        h_base = _mesh_h(mesh_domain(shape, 0))
         h_sequence = tuple(h_base / 2.0**level for level in levels)
 
     per_level: dict = {
         key: []
         for key in (
-            "lambda1", "T", "torsion_max", "eigen_iterations", "elements", "dofs"
+            "lambda1", "T", "torsion_max", "eigen_iterations", "elements", "dofs",
+            "lu_nnz",
         )
     }
     warm: Optional[np.ndarray] = None

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from polya_verify import bounds, cli, harness, polycert
+from polya_verify import bounds, cli, constants, harness, polycert
 from polya_verify.harness import (
     CellSubdivisionFailure,
     EvidenceItem,
@@ -257,6 +257,22 @@ def test_analytic_pass_builds_each_lemma_once(monkeypatch):
     certify_all()
     assert polycert._lemma.cache_info().misses == 5
     assert calls == {"product": 1, "certify": 11}
+
+
+def test_acute_2_tail_factor_margin_does_not_depend_on_the_cache(monkeypatch):
+    # enclose returns any narrower interval already cached, so the item asks
+    # at the width the lemma builders use
+    check = "372 zeta(5) / pi^5 <= 13/10 and (13/10)(34/100) < 1"
+
+    def margin():
+        (item,) = [i for i in replay_case("acute-2").evidence if i.check == check]
+        return item.margin
+
+    monkeypatch.setattr(constants, "_CACHE", {})
+    polycert._lemma.cache_clear()
+    cold = margin()
+    monkeypatch.setattr(constants, "_CACHE", {})
+    assert margin() == cold
 
 
 def test_replay_windows_come_from_the_certificate_plan(monkeypatch):

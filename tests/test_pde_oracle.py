@@ -1,6 +1,5 @@
 """Finite element oracle: convergence, invariances, and failure modes."""
 
-import dataclasses
 import math
 import sys
 
@@ -182,7 +181,6 @@ def _edge_count_flags(mesh):
     ids=["triangle", "rectangle", "sector"],
 )
 def test_refinement_boundary_flags_match_edge_counts(shape):
-    radius = shape.radius if isinstance(shape, Sector) else None
     mesh = mesh_domain(shape, level=0)
     for level in range(6):
         direct = mesh_domain(shape, level)
@@ -191,24 +189,67 @@ def test_refinement_boundary_flags_match_edge_counts(shape):
         assert np.array_equal(mesh.elements, direct.elements)
         assert np.array_equal(mesh.boundary_flags, direct.boundary_flags)
         if level < 5:
-            mesh, _ = refine(mesh, radius)
+            mesh, _ = refine(mesh)
+
+
+@pytest.mark.parametrize("angle", (0.3, math.pi / 3.0, 1.4, 3.1))
+def test_sector_refinement_keeps_midpoints_and_the_arc(angle):
+    radius = 1.5
+    mesh = mesh_domain(Sector(angle, radius), level=0)
+    direction = np.array([math.cos(angle), math.sin(angle)])
+    for _ in range(5):
+        fine, parents = refine(mesh)
+        old = len(mesh.vertices)
+        assert np.array_equal(fine.vertices[:old], mesh.vertices)
+        new = fine.vertices[old:]
+        ends = mesh.vertices[parents]  # (n_mid, 2, 2)
+        on_circle = np.all(
+            np.abs(np.linalg.norm(ends, axis=2) - radius) <= 1e-14 * radius, axis=1
+        )
+        assert np.any(on_circle)
+        # every new vertex off the arc is the midpoint of its parents
+        mids = 0.5 * (ends[:, 0] + ends[:, 1])
+        assert np.allclose(new[~on_circle], mids[~on_circle], rtol=0.0, atol=1e-15)
+        # an arc midpoint lies on the circle at the mean angle of its parents
+        arc = new[on_circle]
+        arc_angle = np.arctan2(arc[:, 1], arc[:, 0])
+        ends_angle = np.arctan2(ends[on_circle, :, 1], ends[on_circle, :, 0])
+        assert np.allclose(np.linalg.norm(arc, axis=1), radius, rtol=1e-15, atol=0.0)
+        assert np.allclose(arc_angle, ends_angle.mean(axis=1), rtol=0.0, atol=1e-14)
+        # every boundary vertex lies on one of the two radii or on the circle
+        v = fine.vertices[fine.boundary_flags]
+        tol = 1e-14 * radius
+        first_radius = (np.abs(v[:, 1]) <= tol) & (v[:, 0] >= -tol)
+        across = v[:, 0] * direction[1] - v[:, 1] * direction[0]
+        last_radius = (np.abs(across) <= tol) & (v @ direction >= -tol)
+        circle = np.abs(np.linalg.norm(v, axis=1) - radius) <= tol
+        assert np.all(first_radius | last_radius | circle)
+        assert np.all(np.linalg.norm(fine.vertices, axis=1) <= radius + tol)
+        mesh = fine
 
 
 @pytest.mark.parametrize(
-    "shape", [Triangle(0.5, EQ_B), Triangle(0.5, 0.04)], ids=["equilateral", "thin"]
+    "shape",
+    [Triangle(0.5, EQ_B), Triangle(0.5, 0.04), Sector(math.pi / 3.0, 1.0)],
+    ids=["equilateral", "thin", "sector"],
 )
 def test_spectral_factors_once_per_level(monkeypatch, shape):
     calls = []
     splu = pde_oracle.spla.splu
 
-    def counting_splu(*args, **kwargs):
-        calls.append(args[0].shape)
-        return splu(*args, **kwargs)
+    def counting_splu(matrix, **kwargs):
+        lu = splu(matrix, **kwargs)
+        calls.append((matrix.shape[0], kwargs["permc_spec"], lu.nnz))
+        return lu
 
     monkeypatch.setattr(pde_oracle.spla, "splu", counting_splu)
     res = spectral(shape, max_level=6)
     assert len(calls) == len(res.levels) == 3
-    assert calls[0][0] < calls[1][0] < calls[2][0]
+    sizes, orderings, fills = zip(*calls)
+    assert sizes[0] < sizes[1] < sizes[2]
+    # every level is factored in the cached nested-dissection order
+    assert orderings == ("NATURAL",) * 3
+    assert res.per_level["lu_nnz"] == fills
 
 
 def test_spectral_levels_match_single_level_solvers():
@@ -312,17 +353,17 @@ def test_cached_assembly_matches_elementwise_assembly(shape, elements):
         assert abs(combined - direct).max() <= 1e-13 * scale
     assert np.allclose(cached.load, load[idx], rtol=1e-13, atol=0.0)
 
-    # the same mesh without its shape is assembled element by element
-    plain = dataclasses.replace(mesh, shape=None)
-    torsion = solve_torsion(plain)["T"]
-    assert solve_torsion(mesh)["T"] == pytest.approx(torsion, rel=1e-12)
-    assert solve_lambda1(mesh) == pytest.approx(solve_lambda1(plain), rel=1e-12)
+    # the same mesh assembled element by element
+    plain = pde_oracle._solve_system(pde_oracle._assembled_system(mesh))
+    assert solve_torsion(mesh)["T"] == pytest.approx(plain["T"], rel=1e-12)
+    assert solve_lambda1(mesh) == pytest.approx(plain["lambda1"], rel=1e-12)
 
 
 def test_cached_reference_arrays_are_read_only():
     mesh = mesh_domain(Triangle(0.3, 0.4), 3)
     system = pde_oracle._reference_system("split", 3)
-    arrays = (mesh.elements, mesh.boundary_flags, system.stiffness, system.interior)
+    interior = pde_oracle._reference("split", 3).interior
+    arrays = (mesh.elements, mesh.boundary_flags, system.stiffness, interior)
     assert not any(array.flags.writeable for array in arrays)
 
 
