@@ -14,10 +14,13 @@ built once per (layout, level) and shared by every shape and thread.  Every
 mesh is its level-0 image prolonged through the parent maps one level at a
 time, and on a sector each new arc midpoint is projected back to the circle.
 
-Red refinement commutes with affine maps, so a triangle or rectangle solve
-only combines the cached per-piece stiffness components, mass and load with
-the coefficients of its maps.  A projected sector mesh is no such image; it
-is assembled element by element, on the same cached interior order.
+The cached reference also holds the CSC pattern of its interior system and
+the plan that scatters element blocks and loads onto it; one routine makes
+the element parts (stiffness xx, xy + yx and yy, mass and lumped load) and
+one bincount scatter sums them.  Red refinement commutes with affine maps,
+so a triangle or rectangle solve only combines cached per-piece components,
+scattered once per layout and level, with the coefficients of its maps.  A
+projected sector mesh is no such image; its parts are scattered per solve.
 
 The eigenproblem uses the consistent mass matrix (variational, so discrete
 eigenvalues sit above the true ones); the torsion load is mass-lumped.  One
@@ -95,8 +98,7 @@ class Mesh:
     ``shape`` is the shape the mesh discretizes, and the mesh is its
     layout's reference mesh at ``level`` carried to the shape: elements and
     flags are the cached reference arrays, and the interior unknowns are
-    the reference interior.  The solvers use the cached assembly for a
-    triangle or a rectangle and assemble a sector element by element.
+    the reference interior.  The solvers solve ``(shape, level)``.
     """
 
     vertices: np.ndarray  # (nv, 2) float
@@ -136,7 +138,15 @@ class SpectralResult:
 
 @dataclass(frozen=True, eq=False)
 class _Reference:
-    """Red-refined reference mesh of one layout at one level."""
+    """Red-refined reference mesh of one layout at one level.
+
+    The unknowns are the interior vertices.  Stiffness and mass share one
+    symmetric CSC pattern over them (``indptr``, ``indices``); entry k of
+    the raveled (ne, 3, 3) element blocks joins two unknowns iff
+    ``keep[k]``, and the kept entries sum into the pattern at ``slot``.
+    Entry k of the raveled (ne, 3) element loads sits at an unknown iff
+    ``on_interior[k]``, and those entries sum into ``load_at``.
+    """
 
     vertices: np.ndarray
     elements: np.ndarray
@@ -144,19 +154,22 @@ class _Reference:
     pieces: np.ndarray  # piece of each element
     parents: Optional[np.ndarray]  # parent pairs of the vertices new at this level
     interior: np.ndarray  # interior vertices in nested-dissection order
+    indptr: np.ndarray
+    indices: np.ndarray
+    keep: np.ndarray
+    slot: np.ndarray
+    on_interior: np.ndarray
+    load_at: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class _ReferenceSystem:
     """Per-piece components of one layout's interior system at one level.
 
-    The unknowns are the reference interior.  Stiffness and mass share one
-    symmetric CSC pattern; ``stiffness`` holds the xx, xy + yx and yy parts
-    of every piece on it.
+    Stiffness and mass lie on the reference's pattern; ``stiffness`` holds
+    the xx, xy + yx and yy parts of every piece on it.
     """
 
-    indptr: np.ndarray
-    indices: np.ndarray
     stiffness: np.ndarray  # (pieces, 3, nnz)
     mass: np.ndarray  # (pieces, nnz)
     load: np.ndarray  # (pieces, n)
@@ -164,7 +177,8 @@ class _ReferenceSystem:
 
 @dataclass(frozen=True, eq=False)
 class _System:
-    """Interior stiffness, mass and load of one mesh, ready to solve."""
+    """Interior stiffness, mass and load of one shape at one level, ready to
+    solve, with the mesh's largest edge ``h`` and its area."""
 
     stiffness: sp.csc_matrix
     mass: sp.spmatrix
@@ -172,6 +186,8 @@ class _System:
     interior: np.ndarray  # vertex of each unknown, in nested-dissection order
     n_vertices: int
     n_elements: int
+    h: float
+    area: float
 
 
 _CACHE_LOCK = threading.RLock()
@@ -194,7 +210,12 @@ def _piece_maps(shape) -> tuple[str, tuple]:
     sector maps its rim points to the arc points at angles ``p theta`` and
     ``(p + 1) theta``, with theta the angle over the number of wedges; each
     wedge opens at most 60 degrees, so no level-0 angle exceeds 90 degrees.
+    A non-finite shape parameter raises DegenerateShape.
     """
+    if not isinstance(shape, (Triangle, Rectangle, Sector)):
+        raise DegenerateShape(f"unsupported shape {type(shape).__name__}")
+    if not all(math.isfinite(getattr(shape, f.name)) for f in fields(shape)):
+        raise DegenerateShape(f"non-finite shape parameter in {shape}")
     origin = (0.0, 0.0)
     if isinstance(shape, Triangle):
         a, b = shape.a, shape.b
@@ -210,16 +231,14 @@ def _piece_maps(shape) -> tuple[str, tuple]:
         return "shear", ((np.array([[1.0, a], [0.0, b]]), origin, origin),)
     if isinstance(shape, Rectangle):
         return "square", ((np.diag([shape.a, shape.b]), origin, origin),)
-    if isinstance(shape, Sector):
-        k = math.ceil(shape.angle / (math.pi / 3.0))
-        angles = np.linspace(0.0, shape.angle, k + 1)
-        arc = shape.radius * np.column_stack([np.cos(angles), np.sin(angles)])
-        rim = np.array(_RIM, dtype=float)
-        return f"fan{k}", tuple(
-            (arc[p : p + 2].T @ np.linalg.inv(rim[p : p + 2].T), origin, origin)
-            for p in range(k)
-        )
-    raise DegenerateShape(f"unsupported shape {type(shape).__name__}")
+    k = math.ceil(shape.angle / (math.pi / 3.0))
+    angles = np.linspace(0.0, shape.angle, k + 1)
+    arc = shape.radius * np.column_stack([np.cos(angles), np.sin(angles)])
+    rim = np.array(_RIM, dtype=float)
+    return f"fan{k}", tuple(
+        (arc[p : p + 2].T @ np.linalg.inv(rim[p : p + 2].T), origin, origin)
+        for p in range(k)
+    )
 
 
 def _refine_arrays(
@@ -281,16 +300,40 @@ def _reference(layout: str, level: int) -> _Reference:
                 pieces = np.tile(coarse.pieces, 4)
             interior = np.flatnonzero(~flags)
             grid = np.rint(vertices[interior] * 2.0**level).astype(np.int64)
+            interior = interior[_dissection_order(grid)]
             ref = _Reference(
                 vertices=vertices,
                 elements=elements,
                 flags=flags,
                 pieces=pieces,
                 parents=parents,
-                interior=interior[_dissection_order(grid)],
+                interior=interior,
+                **_scatter_plan(elements, interior, len(vertices)),
             )
             _REFERENCES[key] = ref = _frozen(ref)
         return ref
+
+
+def _scatter_plan(elements: np.ndarray, interior: np.ndarray, nv: int) -> dict:
+    """Interior CSC pattern of a mesh and the plan that scatters onto it."""
+    n = len(interior)
+    unknown = np.full(nv, -1, dtype=np.int64)
+    unknown[interior] = np.arange(n)
+    rows = unknown[np.repeat(elements, 3, axis=1)].ravel()
+    cols = unknown[np.tile(elements, (1, 3))].ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    pattern, slot = np.unique(cols[keep] * n + rows[keep], return_inverse=True)
+    vertex_unknown = unknown[elements].ravel()
+    on_interior = vertex_unknown >= 0
+    columns = np.bincount(pattern // n, minlength=n)
+    return {
+        "indptr": np.concatenate([[0], np.cumsum(columns)]).astype(np.int32),
+        "indices": (pattern % n).astype(np.int32),
+        "keep": keep,
+        "slot": slot.astype(np.int32),
+        "on_interior": on_interior,
+        "load_at": vertex_unknown[on_interior].astype(np.int32),
+    }
 
 
 def _dissection_order(grid: np.ndarray) -> np.ndarray:
@@ -335,6 +378,31 @@ def _element_geometry(vertices: np.ndarray, elements: np.ndarray):
 _MASS_REF = (np.ones((3, 3)) + np.eye(3)) / 12.0
 
 
+def _element_parts(vertices: np.ndarray, elements: np.ndarray):
+    """Element stiffness parts (xx, xy + yx, yy), consistent mass and lumped
+    load: three and one (ne, 3, 3) blocks and (ne, 3) loads."""
+    bvec, cvec, areas = _element_geometry(vertices, elements)
+    if np.any(areas <= 0):
+        raise DegenerateShape("mesh contains an element with nonpositive area")
+
+    def outer(u, v):
+        return u[:, :, None] * v[:, None, :] / (4.0 * areas)[:, None, None]
+
+    return (
+        (outer(bvec, bvec), outer(bvec, cvec) + outer(cvec, bvec), outer(cvec, cvec)),
+        areas[:, None, None] * _MASS_REF,
+        np.repeat(areas / 3.0, 3).reshape(-1, 3),
+    )
+
+
+def _scatter(values: np.ndarray, keep: np.ndarray, at: np.ndarray, size: int):
+    """Sum the kept entries of raveled ``values`` onto ``at``.
+
+    bincount sums in input order, so the result is reproducible.
+    """
+    return np.bincount(at, weights=values.ravel()[keep], minlength=size)
+
+
 def _reference_system(layout: str, level: int) -> _ReferenceSystem:
     """The cached per-piece interior system of ``layout`` at ``level``."""
     key = (layout, level)
@@ -343,62 +411,27 @@ def _reference_system(layout: str, level: int) -> _ReferenceSystem:
         if system is not None:
             return system
         ref = _reference(layout, level)
-        n = len(ref.interior)
-        if n == 0:
-            raise DegenerateShape(
-                f"mesh at level {level} has no interior vertices; refine further"
-            )
-        unknown = np.full(len(ref.vertices), -1, dtype=np.int64)
-        unknown[ref.interior] = np.arange(n)
-
-        elems = ref.elements
-        bvec, cvec, areas = _element_geometry(ref.vertices, elems)
-        rows = unknown[np.repeat(elems, 3, axis=1)].ravel()
-        cols = unknown[np.tile(elems, (1, 3))].ravel()
-        keep = (rows >= 0) & (cols >= 0)
-        pattern, slot = np.unique(cols[keep] * n + rows[keep], return_inverse=True)
-        entry_piece = np.repeat(ref.pieces, 9)[keep]
+        parts, mass, load = _element_parts(ref.vertices, ref.elements)
         n_pieces = int(ref.pieces.max()) + 1
 
-        def per_piece(values, piece, at, size):
-            # bincount sums in input order, so the components are reproducible
+        def per_piece(values, keep, at, size):
+            values = values.reshape(len(ref.pieces), -1)
             return np.stack(
                 [
-                    np.bincount(
-                        at, weights=np.where(piece == p, values, 0.0), minlength=size
+                    _scatter(
+                        np.where((ref.pieces == p)[:, None], values, 0.0), keep, at, size
                     )
                     for p in range(n_pieces)
                 ]
             )
 
         def on_pattern(blocks):
-            return per_piece(blocks.ravel()[keep], entry_piece, slot, len(pattern))
+            return per_piece(blocks, ref.keep, ref.slot, len(ref.indices))
 
-        def outer(u, v):
-            return u[:, :, None] * v[:, None, :] / (4.0 * areas)[:, None, None]
-
-        vertex_unknown = unknown[elems].ravel()
-        on_interior = vertex_unknown >= 0
         system = _ReferenceSystem(
-            indptr=np.concatenate(
-                [[0], np.cumsum(np.bincount(pattern // n, minlength=n))]
-            ).astype(np.int32),
-            indices=(pattern % n).astype(np.int32),
-            stiffness=np.stack(
-                [
-                    on_pattern(outer(bvec, bvec)),
-                    on_pattern(outer(bvec, cvec) + outer(cvec, bvec)),
-                    on_pattern(outer(cvec, cvec)),
-                ],
-                axis=1,
-            ),
-            mass=on_pattern(areas[:, None, None] * _MASS_REF),
-            load=per_piece(
-                np.repeat(areas / 3.0, 3)[on_interior],
-                np.repeat(ref.pieces, 3)[on_interior],
-                vertex_unknown[on_interior],
-                n,
-            ),
+            stiffness=np.stack([on_pattern(part) for part in parts], axis=1),
+            mass=on_pattern(mass),
+            load=per_piece(load, ref.on_interior, ref.load_at, len(ref.interior)),
         )
         _REFERENCE_SYSTEMS[key] = system = _frozen(system)
         return system
@@ -414,36 +447,56 @@ def _combine(parts, coefficients) -> np.ndarray:
     return out
 
 
-def _mapped_system(shape, level: int) -> _System:
-    """Interior system of a triangle or rectangle from its layout's cache.
+def _system(shape, level: int) -> _System:
+    """Interior system of ``shape`` at ``level`` on its layout's pattern.
 
-    A piece with map A contributes ``|det A| (G11 Kxx + G12 Kxy + G22 Kyy)``
+    A triangle or rectangle combines its layout's cached components: a
+    piece with map A contributes ``|det A| (G11 Kxx + G12 Kxy + G22 Kyy)``
     to the stiffness, with ``G = A^-1 A^-T``, and ``|det A|`` times its
-    reference mass and load.
+    reference mass and load; its h halves per level from the longest edge
+    of its level-0 mesh.  A sector's mesh is built at ``level`` and its
+    element parts, with stiffness ``Kxx + Kyy``, are scattered directly.
     """
     layout, maps = _piece_maps(shape)
-    ref, system = _reference(layout, level), _reference_system(layout, level)
-    k_coef, m_coef = [], []
-    for A, _, _ in maps:
-        det = abs(float(np.linalg.det(A)))
-        inv = np.linalg.inv(A)
-        g = inv @ inv.T
-        k_coef += [det * g[0, 0], det * g[0, 1], det * g[1, 1]]
-        m_coef.append(det)
+    ref = _reference(layout, level)
     n = len(ref.interior)
-    pattern = (system.indices, system.indptr)
-    stiffness = _combine(
-        system.stiffness.reshape(-1, system.stiffness.shape[-1]), k_coef
-    )
-    mass = _combine(system.mass, m_coef)
+    if n == 0:
+        raise DegenerateShape(
+            f"mesh at level {level} has no interior vertices; refine further"
+        )
+    if isinstance(shape, Sector):
+        mesh = mesh_domain(shape, level)
+        plan = (ref.keep, ref.slot, len(ref.indices))
+        (xx, _, yy), mass, load = _element_parts(mesh.vertices, mesh.elements)
+        stiffness = _scatter(xx + yy, *plan)
+        mass = _scatter(mass, *plan)
+        load = _scatter(load, ref.on_interior, ref.load_at, n)
+    else:
+        mesh = mesh_domain(shape, 0)
+        system = _reference_system(layout, level)
+        k_coef, m_coef = [], []
+        for A, _, _ in maps:
+            det = abs(float(np.linalg.det(A)))
+            inv = np.linalg.inv(A)
+            g = inv @ inv.T
+            k_coef += [det * g[0, 0], det * g[0, 1], det * g[1, 1]]
+            m_coef.append(det)
+        stiffness = _combine(
+            system.stiffness.reshape(-1, system.stiffness.shape[-1]), k_coef
+        )
+        mass = _combine(system.mass, m_coef)
+        load = _combine(system.load, m_coef)
+    pattern = (ref.indices, ref.indptr)
     return _System(
         stiffness=sp.csc_matrix((stiffness, *pattern), shape=(n, n)),
         # symmetric values on a symmetric pattern: read as CSR it is the same matrix
         mass=sp.csr_matrix((mass, *pattern), shape=(n, n)),
-        load=_combine(system.load, m_coef),
+        load=load,
         interior=ref.interior,
         n_vertices=len(ref.vertices),
         n_elements=len(ref.elements),
+        h=_mesh_h(mesh) / 2.0 ** (level - mesh.level),
+        area=_mesh_area(mesh),
     )
 
 
@@ -509,53 +562,6 @@ def refine(mesh: Mesh) -> tuple[Mesh, np.ndarray]:
     return _prolonged(mesh, ref), ref.parents
 
 
-def _assemble(mesh: Mesh):
-    """Stiffness K, consistent mass M, and lumped load f on all vertices."""
-    nv = len(mesh.vertices)
-    elems = mesh.elements
-    bvec, cvec, areas = _element_geometry(mesh.vertices, elems)
-    if np.any(areas <= 0):
-        raise DegenerateShape("mesh contains an element with nonpositive area")
-    ke = (
-        bvec[:, :, None] * bvec[:, None, :] + cvec[:, :, None] * cvec[:, None, :]
-    ) / (4.0 * areas)[:, None, None]
-    me = areas[:, None, None] * _MASS_REF[None, :, :]
-    rows = np.repeat(elems, 3, axis=1).ravel()
-    cols = np.tile(elems, (1, 3)).ravel()
-    stiffness = sp.coo_matrix(
-        (ke.ravel(), (rows, cols)), shape=(nv, nv)
-    ).tocsr()
-    mass = sp.coo_matrix((me.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
-    load = np.zeros(nv)
-    np.add.at(load, elems.ravel(), np.repeat(areas / 3.0, 3))
-    return stiffness, mass, load
-
-
-def _assembled_system(mesh: Mesh) -> _System:
-    """Interior system of a mesh, assembled element by element."""
-    layout, _ = _piece_maps(mesh.shape)
-    idx = _reference(layout, mesh.level).interior
-    if len(idx) == 0:
-        raise DegenerateShape(
-            f"mesh at level {mesh.level} has no interior vertices; refine further"
-        )
-    stiffness, mass, load = _assemble(mesh)
-    return _System(
-        stiffness=stiffness[np.ix_(idx, idx)].tocsc(),
-        mass=mass[np.ix_(idx, idx)].tocsr(),
-        load=load[idx],
-        interior=idx,
-        n_vertices=len(mesh.vertices),
-        n_elements=len(mesh.elements),
-    )
-
-
-def _system(mesh: Mesh) -> _System:
-    if isinstance(mesh.shape, (Triangle, Rectangle)):
-        return _mapped_system(mesh.shape, mesh.level)
-    return _assembled_system(mesh)
-
-
 def _solve_system(system: _System, x0: Optional[np.ndarray] = None) -> dict:
     """Torsion and ground eigenpair of one system from one LU of its stiffness.
 
@@ -608,14 +614,16 @@ def _solve_system(system: _System, x0: Optional[np.ndarray] = None) -> dict:
 
 
 def solve_torsion(mesh: Mesh) -> dict:
-    """Torsional rigidity and maximum of the torsion function on the mesh."""
-    level = _solve_system(_system(mesh))
+    """Torsional rigidity and maximum of the torsion function at the mesh's
+    shape and level (its vertices are not read)."""
+    level = _solve_system(_system(mesh.shape, mesh.level))
     return {"T": level["T"], "torsion_max": level["torsion_max"]}
 
 
 def solve_lambda1(mesh: Mesh) -> float:
-    """Smallest Dirichlet eigenvalue of the mesh (above the true value)."""
-    return _solve_system(_system(mesh))["lambda1"]
+    """Smallest Dirichlet eigenvalue at the mesh's shape and level (above the
+    true value; its vertices are not read)."""
+    return _solve_system(_system(mesh.shape, mesh.level))["lambda1"]
 
 
 def richardson(values: Sequence[float]) -> dict:
@@ -649,9 +657,7 @@ def _exact_area(shape) -> float:
         return shape.b / 2.0
     if isinstance(shape, Rectangle):
         return 4.0 * shape.a * shape.b
-    if isinstance(shape, Sector):
-        return 0.5 * shape.angle * shape.radius**2
-    raise DegenerateShape(f"unsupported shape {type(shape).__name__}")
+    return 0.5 * shape.angle * shape.radius**2
 
 
 def _mesh_area(mesh: Mesh) -> float:
@@ -683,10 +689,9 @@ def spectral(shape, max_level: int) -> SpectralResult:
     ``per_level["eigen_iterations"]`` counts the inverse iterations of each
     level, ``per_level["elements"]`` its elements, ``per_level["dofs"]``
     its interior vertices, the unknowns of its solves, and
-    ``per_level["lu_nnz"]`` the fill of its LU factors.  A triangle or
-    rectangle is solved from its layout's cache without building physical
-    meshes, and its h halves per level from the longest base edge; a
-    sector's mesh is built at the first level and refined to the others.
+    ``per_level["lu_nnz"]`` the fill of its LU factors.  Every level's
+    system comes from ``_system``, so a triangle or rectangle is solved
+    without building its refined meshes.
     """
     if max_level < 2:
         raise ValueError("spectral needs max_level >= 2")
@@ -695,16 +700,7 @@ def spectral(shape, max_level: int) -> SpectralResult:
     levels = [max_level - 2, max_level - 1, max_level]
     layout, _ = _piece_maps(shape)
     parent_maps = [_reference(layout, level).parents for level in levels[1:]]
-    if isinstance(shape, Sector):
-        meshes = [mesh_domain(shape, levels[0])]
-        for _ in range(2):
-            meshes.append(refine(meshes[-1])[0])
-        systems = (_assembled_system(mesh) for mesh in meshes)
-        h_sequence = tuple(_mesh_h(m) for m in meshes)
-    else:
-        systems = (_mapped_system(shape, level) for level in levels)
-        h_base = _mesh_h(mesh_domain(shape, 0))
-        h_sequence = tuple(h_base / 2.0**level for level in levels)
+    systems = [_system(shape, level) for level in levels]
 
     per_level: dict = {
         key: []
@@ -735,7 +731,7 @@ def spectral(shape, max_level: int) -> SpectralResult:
         "F": abs(f_val - f_finest),
     }
     if isinstance(shape, Sector):
-        defect = abs(area - _mesh_area(meshes[-1])) / area
+        defect = abs(area - systems[-1].area) / area
         gauges["lambda1"] += 2.0 * defect * abs(lam_val)
         gauges["T"] += 2.0 * defect * abs(tor_val)
         gauges["F"] += 4.0 * defect * abs(f_val)
@@ -744,7 +740,7 @@ def spectral(shape, max_level: int) -> SpectralResult:
         T=tor_val,
         torsion_max=per_level["torsion_max"][-1],
         F=f_val,
-        h_sequence=h_sequence,
+        h_sequence=tuple(system.h for system in systems),
         error_gauge=gauges,
         observed_order={
             "lambda1": lam_ex["observed_order"],

@@ -1,10 +1,12 @@
 """Finite element oracle: convergence, invariances, and failure modes."""
 
+import dataclasses
 import math
 import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from polya_verify import harness, pde_oracle
 from polya_verify.closed_forms import (
@@ -16,6 +18,7 @@ from polya_verify.closed_forms import (
 from polya_verify.geometry import Rectangle, Sector, Triangle
 from polya_verify.pde_oracle import (
     MAX_LEVEL,
+    DegenerateShape,
     EigenNotConverged,
     LevelTooHigh,
     NonContracting,
@@ -326,6 +329,30 @@ def test_thin_triangle_gauges_cover_the_p2_value(b, f_p2, level):
         assert res.observed_order["lambda1"] >= 1.8, res.observed_order
 
 
+def _coo_system(mesh):
+    """Interior system of a mesh, assembled element by element on all
+    vertices and then restricted: an independent route to ``_system``."""
+    nv = len(mesh.vertices)
+    elems = mesh.elements
+    v = mesh.vertices[elems]
+    x, y = v[:, :, 0], v[:, :, 1]
+    bvec = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
+    cvec = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
+    areas = 0.5 * np.einsum("ij,ij->i", x, bvec)
+    ke = (
+        bvec[:, :, None] * bvec[:, None, :] + cvec[:, :, None] * cvec[:, None, :]
+    ) / (4.0 * areas)[:, None, None]
+    me = areas[:, None, None] * (np.ones((3, 3)) + np.eye(3)) / 12.0
+    rows = np.repeat(elems, 3, axis=1).ravel()
+    cols = np.tile(elems, (1, 3)).ravel()
+    stiffness = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
+    mass = sp.coo_matrix((me.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
+    load = np.zeros(nv)
+    np.add.at(load, elems.ravel(), np.repeat(areas / 3.0, 3))
+    idx = np.flatnonzero(~mesh.boundary_flags)
+    return stiffness[np.ix_(idx, idx)], mass[np.ix_(idx, idx)], load[idx], idx
+
+
 @pytest.mark.parametrize(
     "shape, elements",
     [
@@ -335,26 +362,43 @@ def test_thin_triangle_gauges_cover_the_p2_value(b, f_p2, level):
         (Triangle(-0.2, 0.5), 1),
         (Triangle(1.3, 0.6), 1),
         (Rectangle(0.5, 0.25), 2),
+        (Sector(0.3, 1.0), 1),
+        (Sector(math.pi / 3.0, 1.0), 1),
+        (Sector(1.4, 1.0), 2),
+        (Sector(3.1, 1.0), 3),
     ],
-    ids=["split", "thin-split", "a=0", "a=-0.2", "a=1.3", "rectangle"],
+    ids=[
+        "split", "thin-split", "a=0", "a=-0.2", "a=1.3", "rectangle",
+        "sector-0.3", "sector-pi/3", "sector-1.4", "sector-3.1",
+    ],
 )
 def test_cached_assembly_matches_elementwise_assembly(shape, elements):
     level = 4
     mesh = mesh_domain(shape, level)
     assert len(mesh.elements) == elements * 4**level
-    cached = pde_oracle._mapped_system(shape, level)
-    stiffness, mass, load = pde_oracle._assemble(mesh)
-    idx = cached.interior
+    system = pde_oracle._system(shape, level)
+    stiffness, mass, load, idx = _coo_system(mesh)
+    # the same unknowns, in the system's nested-dissection order
+    assert np.array_equal(np.sort(system.interior), idx)
+    order = np.argsort(system.interior)
     for combined, direct in (
-        (cached.stiffness, stiffness[np.ix_(idx, idx)]),
-        (cached.mass, mass[np.ix_(idx, idx)]),
+        (system.stiffness, stiffness),
+        (system.mass, mass),
     ):
         scale = abs(direct).max()
-        assert abs(combined - direct).max() <= 1e-13 * scale
-    assert np.allclose(cached.load, load[idx], rtol=1e-13, atol=0.0)
+        assert abs(combined[order][:, order] - direct).max() <= 1e-13 * scale
+    assert np.allclose(system.load[order], load, rtol=1e-13, atol=0.0)
 
-    # the same mesh assembled element by element
-    plain = pde_oracle._solve_system(pde_oracle._assembled_system(mesh))
+    # the same mesh solved from the element-by-element system
+    plain = pde_oracle._solve_system(
+        dataclasses.replace(
+            system,
+            stiffness=stiffness.tocsc(),
+            mass=mass,
+            load=load,
+            interior=idx,
+        )
+    )
     assert solve_torsion(mesh)["T"] == pytest.approx(plain["T"], rel=1e-12)
     assert solve_lambda1(mesh) == pytest.approx(plain["lambda1"], rel=1e-12)
 
@@ -362,9 +406,30 @@ def test_cached_assembly_matches_elementwise_assembly(shape, elements):
 def test_cached_reference_arrays_are_read_only():
     mesh = mesh_domain(Triangle(0.3, 0.4), 3)
     system = pde_oracle._reference_system("split", 3)
-    interior = pde_oracle._reference("split", 3).interior
-    arrays = (mesh.elements, mesh.boundary_flags, system.stiffness, interior)
+    ref = pde_oracle._reference("split", 3)
+    arrays = (
+        mesh.elements, mesh.boundary_flags, system.stiffness, ref.interior,
+        ref.indptr, ref.indices, ref.keep, ref.slot, ref.on_interior, ref.load_at,
+    )
     assert not any(array.flags.writeable for array in arrays)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        Triangle(math.nan, 0.5),
+        Triangle(math.inf, 0.5),
+        Triangle(0.3, math.inf),
+        Rectangle(math.inf, 1.0),
+        Sector(1.0, math.inf),
+    ],
+    ids=["triangle-a-nan", "triangle-a-inf", "triangle-b-inf", "rectangle", "sector"],
+)
+def test_non_finite_shapes_raise_degenerate_shape(shape):
+    with pytest.raises(DegenerateShape):
+        spectral(shape, max_level=4)
+    with pytest.raises(DegenerateShape):
+        mesh_domain(shape, 2)
 
 
 @pytest.mark.parametrize("workers", [2, 4])
