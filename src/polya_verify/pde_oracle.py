@@ -9,10 +9,11 @@ A sector is a fan of ceil(angle / (pi/3)) wedges about the apex (the
 accuracy of a level is set by its radial resolution, so more wedges would
 only add elements).  Each base mesh is the image of a reference mesh on the
 integer grid under one affine map per piece.  The refined reference mesh,
-its parent maps and its interior vertices in a nested-dissection order are
-built once per (layout, level) and shared by every shape and thread.  Every
-mesh is its level-0 image prolonged through the parent maps one level at a
-time, and on a sector each new arc midpoint is projected back to the circle.
+its parent maps and its interior vertices in a band order (along the long
+axis, then the short one) are built once per (layout, level) and shared by
+every shape and thread.  Every mesh is its level-0 image prolonged through
+the parent maps one level at a time, and on a sector each new arc midpoint
+is projected back to the circle.
 
 The cached reference also holds the CSC pattern of its interior system and
 the plan that scatters element blocks and loads onto it; one routine makes
@@ -23,12 +24,13 @@ scattered once per layout and level, with the coefficients of its maps.  A
 projected sector mesh is no such image; its parts are scattered per solve.
 
 The eigenproblem uses the consistent mass matrix (variational, so discrete
-eigenvalues sit above the true ones); the torsion load is mass-lumped.  One
-deterministic sparse LU factorization per level, in the nested-dissection
-order and without pivoting, serves both the torsion solve and unshifted
-inverse power iteration for the eigenvalue, which starts from the torsion
-function (the lumped load is M times the constant vector) or from the
-prolonged eigenvector, so repeated runs are byte-identical.
+eigenvalues sit above the true ones); the torsion load is mass-lumped.  In
+the band order a level's stiffness has half-bandwidth at most 2^level.  One
+banded Cholesky factorization per level (LAPACK dpbtrf, no pivoting) serves
+both the torsion solve and unshifted inverse power iteration for the
+eigenvalue (dpbtrs), which starts from the torsion function (the lumped
+load is M times the constant vector) or from the prolonged eigenvector, so
+repeated runs are byte-identical.
 
 Richardson extrapolation over three consecutive levels provides the
 reported value and an error gauge (distance between the extrapolated and
@@ -45,15 +47,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .geometry import Rectangle, Sector, Triangle
 
 MAX_LEVEL = 9
 _EIG_TOL = 1e-12
 _EIG_MAXIT = 400
-# vertex sets this small are not dissected further
-_DISSECTION_LEAF = 16
 
 # Reference layouts: base vertices, base elements, and the piece of each
 # base element.  Pieces meet only along edges on which their maps agree.
@@ -89,6 +89,10 @@ class NonContracting(RuntimeError):
 
 class EigenNotConverged(RuntimeError):
     """Raised when inverse iteration misses _EIG_TOL within _EIG_MAXIT steps."""
+
+
+class NotPositiveDefinite(RuntimeError):
+    """Raised when a stiffness meets a nonpositive Cholesky pivot."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,12 +144,16 @@ class SpectralResult:
 class _Reference:
     """Red-refined reference mesh of one layout at one level.
 
-    The unknowns are the interior vertices.  Stiffness and mass share one
-    symmetric CSC pattern over them (``indptr``, ``indices``); entry k of
-    the raveled (ne, 3, 3) element blocks joins two unknowns iff
-    ``keep[k]``, and the kept entries sum into the pattern at ``slot``.
-    Entry k of the raveled (ne, 3) element loads sits at an unknown iff
-    ``on_interior[k]``, and those entries sum into ``load_at``.
+    The unknowns are the interior vertices in band order: sorted along the
+    layout's longer axis, then its shorter one.  Every edge joins grid
+    points at most one step apart in each axis, so the half-bandwidth is
+    2^level - 1 for ``split``, 2^level for ``square``, ``fan2`` and
+    ``fan3``, and 2^level - 2 for ``shear`` and ``fan1``.  Stiffness and
+    mass share one symmetric CSC pattern over them (``indptr``,
+    ``indices``); entry k of the raveled (ne, 3, 3) element blocks joins two
+    unknowns iff ``keep[k]``, and the kept entries sum into the pattern at
+    ``slot``.  Entry k of the raveled (ne, 3) element loads sits at an
+    unknown iff ``on_interior[k]``, and those entries sum into ``load_at``.
     """
 
     vertices: np.ndarray
@@ -153,7 +161,7 @@ class _Reference:
     flags: np.ndarray
     pieces: np.ndarray  # piece of each element
     parents: Optional[np.ndarray]  # parent pairs of the vertices new at this level
-    interior: np.ndarray  # interior vertices in nested-dissection order
+    interior: np.ndarray  # interior vertices in band order
     indptr: np.ndarray
     indices: np.ndarray
     keep: np.ndarray
@@ -183,7 +191,8 @@ class _System:
     stiffness: sp.csc_matrix
     mass: sp.spmatrix
     load: np.ndarray
-    interior: np.ndarray  # vertex of each unknown, in nested-dissection order
+    interior: np.ndarray  # vertex of each unknown, in band order
+    level: int
     n_vertices: int
     n_elements: int
     h: float
@@ -299,8 +308,10 @@ def _reference(layout: str, level: int) -> _Reference:
                 )
                 pieces = np.tile(coarse.pieces, 4)
             interior = np.flatnonzero(~flags)
-            grid = np.rint(vertices[interior] * 2.0**level).astype(np.int64)
-            interior = interior[_dissection_order(grid)]
+            # reference coordinates are dyadic, so the sort keys are exact
+            points = vertices[interior]
+            long = int(np.argmax(np.ptp(vertices, axis=0)))
+            interior = interior[np.lexsort((points[:, 1 - long], points[:, long]))]
             ref = _Reference(
                 vertices=vertices,
                 elements=elements,
@@ -336,41 +347,11 @@ def _scatter_plan(elements: np.ndarray, interior: np.ndarray, nv: int) -> dict:
     }
 
 
-def _dissection_order(grid: np.ndarray) -> np.ndarray:
-    """Nested-dissection order of vertices at integer grid points (George, 1973).
-
-    Every edge of a red-refined reference mesh joins grid points at most
-    one step apart in x and in y, so the vertices on one grid line separate
-    those on either side of it.  A set is cut at the median line across its
-    longer extent; both sides are ordered first, recursively, then the line.
-    """
-    order = []
-
-    def dissect(ids):
-        if len(ids) <= _DISSECTION_LEAF:
-            order.append(ids)
-            return
-        points = grid[ids]
-        axis = int(np.argmax(points.max(axis=0) - points.min(axis=0)))
-        coord = points[:, axis]
-        cut = np.partition(coord, len(coord) // 2)[len(coord) // 2]
-        dissect(ids[coord < cut])
-        dissect(ids[coord > cut])
-        order.append(ids[coord == cut])
-
-    dissect(np.arange(len(grid)))
-    return np.concatenate(order)
-
-
 def _element_geometry(vertices: np.ndarray, elements: np.ndarray):
     v = vertices[elements]  # (ne, 3, 2)
     x, y = v[:, :, 0], v[:, :, 1]
-    bvec = np.stack(
-        [y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1
-    )
-    cvec = np.stack(
-        [x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1
-    )
+    bvec = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
+    cvec = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
     area2 = x[:, 0] * bvec[:, 0] + x[:, 1] * bvec[:, 1] + x[:, 2] * bvec[:, 2]
     return bvec, cvec, area2 / 2.0
 
@@ -378,9 +359,13 @@ def _element_geometry(vertices: np.ndarray, elements: np.ndarray):
 _MASS_REF = (np.ones((3, 3)) + np.eye(3)) / 12.0
 
 
-def _element_parts(vertices: np.ndarray, elements: np.ndarray):
-    """Element stiffness parts (xx, xy + yx, yy), consistent mass and lumped
-    load: three and one (ne, 3, 3) blocks and (ne, 3) loads."""
+def _element_parts(vertices: np.ndarray, elements: np.ndarray, laplacian=False):
+    """Element stiffness parts, consistent mass and lumped load.
+
+    The stiffness parts are the (ne, 3, 3) blocks xx, xy + yx and yy, or
+    with ``laplacian`` their Laplacian xx + yy alone; the mass is one
+    (ne, 3, 3) block and the loads are (ne, 3).
+    """
     bvec, cvec, areas = _element_geometry(vertices, elements)
     if np.any(areas <= 0):
         raise DegenerateShape("mesh contains an element with nonpositive area")
@@ -388,11 +373,12 @@ def _element_parts(vertices: np.ndarray, elements: np.ndarray):
     def outer(u, v):
         return u[:, :, None] * v[:, None, :] / (4.0 * areas)[:, None, None]
 
-    return (
-        (outer(bvec, bvec), outer(bvec, cvec) + outer(cvec, bvec), outer(cvec, cvec)),
-        areas[:, None, None] * _MASS_REF,
-        np.repeat(areas / 3.0, 3).reshape(-1, 3),
-    )
+    mass = areas[:, None, None] * _MASS_REF
+    load = np.repeat(areas / 3.0, 3).reshape(-1, 3)
+    xx, yy = outer(bvec, bvec), outer(cvec, cvec)
+    if laplacian:
+        return (xx + yy,), mass, load
+    return (xx, outer(bvec, cvec) + outer(cvec, bvec), yy), mass, load
 
 
 def _scatter(values: np.ndarray, keep: np.ndarray, at: np.ndarray, size: int):
@@ -447,15 +433,16 @@ def _combine(parts, coefficients) -> np.ndarray:
     return out
 
 
-def _system(shape, level: int) -> _System:
+def _system(shape, level: int, base: Optional[Mesh] = None) -> _System:
     """Interior system of ``shape`` at ``level`` on its layout's pattern.
 
     A triangle or rectangle combines its layout's cached components: a
     piece with map A contributes ``|det A| (G11 Kxx + G12 Kxy + G22 Kyy)``
     to the stiffness, with ``G = A^-1 A^-T``, and ``|det A|`` times its
     reference mass and load; its h halves per level from the longest edge
-    of its level-0 mesh.  A sector's mesh is built at ``level`` and its
-    element parts, with stiffness ``Kxx + Kyy``, are scattered directly.
+    of its level-0 mesh ``base`` (built here when not given), and its area
+    is that mesh's.  A sector's mesh is built at ``level`` and its element
+    Laplacian ``Kxx + Kyy``, mass and load are scattered directly.
     """
     layout, maps = _piece_maps(shape)
     ref = _reference(layout, level)
@@ -467,12 +454,14 @@ def _system(shape, level: int) -> _System:
     if isinstance(shape, Sector):
         mesh = mesh_domain(shape, level)
         plan = (ref.keep, ref.slot, len(ref.indices))
-        (xx, _, yy), mass, load = _element_parts(mesh.vertices, mesh.elements)
-        stiffness = _scatter(xx + yy, *plan)
+        (laplacian,), mass, load = _element_parts(
+            mesh.vertices, mesh.elements, laplacian=True
+        )
+        stiffness = _scatter(laplacian, *plan)
         mass = _scatter(mass, *plan)
         load = _scatter(load, ref.on_interior, ref.load_at, n)
     else:
-        mesh = mesh_domain(shape, 0)
+        mesh = base if base is not None else mesh_domain(shape, 0)
         system = _reference_system(layout, level)
         k_coef, m_coef = [], []
         for A, _, _ in maps:
@@ -493,6 +482,7 @@ def _system(shape, level: int) -> _System:
         mass=sp.csr_matrix((mass, *pattern), shape=(n, n)),
         load=load,
         interior=ref.interior,
+        level=level,
         n_vertices=len(ref.vertices),
         n_elements=len(ref.elements),
         h=_mesh_h(mesh) / 2.0 ** (level - mesh.level),
@@ -562,30 +552,45 @@ def refine(mesh: Mesh) -> tuple[Mesh, np.ndarray]:
     return _prolonged(mesh, ref), ref.parents
 
 
-def _solve_system(system: _System, x0: Optional[np.ndarray] = None) -> dict:
-    """Torsion and ground eigenpair of one system from one LU of its stiffness.
+def _upper_band(matrix: sp.csc_matrix) -> np.ndarray:
+    """Upper band of a symmetric CSC matrix without duplicate entries, in
+    LAPACK's storage: entry (i, j), i <= j, at ``[w + i - j, j]`` of a
+    Fortran-ordered (w + 1, n) array, where w is the half-bandwidth."""
+    n = matrix.shape[0]
+    cols = np.repeat(np.arange(n), np.diff(matrix.indptr))
+    upper = matrix.indices <= cols
+    rows, cols = matrix.indices[upper], cols[upper]
+    w = int((cols - rows).max())
+    band = np.zeros((w + 1, n), order="F")
+    band[w + rows - cols, cols] = matrix.data[upper]
+    return band
 
-    The stiffness is factored in the nested-dissection order of its
-    unknowns, without pivoting, since it is symmetric positive definite.
-    Inverse iteration starts from ``x0`` (on all vertices) or, without it,
-    from the torsion function.  Each step takes two mass products: with
-    ``K y = M x``, the Rayleigh quotient of y is ``(y . M x) / (y . M y)``.
-    It raises EigenNotConverged if the quotient has not settled to
-    _EIG_TOL within _EIG_MAXIT iterations.
+
+def _solve_system(system: _System, x0: Optional[np.ndarray] = None) -> dict:
+    """Torsion and ground eigenpair of one system from one banded Cholesky
+    factorization of its stiffness.
+
+    dpbtrf factors the upper band of the stiffness in place, and every
+    solve is one dpbtrs call on that factor.  A nonpositive pivot raises
+    NotPositiveDefinite.  Inverse iteration starts from ``x0`` (on all
+    vertices) or, without it, from the torsion function.  Each step takes
+    two mass products: with ``K y = M x``, the Rayleigh quotient of y is
+    ``(y . M x) / (y . M y)``.  It raises EigenNotConverged if the quotient
+    has not settled to _EIG_TOL within _EIG_MAXIT iterations.
     """
-    lu = spla.splu(
-        system.stiffness,
-        permc_spec="NATURAL",
-        diag_pivot_thresh=0.0,
-        options={"SymmetricMode": True},
-    )
+    factor, info = lapack.dpbtrf(_upper_band(system.stiffness), overwrite_ab=1)
+    if info > 0:
+        raise NotPositiveDefinite(
+            f"stiffness at level {system.level}: Cholesky pivot {info} of "
+            f"{factor.shape[1]} is not positive"
+        )
     mass, idx = system.mass, system.interior
-    u = lu.solve(system.load)
+    u = lapack.dpbtrs(factor, system.load)[0]
     x = u if x0 is None else x0[idx]
     lam_prev = math.inf
     for iteration in range(1, _EIG_MAXIT + 1):
         mx = mass @ x
-        y = lu.solve(mx)
+        y = lapack.dpbtrs(factor, mx)[0]
         yy = float(y @ (mass @ y))
         if yy <= 0.0 or not math.isfinite(yy):
             raise RuntimeError("inverse power iteration broke down")
@@ -609,7 +614,7 @@ def _solve_system(system: _System, x0: Optional[np.ndarray] = None) -> dict:
         "eigen_iterations": iteration,
         "elements": system.n_elements,
         "dofs": len(idx),
-        "lu_nnz": lu.nnz,
+        "lu_nnz": factor.size,
     }
 
 
@@ -667,12 +672,7 @@ def _mesh_area(mesh: Mesh) -> float:
 
 def _mesh_h(mesh: Mesh) -> float:
     v = mesh.vertices[mesh.elements]
-    lengths = [
-        np.linalg.norm(v[:, 0] - v[:, 1], axis=1),
-        np.linalg.norm(v[:, 1] - v[:, 2], axis=1),
-        np.linalg.norm(v[:, 2] - v[:, 0], axis=1),
-    ]
-    return float(np.max(lengths))
+    return float(np.linalg.norm(v - np.roll(v, -1, axis=1), axis=2).max())
 
 
 def _prolong(x: np.ndarray, parents: np.ndarray) -> np.ndarray:
@@ -688,10 +688,11 @@ def spectral(shape, max_level: int) -> SpectralResult:
     eigenvector of the previous level, then Richardson-extrapolates.
     ``per_level["eigen_iterations"]`` counts the inverse iterations of each
     level, ``per_level["elements"]`` its elements, ``per_level["dofs"]``
-    its interior vertices, the unknowns of its solves, and
-    ``per_level["lu_nnz"]`` the fill of its LU factors.  Every level's
-    system comes from ``_system``, so a triangle or rectangle is solved
-    without building its refined meshes.
+    its interior vertices n, the unknowns of its solves, and
+    ``per_level["lu_nnz"]`` the entries of its stored banded Cholesky
+    factor, (w + 1) n for half-bandwidth w.  Every level's system comes
+    from ``_system``, so a triangle or rectangle is solved from one level-0
+    mesh, without building its refined meshes.
     """
     if max_level < 2:
         raise ValueError("spectral needs max_level >= 2")
@@ -700,22 +701,18 @@ def spectral(shape, max_level: int) -> SpectralResult:
     levels = [max_level - 2, max_level - 1, max_level]
     layout, _ = _piece_maps(shape)
     parent_maps = [_reference(layout, level).parents for level in levels[1:]]
-    systems = [_system(shape, level) for level in levels]
+    base = None if isinstance(shape, Sector) else mesh_domain(shape, 0)
+    systems = [_system(shape, level, base) for level in levels]
 
-    per_level: dict = {
-        key: []
-        for key in (
-            "lambda1", "T", "torsion_max", "eigen_iterations", "elements", "dofs",
-            "lu_nnz",
-        )
-    }
+    per_level: dict = {}
     warm: Optional[np.ndarray] = None
-    for i, system in enumerate(systems):
+    for system, parents in zip(systems, parent_maps + [None]):
         solved = _solve_system(system, warm)
-        for key, values in per_level.items():
-            values.append(solved[key])
-        if i < len(parent_maps):
-            warm = _prolong(solved["eigvec"], parent_maps[i])
+        eigvec = solved.pop("eigvec")
+        for key, value in solved.items():
+            per_level.setdefault(key, []).append(value)
+        if parents is not None:
+            warm = _prolong(eigvec, parents)
     lam_seq, tor_seq = per_level["lambda1"], per_level["T"]
 
     lam_ex = richardson(lam_seq)

@@ -22,6 +22,7 @@ from polya_verify.pde_oracle import (
     EigenNotConverged,
     LevelTooHigh,
     NonContracting,
+    NotPositiveDefinite,
     SpectralResult,
     mesh_domain,
     refine,
@@ -238,21 +239,21 @@ def test_sector_refinement_keeps_midpoints_and_the_arc(angle):
 )
 def test_spectral_factors_once_per_level(monkeypatch, shape):
     calls = []
-    splu = pde_oracle.spla.splu
+    dpbtrf = pde_oracle.lapack.dpbtrf
 
-    def counting_splu(matrix, **kwargs):
-        lu = splu(matrix, **kwargs)
-        calls.append((matrix.shape[0], kwargs["permc_spec"], lu.nnz))
-        return lu
+    def counting_dpbtrf(band, **kwargs):
+        factor, info = dpbtrf(band, **kwargs)
+        calls.append((factor.shape[1], factor.size))
+        return factor, info
 
-    monkeypatch.setattr(pde_oracle.spla, "splu", counting_splu)
+    monkeypatch.setattr(pde_oracle.lapack, "dpbtrf", counting_dpbtrf)
     res = spectral(shape, max_level=6)
     assert len(calls) == len(res.levels) == 3
-    sizes, orderings, fills = zip(*calls)
+    sizes, entries = zip(*calls)
     assert sizes[0] < sizes[1] < sizes[2]
-    # every level is factored in the cached nested-dissection order
-    assert orderings == ("NATURAL",) * 3
-    assert res.per_level["lu_nnz"] == fills
+    assert sizes == res.per_level["dofs"]
+    # the stored factor is the (w + 1, n) band
+    assert res.per_level["lu_nnz"] == entries
 
 
 def test_spectral_levels_match_single_level_solvers():
@@ -276,6 +277,37 @@ def test_spectral_reports_eigen_iterations_per_level():
     assert isinstance(iterations, tuple)
     assert len(iterations) == len(res.levels)
     assert all(isinstance(n, int) and 0 < n <= pde_oracle._EIG_MAXIT for n in iterations)
+
+
+def _negated_diagonal(system, k):
+    """``system`` with the k-th diagonal entry of its stiffness negated."""
+    stiffness = system.stiffness.copy()
+    stiffness[k, k] = -stiffness[k, k]
+    return dataclasses.replace(system, stiffness=stiffness)
+
+
+def test_indefinite_stiffness_raises_not_positive_definite():
+    system = pde_oracle._system(Triangle(0.3, 0.4), 4)
+    k = len(system.interior) // 2
+    with pytest.raises(NotPositiveDefinite, match=r"level 4: Cholesky pivot \d+ of"):
+        pde_oracle._solve_system(_negated_diagonal(system, k))
+    # the unchanged system factors
+    assert pde_oracle._solve_system(system)["T"] > 0.0
+
+
+def test_indefinite_stiffness_flags_the_sweep_row(monkeypatch):
+    system = pde_oracle._system
+
+    def indefinite(shape, level, base=None):
+        return _negated_diagonal(system(shape, level, base), 0)
+
+    monkeypatch.setattr(pde_oracle, "_system", indefinite)
+    rows = harness.sweep_triangles(
+        grid={"na": 2, "nb": 1, "b_min": 0.5}, max_level=4, threads=1
+    )
+    assert len(rows) == 1
+    assert rows[0].error.startswith("NotPositiveDefinite: stiffness at level 2:")
+    assert math.isnan(rows[0].F)
 
 
 def test_unconverged_eigen_iteration_raises_and_flags_the_sweep_row(monkeypatch):
@@ -378,7 +410,7 @@ def test_cached_assembly_matches_elementwise_assembly(shape, elements):
     assert len(mesh.elements) == elements * 4**level
     system = pde_oracle._system(shape, level)
     stiffness, mass, load, idx = _coo_system(mesh)
-    # the same unknowns, in the system's nested-dissection order
+    # the same unknowns, in the system's band order
     assert np.array_equal(np.sort(system.interior), idx)
     order = np.argsort(system.interior)
     for combined, direct in (
@@ -401,6 +433,39 @@ def test_cached_assembly_matches_elementwise_assembly(shape, elements):
     )
     assert solve_torsion(mesh)["T"] == pytest.approx(plain["T"], rel=1e-12)
     assert solve_lambda1(mesh) == pytest.approx(plain["lambda1"], rel=1e-12)
+
+
+_LAYOUT_SHAPES = {
+    "split": Triangle(0.3, 0.4),
+    "shear": Triangle(0.0, 0.7),
+    "square": Rectangle(0.5, 0.25),
+    "fan1": Sector(0.3, 1.0),
+    "fan2": Sector(1.4, 1.0),
+    "fan3": Sector(3.1, 1.0),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(_LAYOUT_SHAPES))
+def test_band_order_bounds_the_half_width_and_the_band_is_exact(layout):
+    shape = _LAYOUT_SHAPES[layout]
+    assert pde_oracle._piece_maps(shape)[0] == layout
+    for level in range(1, 6):
+        ref = pde_oracle._reference(layout, level)
+        n = len(ref.interior)
+        columns = np.repeat(np.arange(n), np.diff(ref.indptr))
+        assert np.all(columns - ref.indices <= 2**level)
+        if n == 0:
+            continue
+        stiffness = pde_oracle._system(shape, level).stiffness
+        band = pde_oracle._upper_band(stiffness)
+        assert band.flags.f_contiguous
+        w = band.shape[0] - 1
+        assert w <= 2**level
+        # entry (i, j), i <= j, of the matrix sits at band[w + i - j, j]
+        dense = np.zeros((n, n))
+        for d in range(w + 1):
+            dense += np.diag(band[w - d, d:], d)
+        assert np.array_equal(dense, np.triu(stiffness.toarray()))
 
 
 def test_cached_reference_arrays_are_read_only():
