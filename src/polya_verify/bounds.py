@@ -15,18 +15,13 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from . import closed_forms
-from .constants import C1, as_fraction, enclose
-from .geometry import Rectangle, Sector, Triangle, derive
+from .constants import C1, as_fraction
 
 Number = Union[int, float, Fraction]
 
 
 class DomainError(ValueError):
     """Raised when an input lies outside the formula's domain."""
-
-
-class ValidityViolation(ValueError):
-    """Raised when a bound's validity hypothesis is not met."""
 
 
 class AngleOutOfRange(ValueError):
@@ -55,10 +50,6 @@ def _maybe_exact(x: Number) -> Optional[Fraction]:
     if isinstance(x, (int, Fraction)):
         return as_fraction(x)
     return None
-
-
-_ZETA5 = float(enclose("zeta5", Fraction(1, 10**15)).midpoint)
-_TORSION_COEFF = 124.0 * _ZETA5 / math.pi**5
 
 
 def torsion_lb_equilateral_test(a: Number, b: Number) -> BoundValue:
@@ -156,48 +147,6 @@ def eig_lb_diameter_height(d: Number, h: Number) -> BoundValue:
     )
 
 
-def torsion_lb_sector_closed(
-    h: float, gamma: float, M: Optional[float] = None
-) -> BoundValue:
-    """Torsion lower bound (h^4/16)(tan(gamma) - gamma - 124 zeta(5) gamma^4/pi^5).
-
-    h is the altitude of the isosceles comparison triangle with apex angle
-    gamma; the minorized sector series behind the formula is valid when the
-    two equal sides are at least twice the base (M >= 2) or when
-    gamma <= pi/4.
-    """
-    if not 0.0 < gamma < math.pi / 2.0:
-        raise AngleOutOfRange(f"apex angle must lie in (0, pi/2), got {gamma}")
-    if h <= 0:
-        raise DomainError(f"altitude must be positive, got h={h}")
-    ok = gamma <= math.pi / 4.0 + 1e-15 or (M is not None and M >= 2.0)
-    if not ok:
-        raise ValidityViolation(
-            f"needs M >= 2 or gamma <= pi/4; got M={M}, gamma={gamma}"
-        )
-    value = (h**4 / 16.0) * (
-        math.tan(gamma) - gamma - _TORSION_COEFF * gamma**4
-    )
-    return BoundValue(
-        value=value,
-        kind="LowerOnT",
-        validity="isosceles comparison with M >= 2 or apex angle <= pi/4",
-        details={"h": h, "gamma": gamma, "M": M},
-    )
-
-
-def altitude_iso(M: float, N: float) -> float:
-    """Altitude (M/sqrt(2)) sqrt(1 + M/N) of the matched isosceles triangle.
-
-    For the right triangle with legs 1 and M (hypotenuse N), this is the
-    altitude of the isosceles triangle with two sides M and the same apex
-    angle; it is at least sqrt(M^2 - 1/4) and increases with M.
-    """
-    if M <= 0 or N <= 0:
-        raise DomainError("side lengths must be positive")
-    return (M / math.sqrt(2.0)) * math.sqrt(1.0 + M / N)
-
-
 def upper_chain(metrics: dict, domain_kind: str) -> BoundValue:
     """Certified upper bound on the eigenvalue-torsion ratio via two factors.
 
@@ -252,36 +201,3 @@ def thinning_upper(area: float, P: float) -> BoundValue:
         kind="UpperOnF",
         validity="convex domains with perimeter * inradius = 2 * area",
     )
-
-
-def _inradius(shape) -> float:
-    if isinstance(shape, Triangle):
-        data = derive(shape)
-        return data.R
-    if isinstance(shape, Rectangle):
-        return min(shape.a, shape.b)
-    if isinstance(shape, Sector):
-        half = shape.angle / 2.0
-        return shape.radius * math.sin(half) / (1.0 + math.sin(half))
-    raise DomainError(f"unsupported shape {type(shape).__name__}")
-
-
-def aux_functionals(shape, metrics: dict) -> dict:
-    """Classical scale-invariant functionals evaluated from solved metrics.
-
-    Psi = T / (area R^2)          (at least 1/8 on convex domains)
-    Phi = T / (area torsion_max)  (at least 1/4)
-    herschProtter = lambda1 R^2   (at least pi^2/4 on convex domains)
-    payne = lambda1 torsion_max   (at least pi^2/8)
-    """
-    inradius = _inradius(shape)
-    tor = metrics["T"]
-    area = metrics["area"]
-    tmax = metrics["torsion_max"]
-    lam = metrics["lambda1"]
-    return {
-        "Psi": tor / (area * inradius**2),
-        "Phi": tor / (area * tmax),
-        "herschProtter": lam * inradius**2,
-        "payne": lam * tmax,
-    }

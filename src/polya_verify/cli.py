@@ -76,25 +76,16 @@ def _parse_grid(text: str) -> dict:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     grid = _parse_grid(args.grid)
-    max_level = args.level
-    threads = args.threads
-    if args.config:
-        cfg = harness.parse_config(Path(args.config).read_text(encoding="utf-8"))
-        grid["na"] = cfg.get("na", grid["na"])
-        grid["nb"] = cfg.get("nb", grid["nb"])
-        if "b_min" in cfg:
-            grid["b_min"] = cfg["b_min"]
-        if "b_max" in cfg:
-            grid["b_max"] = cfg["b_max"]
-        max_level = cfg.get("max_level", max_level)
-        threads = cfg.get("threads", threads)
     if args.bmin is not None:
         grid["b_min"] = args.bmin
     if args.bmax is not None:
         grid["b_max"] = args.bmax
-    rows = harness.sweep_triangles(
-        grid=grid, max_level=max_level, threads=threads, csv_path=args.out
-    )
+    try:
+        rows = harness.sweep_triangles(
+            grid=grid, max_level=args.level, threads=args.threads, csv_path=args.out
+        )
+    except ValueError as exc:
+        raise SystemExit(f"sweep: {exc}")
     errors = [r for r in rows if r.error]
     sys.stdout.write(
         f"swept {len(rows)} triangles, {len(errors)} solver failure(s), "
@@ -172,8 +163,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--bmax", type=float, default=None)
     p_sweep.add_argument("--out", required=True, help="CSV output path")
     p_sweep.add_argument("--level", type=int, default=7)
-    p_sweep.add_argument("--threads", type=int, default=None)
-    p_sweep.add_argument("--config", default=None, help="key=value options file")
+    p_sweep.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="survey workers (default 1; N > 1 runs a thread pool)",
+    )
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_cert = sub.add_parser(

@@ -68,23 +68,6 @@ def equilateral_exact() -> dict:
     }
 
 
-def equilateral_fields(x: float, y: float) -> dict:
-    """Torsion function and first eigenfunction of the unit equilateral triangle.
-
-    The torsion function is the cubic that vanishes on all three sides and
-    satisfies -(Laplacian) = 1; the eigenfunction is the classical
-    three-wave sine combination.
-    """
-    s3 = math.sqrt(3.0)
-    u = (1.0 / (2.0 * s3)) * (y - s3 * x) * (y + s3 * x - s3) * y
-    phi = (
-        math.sin(4.0 * math.pi * y / s3)
-        - math.sin(2.0 * math.pi * (x + y / s3))
-        + math.sin(2.0 * math.pi * (x - y / s3))
-    )
-    return {"u": u, "phi": phi}
-
-
 # ---------------------------------------------------------------------------
 # Circular sector torsion
 # ---------------------------------------------------------------------------

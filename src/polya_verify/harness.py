@@ -31,7 +31,6 @@ from __future__ import annotations
 import concurrent.futures
 import itertools
 import math
-import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -64,7 +63,7 @@ REPLAY_IDS = (
     "sharpness-thinning",
 )
 
-_ZETA5 = float(enclose("zeta5").midpoint)
+_ZETA5 = float(enclose("zeta5", Fraction(1, 10**15)).midpoint)
 
 
 class OutOfRegion(ValueError):
@@ -1348,16 +1347,6 @@ def _csv_text(rows: Sequence[SweepRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def thread_count(threads: Optional[int] = None) -> int:
-    """Worker count: explicit argument, then POLYA_VERIFY_THREADS, then CPUs."""
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("POLYA_VERIFY_THREADS")
-    if env:
-        return max(1, int(env))
-    return max(1, os.cpu_count() or 1)
-
-
 def _analytic_bound_gaps(tri: Triangle, data, res) -> dict:
     """Gaps (bound minus oracle F) for every applicable analytic bound.
 
@@ -1444,7 +1433,7 @@ def _sweep_one(task) -> SweepRow:
 def sweep_triangles(
     grid: Optional[dict] = None,
     max_level: int = 7,
-    threads: Optional[int] = None,
+    threads: int = 1,
     csv_path: Optional[str] = None,
 ) -> list:
     """Survey the triangle chart on a grid against the oracle.
@@ -1453,11 +1442,16 @@ def sweep_triangles(
     point (base the longest side) gets oracle values, enclosure margins
     against pi^2/24 and pi^2/12, and gaps for each applicable analytic
     bound.  Rows where the solver fails are flagged and kept.  Rows come
-    back sorted by (a, b); csv_path writes the fixed-format table.
+    back sorted by (a, b); csv_path writes the fixed-format table.  One
+    worker by default; ``threads`` above 1 runs a thread pool of that size.
     """
     cfg = {"na": 60, "nb": 60, "b_min": 0.02, "b_max": math.sqrt(3.0) / 2.0}
     if grid:
         cfg.update(grid)
+    if not (math.isfinite(cfg["b_min"]) and math.isfinite(cfg["b_max"])):
+        raise ValueError(
+            f"b_min and b_max must be finite, got {cfg['b_min']} and {cfg['b_max']}"
+        )
     if cfg["b_min"] < 1e-3:
         raise ValueError(f"b_min below 1e-3 is degenerate, got {cfg['b_min']}")
     na, nb = int(cfg["na"]), int(cfg["nb"])
@@ -1471,11 +1465,10 @@ def sweep_triangles(
                 b = cfg["b_min"]
             if (a - 1.0) ** 2 + b * b <= 1.0 + 1e-12:
                 tasks.append((a, b, max_level))
-    workers = thread_count(threads)
-    if workers == 1:
+    if threads <= 1:
         rows = [_sweep_one(t) for t in tasks]
     else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(_sweep_one, tasks))
     rows.sort(key=lambda r: (r.a, r.b))
     if csv_path:
@@ -1584,30 +1577,3 @@ def g_remark_check(a_values: Optional[Sequence[float]] = None, n_terms: int = 25
         "tail_below_square": grid_max_tail <= g_square,
         "square_is_max_on_grid": all(g <= g_square + 1e-9 for _, g in rows),
     }
-
-
-# ---------------------------------------------------------------------------
-# Config parsing
-# ---------------------------------------------------------------------------
-
-_INT_KEYS = {"na", "nb", "max_level", "threads", "n_terms"}
-_FLOAT_KEYS = {"b_min", "b_max"}
-
-
-def parse_config(text: str) -> dict:
-    """Parse key=value lines (with # comments) into a typed options dict."""
-    out: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected key=value, got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key in _INT_KEYS:
-            out[key] = int(value)
-        elif key in _FLOAT_KEYS:
-            out[key] = float(value)
-        else:
-            out[key] = value
-    return out

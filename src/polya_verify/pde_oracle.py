@@ -99,17 +99,15 @@ class NotPositiveDefinite(RuntimeError):
 class Mesh:
     """Triangulation with vertex coordinates, elements, and boundary flags.
 
-    ``shape`` is the shape the mesh discretizes, and the mesh is its
-    layout's reference mesh at ``level`` carried to the shape: elements and
-    flags are the cached reference arrays, and the interior unknowns are
-    the reference interior.  The solvers solve ``(shape, level)``.
+    The mesh is its shape's layout's reference mesh at ``level`` carried to
+    the shape: elements and flags are the cached reference arrays, and the
+    interior unknowns are the reference interior.
     """
 
     vertices: np.ndarray  # (nv, 2) float
     elements: np.ndarray  # (ne, 3) int
     boundary_flags: np.ndarray  # (nv,) bool
     level: int
-    shape: object
 
 
 @dataclass(frozen=True)
@@ -490,31 +488,13 @@ def _system(shape, level: int, base: Optional[Mesh] = None) -> _System:
     )
 
 
-def _prolonged(mesh: Mesh, ref: _Reference) -> Mesh:
-    """``mesh`` carried to the next level, ``ref``, of its layout.
-
-    New vertices are the midpoints of their parents; on a sector, those on
-    the rim are projected back to the circle.
-    """
-    vertices = _prolong(mesh.vertices, ref.parents)
-    if isinstance(mesh.shape, Sector):
-        old = len(mesh.vertices)
-        arc = old + np.flatnonzero(ref.vertices[old:].max(axis=1) == 1.0)
-        norms = np.linalg.norm(vertices[arc], axis=1)
-        vertices[arc] *= (mesh.shape.radius / norms)[:, None]
-    return Mesh(
-        vertices=vertices,
-        elements=ref.elements,
-        boundary_flags=ref.flags,
-        level=mesh.level + 1,
-        shape=mesh.shape,
-    )
-
-
 def mesh_domain(shape, level: int) -> Mesh:
     """Uniform red-refined mesh of a triangle, rectangle, or sector.
 
-    The level-0 image of the shape's layout, prolonged one level at a time.
+    The level-0 image of the shape's layout, prolonged one level at a time
+    through the reference parent maps: new vertices are the midpoints of
+    their parents, and on a sector those on the rim are projected back to
+    the circle.
     """
     if level < 0:
         raise ValueError(f"level must be nonnegative, got {level}")
@@ -528,28 +508,21 @@ def mesh_domain(shape, level: int) -> Mesh:
     for p, (A, origin, shift) in reversed(tuple(enumerate(maps))):
         mine = base.elements[base.pieces == p].ravel()
         vertices[mine] = (base.vertices[mine] - origin) @ A.T + shift
-    mesh = Mesh(
-        vertices=vertices,
-        elements=base.elements,
-        boundary_flags=base.flags,
-        level=0,
-        shape=shape,
-    )
+    ref = base
     for fine in range(1, level + 1):
-        mesh = _prolonged(mesh, _reference(layout, fine))
-    return mesh
-
-
-def refine(mesh: Mesh) -> tuple[Mesh, np.ndarray]:
-    """Refine a mesh from ``mesh_domain`` once, to the next level of its layout.
-
-    Also returns the (n_mid, 2) parent pairs of the new vertices.
-    """
-    if mesh.level + 1 > MAX_LEVEL:
-        raise LevelTooHigh(f"refining past the cap {MAX_LEVEL}")
-    layout, _ = _piece_maps(mesh.shape)
-    ref = _reference(layout, mesh.level + 1)
-    return _prolonged(mesh, ref), ref.parents
+        old = len(vertices)
+        ref = _reference(layout, fine)
+        vertices = _prolong(vertices, ref.parents)
+        if isinstance(shape, Sector):
+            arc = old + np.flatnonzero(ref.vertices[old:].max(axis=1) == 1.0)
+            norms = np.linalg.norm(vertices[arc], axis=1)
+            vertices[arc] *= (shape.radius / norms)[:, None]
+    return Mesh(
+        vertices=vertices,
+        elements=ref.elements,
+        boundary_flags=ref.flags,
+        level=level,
+    )
 
 
 def _upper_band(matrix: sp.csc_matrix) -> np.ndarray:
@@ -616,19 +589,6 @@ def _solve_system(system: _System, x0: Optional[np.ndarray] = None) -> dict:
         "dofs": len(idx),
         "lu_nnz": factor.size,
     }
-
-
-def solve_torsion(mesh: Mesh) -> dict:
-    """Torsional rigidity and maximum of the torsion function at the mesh's
-    shape and level (its vertices are not read)."""
-    level = _solve_system(_system(mesh.shape, mesh.level))
-    return {"T": level["T"], "torsion_max": level["torsion_max"]}
-
-
-def solve_lambda1(mesh: Mesh) -> float:
-    """Smallest Dirichlet eigenvalue at the mesh's shape and level (above the
-    true value; its vertices are not read)."""
-    return _solve_system(_system(mesh.shape, mesh.level))["lambda1"]
 
 
 def richardson(values: Sequence[float]) -> dict:

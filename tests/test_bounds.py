@@ -9,9 +9,6 @@ from polya_verify.bounds import (
     AngleOutOfRange,
     BoundValue,
     DomainError,
-    ValidityViolation,
-    altitude_iso,
-    aux_functionals,
     eig_lb_diameter_height,
     eig_lb_sector,
     thinning_upper,
@@ -19,8 +16,7 @@ from polya_verify.bounds import (
     torsion_lb_obtuse_test,
     upper_chain,
 )
-from polya_verify.closed_forms import equilateral_exact, sector_torsion
-from polya_verify.geometry import Rectangle, Sector, Triangle
+from polya_verify.closed_forms import equilateral_exact
 
 EQ_B = math.sqrt(3.0) / 2.0
 
@@ -76,35 +72,6 @@ def test_diameter_height_bound_value_and_gate():
         eig_lb_diameter_height(0.0, 1.0)
 
 
-def test_sector_torsion_closed_form_validity_gate():
-    from polya_verify.bounds import torsion_lb_sector_closed
-
-    with pytest.raises(ValidityViolation):
-        torsion_lb_sector_closed(1.0, 0.9)
-    ok = torsion_lb_sector_closed(1.0, 0.9, M=2.0)
-    assert ok.value > 0.0
-    small_angle = torsion_lb_sector_closed(1.0, math.pi / 6.0)
-    truth = sector_torsion(Sector(math.pi / 6.0, 1.0), n_terms=128)
-    assert small_angle.value <= truth.value + truth.tail_bound
-
-
-def test_sector_closed_form_frozen_value():
-    from polya_verify.bounds import torsion_lb_sector_closed
-
-    gamma = math.pi / 6.0
-    zeta5 = 1.0369277551433699
-    expected = (1.0 / 16.0) * (
-        math.tan(gamma) - gamma - 124.0 * zeta5 * gamma**4 / math.pi**5
-    )
-    assert torsion_lb_sector_closed(1.0, gamma).value == pytest.approx(expected, rel=1e-12)
-
-
-def test_altitude_iso_closed_form():
-    assert altitude_iso(2.0, 4.0) == pytest.approx(
-        (2.0 / math.sqrt(2.0)) * math.sqrt(1.0 + 0.5), rel=1e-12
-    )
-
-
 def test_upper_chain_at_the_equilateral_saturates_the_eig_cap():
     vals = equilateral_exact()
     area = math.sqrt(3.0) / 4.0
@@ -158,36 +125,3 @@ def test_bound_value_records_kind_and_validity():
     assert isinstance(bound, BoundValue)
     assert bound.kind == "LowerOnLambda"
     assert bound.validity
-
-
-def test_aux_functionals_clear_their_classical_floors_at_the_equilateral():
-    vals = equilateral_exact()
-    area = math.sqrt(3.0) / 4.0
-    metrics = {
-        "lambda1": vals["lambda1"],
-        "T": vals["T"],
-        "area": area,
-        "torsion_max": 1.0 / 36.0,
-    }
-    aux = aux_functionals(Triangle(0.5, EQ_B), metrics)
-    assert aux["Psi"] == pytest.approx(0.15, rel=1e-12)
-    assert aux["Psi"] >= 1.0 / 8.0
-    assert aux["Phi"] == pytest.approx(0.45, rel=1e-12)
-    assert aux["Phi"] >= 1.0 / 4.0
-    assert aux["herschProtter"] == pytest.approx(4.0 * math.pi**2 / 9.0, rel=1e-12)
-    assert aux["herschProtter"] >= math.pi**2 / 4.0
-    assert aux["payne"] == pytest.approx(4.0 * math.pi**2 / 27.0, rel=1e-12)
-    assert aux["payne"] >= math.pi**2 / 8.0
-
-
-def test_aux_functionals_on_the_square():
-    lam = 2.0 * math.pi**2
-    metrics = {
-        "lambda1": lam,
-        "T": 0.03514425368530938,
-        "area": 1.0,
-        "torsion_max": 0.07367129186556819,
-    }
-    aux = aux_functionals(Rectangle(0.5, 0.5), metrics)
-    assert aux["herschProtter"] == pytest.approx(lam / 4.0, rel=1e-12)
-    assert aux["Phi"] >= 1.0 / 4.0

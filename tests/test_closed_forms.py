@@ -14,7 +14,6 @@ from polya_verify.closed_forms import (
     bessel_first_zero,
     bessel_zero_bracket,
     equilateral_exact,
-    equilateral_fields,
     rect_F,
     rect_center_torsion,
     rect_lambda1,
@@ -40,21 +39,6 @@ def test_equilateral_exact_values():
     assert vals["F"] == pytest.approx(math.pi**2 / 15.0, rel=1e-15)
     area = math.sqrt(3.0) / 4.0
     assert vals["F"] == pytest.approx(vals["lambda1"] * vals["T"] / area, rel=1e-12)
-
-
-def test_equilateral_torsion_function_at_centroid_and_sides():
-    h = math.sqrt(3.0) / 2.0
-    centroid = equilateral_fields(0.5, h / 3.0)
-    assert centroid["u"] == pytest.approx(1.0 / 36.0, rel=1e-12)
-    for x, y in ((0.25, 0.0), (0.75, 0.0), (0.5, h), (0.25, math.sqrt(3.0) * 0.25)):
-        boundary = equilateral_fields(x, y)
-        assert boundary["u"] == pytest.approx(0.0, abs=1e-14)
-        assert boundary["phi"] == pytest.approx(0.0, abs=1e-12)
-
-
-def test_equilateral_eigenfunction_sign_inside():
-    h = math.sqrt(3.0) / 2.0
-    assert abs(equilateral_fields(0.5, h / 3.0)["phi"]) > 1.0
 
 
 @pytest.mark.parametrize("nu,zero", sorted(BESSEL_ZEROS.items()))

@@ -2,7 +2,6 @@
 
 import json
 import math
-import os
 from fractions import Fraction
 
 import pytest
@@ -19,13 +18,11 @@ from polya_verify.harness import (
     certify_g_floor,
     g_remark_check,
     identity_vanishes,
-    parse_config,
     rect_monotonicity_scan,
     replay_case,
     sweep_triangles,
     tan_lower_frac,
     tan_upper_quintic_frac,
-    thread_count,
     xb_ge_3_exact,
 )
 
@@ -54,6 +51,12 @@ def test_tan_brackets_on_the_unit_interval():
         x = Fraction(k, 10)
         assert float(tan_lower_frac(x)) <= math.tan(float(x))
         assert math.tan(float(x)) <= float(tan_upper_quintic_frac(x))
+
+
+def test_zeta5_float_is_the_midpoint_of_the_narrow_enclosure():
+    # the case functions read this float; a wider enclosure moves its midpoint
+    assert harness._ZETA5 == float(constants.enclose("zeta5", Fraction(1, 10**15)).midpoint)
+    assert harness._ZETA5 == pytest.approx(1.0369277551433699, rel=1e-15)
 
 
 def test_identity_vanishes_separates_zero_from_nonzero():
@@ -350,6 +353,19 @@ def test_sweep_rejects_degenerate_heights():
         sweep_triangles(grid={"b_min": 1e-5, "na": 2, "nb": 2}, max_level=4)
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--bmin", math.nan), ("--bmax", math.inf)], ids=["bmin-nan", "bmax-inf"]
+)
+def test_sweep_rejects_non_finite_heights(tmp_path, flag, value):
+    out = tmp_path / "sweep.csv"
+    key = "b_min" if flag == "--bmin" else "b_max"
+    with pytest.raises(ValueError, match="finite"):
+        sweep_triangles(grid={key: value, "na": 2, "nb": 3}, max_level=4, csv_path=str(out))
+    with pytest.raises(SystemExit, match="finite"):
+        cli.main(["sweep", "--grid", "2x3", flag, str(value), "--out", str(out)])
+    assert not out.exists()
+
+
 def test_rectangle_scan_shape():
     scan = rect_monotonicity_scan(a_values=[1.0, 2.0, 3.0], n_terms=200)
     assert scan["nondecreasing"]
@@ -371,30 +387,6 @@ def test_exit_time_chain_flags():
     assert out["tail_below_square"]
     assert out["square_is_max_on_grid"]
     assert out["exit_time_square"] == pytest.approx(0.29468540928265585, rel=1e-6)
-
-
-# ---------------------------------------------------------------------------
-# Config and workers
-# ---------------------------------------------------------------------------
-
-
-def test_parse_config_types_and_errors():
-    cfg = parse_config("na=5\nb_min=0.25  # comment\nlabel=foo\n\n# full comment\n")
-    assert cfg == {"na": 5, "b_min": 0.25, "label": "foo"}
-    assert isinstance(cfg["na"], int)
-    assert isinstance(cfg["b_min"], float)
-    with pytest.raises(ValueError):
-        parse_config("this is not a pair")
-
-
-def test_thread_count_resolution(monkeypatch):
-    assert thread_count(3) == 3
-    assert thread_count(0) == 1
-    monkeypatch.setenv("POLYA_VERIFY_THREADS", "5")
-    assert thread_count() == 5
-    assert thread_count(2) == 2  # explicit argument wins
-    monkeypatch.delenv("POLYA_VERIFY_THREADS")
-    assert thread_count() == max(1, os.cpu_count() or 1)
 
 
 # ---------------------------------------------------------------------------
@@ -444,12 +436,16 @@ def test_cli_replay_single_case(capsys):
     assert payload["obtuse-2"]["verdict"] == "Verified"
 
 
-def test_cli_sweep_writes_csv(tmp_path):
-    out = tmp_path / "sweep.csv"
-    code = cli.main(
-        ["sweep", "--grid", "3x3", "--bmin", "0.3", "--out", str(out), "--level", "4"]
-    )
-    assert code == 0
-    lines = out.read_text().splitlines()
-    assert lines[0].startswith("a,b,class,")
-    assert len(lines) > 1
+def test_cli_sweep_writes_csv(tmp_path, capsys):
+    grid = {"na": 2, "nb": 4, "b_min": 0.3, "b_max": 0.8}
+    library = tmp_path / "library.csv"
+    rows = sweep_triangles(grid=grid, max_level=4, csv_path=str(library))
+    assert len(rows) == 4  # a = 0 lies off the chart
+    argv = ["sweep", "--grid", "2x4", "--bmin", "0.3", "--bmax", "0.8", "--level", "4"]
+    # a pool of two workers, and zero, which runs one
+    for threads in ("2", "0"):
+        out = tmp_path / f"cli-{threads}.csv"
+        assert cli.main(argv + ["--threads", threads, "--out", str(out)]) == 0
+        assert out.read_bytes() == library.read_bytes()
+        printed = capsys.readouterr().out
+        assert printed.startswith(f"swept {len(rows)} triangles, 0 solver failure(s)")

@@ -25,10 +25,7 @@ from polya_verify.pde_oracle import (
     NotPositiveDefinite,
     SpectralResult,
     mesh_domain,
-    refine,
     richardson,
-    solve_lambda1,
-    solve_torsion,
     spectral,
 )
 
@@ -151,9 +148,16 @@ def test_levels_and_h_sequence_shape():
     assert res.h_sequence[1] == pytest.approx(res.h_sequence[0] / 2.0, rel=1e-12)
 
 
+def _parents(shape, level):
+    """Parent pairs of the vertices new at ``level`` in the shape's meshes."""
+    return pde_oracle._reference(pde_oracle._piece_maps(shape)[0], level).parents
+
+
 def test_mesh_refinement_quadruples_elements():
-    mesh = mesh_domain(Triangle(0.4, 0.6), level=3)
-    fine, parents = refine(mesh)
+    shape = Triangle(0.4, 0.6)
+    mesh = mesh_domain(shape, level=3)
+    fine = mesh_domain(shape, level=4)
+    parents = _parents(shape, 4)
     assert fine.elements.shape[0] == 4 * mesh.elements.shape[0]
     assert fine.level == mesh.level + 1
     # one parent pair per new midpoint vertex
@@ -161,12 +165,10 @@ def test_mesh_refinement_quadruples_elements():
 
 
 def test_single_level_solvers_run_standalone():
-    mesh = mesh_domain(Rectangle(0.5, 0.5), level=4)
-    lam = solve_lambda1(mesh)
-    tor = solve_torsion(mesh)
-    assert lam == pytest.approx(2.0 * math.pi**2, rel=2e-2)
-    assert tor["T"] == pytest.approx(0.035144, rel=2e-2)
-    assert tor["torsion_max"] <= 0.0736713  # conforming nodal max from below
+    solved = pde_oracle._solve_system(pde_oracle._system(Rectangle(0.5, 0.5), 4))
+    assert solved["lambda1"] == pytest.approx(2.0 * math.pi**2, rel=2e-2)
+    assert solved["T"] == pytest.approx(0.035144, rel=2e-2)
+    assert solved["torsion_max"] <= 0.0736713  # conforming nodal max from below
 
 
 def _edge_count_flags(mesh):
@@ -185,24 +187,27 @@ def _edge_count_flags(mesh):
     ids=["triangle", "rectangle", "sector"],
 )
 def test_refinement_boundary_flags_match_edge_counts(shape):
-    mesh = mesh_domain(shape, level=0)
+    coarse = None
     for level in range(6):
-        direct = mesh_domain(shape, level)
-        assert np.array_equal(direct.boundary_flags, _edge_count_flags(direct))
-        assert np.array_equal(mesh.vertices, direct.vertices)
-        assert np.array_equal(mesh.elements, direct.elements)
-        assert np.array_equal(mesh.boundary_flags, direct.boundary_flags)
-        if level < 5:
-            mesh, _ = refine(mesh)
+        mesh = mesh_domain(shape, level)
+        assert np.array_equal(mesh.boundary_flags, _edge_count_flags(mesh))
+        if coarse is not None:
+            # the meshes nest: a level keeps the vertices and flags below it
+            old = len(coarse.vertices)
+            assert np.array_equal(mesh.vertices[:old], coarse.vertices)
+            assert np.array_equal(mesh.boundary_flags[:old], coarse.boundary_flags)
+        coarse = mesh
 
 
 @pytest.mark.parametrize("angle", (0.3, math.pi / 3.0, 1.4, 3.1))
 def test_sector_refinement_keeps_midpoints_and_the_arc(angle):
     radius = 1.5
-    mesh = mesh_domain(Sector(angle, radius), level=0)
+    shape = Sector(angle, radius)
+    mesh = mesh_domain(shape, level=0)
     direction = np.array([math.cos(angle), math.sin(angle)])
-    for _ in range(5):
-        fine, parents = refine(mesh)
+    for level in range(1, 6):
+        fine = mesh_domain(shape, level)
+        parents = _parents(shape, level)
         old = len(mesh.vertices)
         assert np.array_equal(fine.vertices[:old], mesh.vertices)
         new = fine.vertices[old:]
@@ -263,11 +268,11 @@ def test_spectral_levels_match_single_level_solvers():
         mesh = mesh_domain(shape, level)
         assert res.per_level["elements"][i] == len(mesh.elements)
         assert res.per_level["dofs"][i] == int(np.count_nonzero(~mesh.boundary_flags))
-        tor = solve_torsion(mesh)
-        assert res.per_level["T"][i] == tor["T"]
-        assert res.per_level["torsion_max"][i] == tor["torsion_max"]
+        solved = pde_oracle._solve_system(pde_oracle._system(shape, level))
+        assert res.per_level["T"][i] == solved["T"]
+        assert res.per_level["torsion_max"][i] == solved["torsion_max"]
         assert res.per_level["lambda1"][i] == pytest.approx(
-            solve_lambda1(mesh), rel=1e-11
+            solved["lambda1"], rel=1e-11
         )
 
 
@@ -431,8 +436,9 @@ def test_cached_assembly_matches_elementwise_assembly(shape, elements):
             interior=idx,
         )
     )
-    assert solve_torsion(mesh)["T"] == pytest.approx(plain["T"], rel=1e-12)
-    assert solve_lambda1(mesh) == pytest.approx(plain["lambda1"], rel=1e-12)
+    solved = pde_oracle._solve_system(system)
+    assert solved["T"] == pytest.approx(plain["T"], rel=1e-12)
+    assert solved["lambda1"] == pytest.approx(plain["lambda1"], rel=1e-12)
 
 
 _LAYOUT_SHAPES = {
