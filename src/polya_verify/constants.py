@@ -13,7 +13,7 @@ rational lower-bound constant c1 instead).
 
 from __future__ import annotations
 
-import threading
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -67,9 +67,6 @@ class RationalInterval:
     def contains(self, x: RationalLike) -> bool:
         x = as_fraction(x)
         return self.lo <= x <= self.hi
-
-    def contains_interval(self, other: "RationalInterval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
 
     def straddles_zero(self) -> bool:
         return self.lo <= 0 <= self.hi
@@ -283,9 +280,6 @@ def _bessel_zero_interval(nu: Fraction, eps: Fraction) -> RationalInterval:
 C1 = Fraction(2338107, 1000000)
 K = Fraction(23, 10)
 
-_CACHE: dict[str, RationalInterval] = {}
-_CACHE_LOCK = threading.Lock()
-
 
 def _build(cid: str, eps: Fraction) -> RationalInterval:
     if cid == "pi":
@@ -338,33 +332,25 @@ def enclose(constant_id: str, eps: RationalLike = Fraction(1, 10**12)) -> Ration
     zeta5, neg_a1, c1, k, or j_<nu> for the first zero of J_nu; anything
     else raises UnknownConstant.
 
-    Repeated calls refine monotonically: the cached interval only ever
-    shrinks (new results are intersected with previous ones), so
-    enclose(c, eps/2) is contained in enclose(c, eps).
+    The result depends on (constant_id, eps) alone: each pair is built once
+    per process and memoized, so the same call returns the same rational
+    endpoints whatever ran before it.
     """
     eps_f = as_fraction(eps)
     if eps_f <= 0:
         raise ValueError("eps must be positive")
+    return _enclosure(constant_id, eps_f)
 
-    with _CACHE_LOCK:
-        cached = _CACHE.get(constant_id)
-    if cached is not None and cached.width <= eps_f:
-        return cached
 
-    result = _build(constant_id, eps_f)
+@functools.cache
+def _enclosure(constant_id: str, eps: Fraction) -> RationalInterval:
+    result = _build(constant_id, eps)
     attempts = 0
-    while result.width > eps_f and attempts < 8:
+    while result.width > eps and attempts < 8:
         attempts += 1
-        result = _build(constant_id, eps_f / 4**attempts)
-    if result.width > eps_f:
+        result = _build(constant_id, eps / 4**attempts)
+    if result.width > eps:
         raise UnknownConstant(
-            f"could not tighten {constant_id} to requested width {eps_f}"
+            f"could not tighten {constant_id} to requested width {eps}"
         )
-    if cached is not None:
-        result = result.intersect(cached)
-    with _CACHE_LOCK:
-        newest = _CACHE.get(constant_id)
-        if newest is not None and newest is not cached:
-            result = result.intersect(newest)
-        _CACHE[constant_id] = result
     return result

@@ -29,6 +29,7 @@ check turns out false.
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import itertools
 import math
 import time
@@ -48,7 +49,6 @@ F_LOWER_LIMIT = PI_SQ / 24.0
 F_UPPER_LIMIT = PI_SQ / 12.0
 
 METHODS = ("exact-rational", "certificate", "grid+modulus", "oracle")
-VERDICTS = ("Verified", "VerifiedNumerically", "Failed")
 
 REPLAY_IDS = (
     "acute-1a",
@@ -406,9 +406,6 @@ def _g_cell_lower(a0: Fraction, a1: Fraction, b0: Fraction, b1: Fraction) -> Fra
     return Fraction(3, 5) * (u_lo + b0) ** 2 / (u_hi * (u_hi + a1))
 
 
-_G_FLOOR_CACHE: dict = {}
-
-
 def certify_g_floor(
     floor: Number = Fraction(201, 200),
     box: Optional[tuple] = None,
@@ -421,12 +418,13 @@ def certify_g_floor(
     leaving room for the interval slack to contract under subdivision.
     Raises CellSubdivisionFailure if some cell resists to max_depth.
     """
-    floor = as_fraction(floor)
     if box is None:
         box = (Fraction(0), Fraction(1, 2), Fraction(43, 50), Fraction(29, 10))
-    key = (floor, box, max_depth)
-    if key in _G_FLOOR_CACHE:
-        return _G_FLOOR_CACHE[key]
+    return _g_floor(as_fraction(floor), tuple(box), max_depth)
+
+
+@functools.cache
+def _g_floor(floor: Fraction, box: tuple, max_depth: int) -> CellCertificate:
     a0, a1, b0, b1 = (as_fraction(v) for v in box)
     stack = [(a0, a1, b0, b1, 0)]
     cells = 0
@@ -451,9 +449,7 @@ def certify_g_floor(
             mid = (a0 + a1) / 2
             stack.append((a0, mid, b0, b1, depth + 1))
             stack.append((mid, a1, b0, b1, depth + 1))
-    cert = CellCertificate(floor=floor, box=box, cells=cells, max_depth=deepest)
-    _G_FLOOR_CACHE[key] = cert
-    return cert
+    return CellCertificate(floor=floor, box=box, cells=cells, max_depth=deepest)
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +526,27 @@ def _angle_window_item(detail: str) -> EvidenceItem:
     )
 
 
+def _monotone_map_items(first: str, second: str) -> list:
+    """The two derivative certificates and the check that they tile (0, 7/10].
+
+    ``first`` and ``second`` name the two certificate checks.
+    """
+    _, shift = polycert.RECENTERED["negP1prime_mono_shifted"]
+    top = shift + _CERT_PLAN["negP1prime_mono_shifted"]
+    return [
+        _certificate_item("negP1prime_mono", first),
+        _certificate_item("negP1prime_mono_shifted", second),
+        _exact_item(
+            f"the two derivative certificates tile (0, {top}] and "
+            f"7/10 <= ({top})^3",
+            shift <= _CERT_PLAN["negP1prime_mono"] and Fraction(7, 10) <= top**3,
+            top**3 - Fraction(7, 10),
+            f"the first window reaches the re-centering point {shift}, so "
+            "monotonicity of the angle map holds on (0, 7/10]",
+        ),
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Displayed sparse coefficients of the band polynomial, for cross-checking
 # ---------------------------------------------------------------------------
@@ -542,9 +559,9 @@ def _p1_display_intervals() -> dict:
     monomials whose coefficients mix rationals with 2^(1/3) and powers of
     pi^(1/3); each is enclosed here independently of the product builder.
     """
-    t13 = enclose("two_pow_1_3")
-    p23 = enclose("pi_pow_2_3")
-    p43 = enclose("pi_pow_4_3")
+    t13 = enclose("two_pow_1_3", polycert._COEFF_EPS)
+    p23 = enclose("pi_pow_2_3", polycert._COEFF_EPS)
+    p43 = enclose("pi_pow_4_3", polycert._COEFF_EPS)
     return {
         3: point(2),
         5: point(Fraction(-69, 5)) * t13 / p23,
@@ -693,35 +710,13 @@ def _replay_acute_1b() -> CaseReport:
 
 def _replay_acute_2() -> CaseReport:
     region = "0 <= a <= 1/2, b >= 3 (acute chart, unit shortest side)"
-    ev = []
-    ev.append(
-        _certificate_item(
-            "negP1prime_mono",
-            "negated derivative of the monotone-map polynomial nonpositive "
-            "on its window",
-        )
-    )
-    ev.append(
-        _certificate_item(
-            "negP1prime_mono_shifted",
-            "negated derivative, re-centered, nonpositive on its window",
-        )
+    ev = _monotone_map_items(
+        "negated derivative of the monotone-map polynomial nonpositive on its window",
+        "negated derivative, re-centered, nonpositive on its window",
     )
     ev.append(
         _certificate_item(
             "Q_mgeq3", "tall-triangle comparison polynomial nonpositive on its window"
-        )
-    )
-    _, shift = polycert.RECENTERED["negP1prime_mono_shifted"]
-    top = shift + _CERT_PLAN["negP1prime_mono_shifted"]
-    ev.append(
-        _exact_item(
-            f"the two derivative certificates tile (0, {top}] and "
-            f"7/10 <= ({top})^3",
-            shift <= _CERT_PLAN["negP1prime_mono"] and Fraction(7, 10) <= top**3,
-            top**3 - Fraction(7, 10),
-            f"the first window reaches the re-centering point {shift}, so "
-            "monotonicity of the angle map holds on (0, 7/10]",
         )
     )
     _, hi16 = arctan_enclosure(Fraction(1, 6), 4)
@@ -738,7 +733,6 @@ def _replay_acute_2() -> CaseReport:
             "the comparison certificate window covers the full angle range"
         )
     )
-    # the lemma width, so the margin is the same whatever is cached
     dhat = (
         point(372)
         * enclose("zeta5", polycert._COEFF_EPS)
@@ -891,13 +885,9 @@ def _replay_obtuse_3() -> CaseReport:
         )
     )
     ev.append(_angle_window_item("x_b >= 3 keeps beta_b inside the certified window"))
-    ev.append(
-        _certificate_item("negP1prime_mono", "monotone angle map certificate, first tile")
-    )
-    ev.append(
-        _certificate_item(
-            "negP1prime_mono_shifted", "monotone angle map certificate, second tile"
-        )
+    ev += _monotone_map_items(
+        "monotone angle map certificate, first tile",
+        "monotone angle map certificate, second tile",
     )
     ev.append(
         _exact_item(
@@ -979,7 +969,7 @@ def _sample_triangles() -> list:
     return out
 
 
-def _replay_upper_triangle(max_level: int = 5) -> CaseReport:
+def _replay_upper_triangle() -> CaseReport:
     region = "all triangles (chart with the base the longest side)"
     ev = []
     lam_ratio = Fraction(16, 3) * Fraction(3, 16) / 9
@@ -1018,7 +1008,7 @@ def _replay_upper_triangle(max_level: int = 5) -> CaseReport:
     worst_cap = math.inf
     for tri in tris:
         data = geometry.derive(tri)
-        res = pde_oracle.spectral(tri, max_level=max_level)
+        res = pde_oracle.spectral(tri, max_level=5)
         chain = bounds.upper_chain(
             {"lambda1": res.lambda1, "T": res.T, "area": data.area, "P": data.P},
             "triangle",
@@ -1059,7 +1049,7 @@ def _replay_upper_triangle(max_level: int = 5) -> CaseReport:
     return _report("upper-triangle", region, ev)
 
 
-def _replay_upper_tangential(max_level: int = 6) -> CaseReport:
+def _replay_upper_tangential() -> CaseReport:
     region = "tangential domains; among rectangles, exactly the squares"
     ev = []
     ev.append(
@@ -1094,7 +1084,7 @@ def _replay_upper_tangential(max_level: int = 6) -> CaseReport:
             f"{f_series.tail_bound:.3g}",
         )
     )
-    res = pde_oracle.spectral(sq, max_level=max_level)
+    res = pde_oracle.spectral(sq, max_level=6)
     ev.append(
         EvidenceItem(
             check="oracle square functional agrees with the series to 1e-3",
@@ -1175,7 +1165,7 @@ def _replay_rect_monotone() -> CaseReport:
             detail=f"square value {scan['F_values'][0]:.9g}",
         )
     )
-    p6 = enclose("pi_pow_2").power(3)
+    p6 = enclose("pi_pow_2", polycert._COEFF_EPS).power(3)
     ev.append(
         _exact_item(
             "floor constant: 64/pi^4 >= pi^2/24, since 64 * 24 >= pi^6",
@@ -1199,13 +1189,13 @@ def _replay_rect_monotone() -> CaseReport:
     return _report("rect-monotone", region, ev, notes)
 
 
-def _replay_sharpness_thinning(max_level: int = 7) -> CaseReport:
+def _replay_sharpness_thinning() -> CaseReport:
     region = "isosceles triangles of height b over a unit base, b -> 0"
     ev = []
     bs = (0.2, 0.1, 0.05)
     rows = []
     for b in bs:
-        res = pde_oracle.spectral(Triangle(0.5, b), max_level=max_level)
+        res = pde_oracle.spectral(Triangle(0.5, b), max_level=7)
         data = geometry.derive(Triangle(0.5, b))
         cap = bounds.thinning_upper(data.area, data.P).value
         rows.append((b, res.F, cap, res.error_gauge.get("F", 0.0)))
@@ -1278,17 +1268,18 @@ _REPLAYS = {
 }
 
 
-def replay_case(case_id: str, **options) -> CaseReport:
+def replay_case(case_id: str) -> CaseReport:
     """Replay one named case and return its evidence report.
 
-    Oracle-backed cases accept max_level; the analytic cases take no
-    options.  Raises UnknownCase for unknown ids.
+    Each case runs at fixed settings: the oracle-backed ones solve at
+    levels up to 5 (upper-triangle), 6 (upper-tangential) and 7
+    (sharpness-thinning).  Raises UnknownCase for unknown ids.
     """
     try:
         fn = _REPLAYS[case_id]
     except KeyError:
         raise UnknownCase(case_id) from None
-    return fn(**options)
+    return fn()
 
 
 def replay_all() -> dict:
@@ -1444,6 +1435,8 @@ def sweep_triangles(
     bound.  Rows where the solver fails are flagged and kept.  Rows come
     back sorted by (a, b); csv_path writes the fixed-format table.  One
     worker by default; ``threads`` above 1 runs a thread pool of that size.
+    Raises ValueError, before any solve, for non-finite or degenerate
+    heights and for a grid that holds no chart triangle.
     """
     cfg = {"na": 60, "nb": 60, "b_min": 0.02, "b_max": math.sqrt(3.0) / 2.0}
     if grid:
@@ -1465,6 +1458,8 @@ def sweep_triangles(
                 b = cfg["b_min"]
             if (a - 1.0) ** 2 + b * b <= 1.0 + 1e-12:
                 tasks.append((a, b, max_level))
+    if not tasks:
+        raise ValueError(f"the {na}x{nb} grid holds no chart triangle")
     if threads <= 1:
         rows = [_sweep_one(t) for t in tasks]
     else:

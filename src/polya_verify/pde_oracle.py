@@ -148,10 +148,10 @@ class _Reference:
     2^level - 1 for ``split``, 2^level for ``square``, ``fan2`` and
     ``fan3``, and 2^level - 2 for ``shear`` and ``fan1``.  Stiffness and
     mass share one symmetric CSC pattern over them (``indptr``,
-    ``indices``); entry k of the raveled (ne, 3, 3) element blocks joins two
-    unknowns iff ``keep[k]``, and the kept entries sum into the pattern at
-    ``slot``.  Entry k of the raveled (ne, 3) element loads sits at an
-    unknown iff ``on_interior[k]``, and those entries sum into ``load_at``.
+    ``indices``); entry k of the raveled (ne, 3, 3) element blocks sums into
+    the pattern at ``slot[k]``, and entry k of the raveled (ne, 3) element
+    loads into the unknown ``load_at[k]``.  An entry that touches a boundary
+    vertex goes to one past the end, a discard bin.
     """
 
     vertices: np.ndarray
@@ -162,9 +162,7 @@ class _Reference:
     interior: np.ndarray  # interior vertices in band order
     indptr: np.ndarray
     indices: np.ndarray
-    keep: np.ndarray
     slot: np.ndarray
-    on_interior: np.ndarray
     load_at: np.ndarray
 
 
@@ -331,17 +329,17 @@ def _scatter_plan(elements: np.ndarray, interior: np.ndarray, nv: int) -> dict:
     rows = unknown[np.repeat(elements, 3, axis=1)].ravel()
     cols = unknown[np.tile(elements, (1, 3))].ravel()
     keep = (rows >= 0) & (cols >= 0)
-    pattern, slot = np.unique(cols[keep] * n + rows[keep], return_inverse=True)
-    vertex_unknown = unknown[elements].ravel()
-    on_interior = vertex_unknown >= 0
+    pattern, kept = np.unique(cols[keep] * n + rows[keep], return_inverse=True)
+    slot = np.full(len(rows), len(pattern), dtype=np.int32)
+    slot[keep] = kept
+    load_at = unknown[elements].ravel()
+    load_at[load_at < 0] = n
     columns = np.bincount(pattern // n, minlength=n)
     return {
         "indptr": np.concatenate([[0], np.cumsum(columns)]).astype(np.int32),
         "indices": (pattern % n).astype(np.int32),
-        "keep": keep,
-        "slot": slot.astype(np.int32),
-        "on_interior": on_interior,
-        "load_at": vertex_unknown[on_interior].astype(np.int32),
+        "slot": slot,
+        "load_at": load_at.astype(np.int32),
     }
 
 
@@ -379,12 +377,12 @@ def _element_parts(vertices: np.ndarray, elements: np.ndarray, laplacian=False):
     return (xx, outer(bvec, cvec) + outer(cvec, bvec), yy), mass, load
 
 
-def _scatter(values: np.ndarray, keep: np.ndarray, at: np.ndarray, size: int):
-    """Sum the kept entries of raveled ``values`` onto ``at``.
+def _scatter(values: np.ndarray, at: np.ndarray, size: int):
+    """Sum raveled ``values`` onto ``at``, dropping the entries sent to ``size``.
 
     bincount sums in input order, so the result is reproducible.
     """
-    return np.bincount(at, weights=values.ravel()[keep], minlength=size)
+    return np.bincount(at, weights=values.ravel(), minlength=size + 1)[:size]
 
 
 def _reference_system(layout: str, level: int) -> _ReferenceSystem:
@@ -398,24 +396,22 @@ def _reference_system(layout: str, level: int) -> _ReferenceSystem:
         parts, mass, load = _element_parts(ref.vertices, ref.elements)
         n_pieces = int(ref.pieces.max()) + 1
 
-        def per_piece(values, keep, at, size):
+        def per_piece(values, at, size):
             values = values.reshape(len(ref.pieces), -1)
             return np.stack(
                 [
-                    _scatter(
-                        np.where((ref.pieces == p)[:, None], values, 0.0), keep, at, size
-                    )
+                    _scatter(np.where((ref.pieces == p)[:, None], values, 0.0), at, size)
                     for p in range(n_pieces)
                 ]
             )
 
         def on_pattern(blocks):
-            return per_piece(blocks, ref.keep, ref.slot, len(ref.indices))
+            return per_piece(blocks, ref.slot, len(ref.indices))
 
         system = _ReferenceSystem(
             stiffness=np.stack([on_pattern(part) for part in parts], axis=1),
             mass=on_pattern(mass),
-            load=per_piece(load, ref.on_interior, ref.load_at, len(ref.interior)),
+            load=per_piece(load, ref.load_at, len(ref.interior)),
         )
         _REFERENCE_SYSTEMS[key] = system = _frozen(system)
         return system
@@ -451,13 +447,12 @@ def _system(shape, level: int, base: Optional[Mesh] = None) -> _System:
         )
     if isinstance(shape, Sector):
         mesh = mesh_domain(shape, level)
-        plan = (ref.keep, ref.slot, len(ref.indices))
         (laplacian,), mass, load = _element_parts(
             mesh.vertices, mesh.elements, laplacian=True
         )
-        stiffness = _scatter(laplacian, *plan)
-        mass = _scatter(mass, *plan)
-        load = _scatter(load, ref.on_interior, ref.load_at, n)
+        stiffness = _scatter(laplacian, ref.slot, len(ref.indices))
+        mass = _scatter(mass, ref.slot, len(ref.indices))
+        load = _scatter(load, ref.load_at, n)
     else:
         mesh = base if base is not None else mesh_domain(shape, 0)
         system = _reference_system(layout, level)

@@ -1,11 +1,14 @@
 """Rational interval arithmetic and constant enclosures."""
 
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import mpmath
 import pytest
 
+from polya_verify import constants
 from polya_verify.constants import (
     C1,
     DivisionByIntervalContainingZero,
@@ -50,12 +53,45 @@ def test_enclosures_bracket_reference_values(cid, ref):
     assert float(iv.lo) <= ref <= float(iv.hi) or iv.contains(as_fraction(ref))
 
 
-def test_enclosures_refine_monotonically():
-    coarse = enclose("zeta5", eps=Fraction(1, 10**8))
-    fine = enclose("zeta5", eps=Fraction(1, 10**14))
-    assert coarse.contains_interval(fine)
-    again = enclose("zeta5", eps=Fraction(1, 10**8))
-    assert again.width <= fine.width  # cache only ever shrinks
+@pytest.mark.parametrize("cid", ["zeta5", "pi_pow_2", "two_pow_1_3"])
+def test_enclosure_depends_only_on_constant_and_width(cid):
+    # a certificate's constants must be recomputable from (constant, width)
+    # alone, whatever was enclosed earlier in the process
+    eps = Fraction(1, 10**8)
+    constants._enclosure.cache_clear()
+    cold = enclose(cid, eps)
+    for other, width in ((cid, Fraction(1, 10**30)), (cid, Fraction(1, 10)), ("pi", eps)):
+        enclose(other, width)
+        assert enclose(cid, eps) == cold
+    assert enclose(cid, "1e-8") == cold
+
+
+def test_enclose_from_threads_on_a_cold_memo_matches_a_serial_call():
+    # frequent thread switches, so that the workers race to build the same
+    # (constant, width) pairs
+    queries = [("pi_pow_2", Fraction(1, 10**30)), ("zeta5", Fraction(1, 10**15)),
+               ("pi_pow_4_3", Fraction(1, 10**20)), ("sqrt3", Fraction(1, 10**12))]
+    constants._enclosure.cache_clear()
+    serial = [enclose(cid, eps) for cid, eps in queries]
+    constants._enclosure.cache_clear()
+    start = threading.Barrier(4)
+    results = [None] * 4
+
+    def worker(k):
+        start.wait()
+        results[k] = [enclose(cid, eps) for cid, eps in queries]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [serial] * 4
 
 
 @pytest.mark.parametrize(

@@ -262,19 +262,19 @@ def test_analytic_pass_builds_each_lemma_once(monkeypatch):
     assert calls == {"product": 1, "certify": 11}
 
 
-def test_acute_2_tail_factor_margin_does_not_depend_on_the_cache(monkeypatch):
-    # enclose returns any narrower interval already cached, so the item asks
-    # at the width the lemma builders use
+def test_acute_2_tail_factor_margin_does_not_depend_on_the_cache():
+    # the lemma builders enclose the same constants first; the item's
+    # enclosures, and so its margin, must not depend on that
     check = "372 zeta(5) / pi^5 <= 13/10 and (13/10)(34/100) < 1"
 
     def margin():
         (item,) = [i for i in replay_case("acute-2").evidence if i.check == check]
         return item.margin
 
-    monkeypatch.setattr(constants, "_CACHE", {})
+    constants._enclosure.cache_clear()
     polycert._lemma.cache_clear()
     cold = margin()
-    monkeypatch.setattr(constants, "_CACHE", {})
+    constants._enclosure.cache_clear()
     assert margin() == cold
 
 
@@ -288,6 +288,20 @@ def test_replay_windows_come_from_the_certificate_plan(monkeypatch):
         assert report.verdict == "Failed"
         failed = [item.check for item in report.evidence if not item.passed]
         assert failed == ["arctan(1/3) <= 391/1215 <= (3/5)^3"]
+
+
+def test_both_monotone_map_replays_check_the_tiling(monkeypatch):
+    # a first window of (0, 2/5] stops short of the re-centering point
+    # 444/1000: the two derivative certificates still hold but no longer
+    # tile (0, 7/10], and both replays that rely on the angle map must say so
+    monkeypatch.setitem(harness._CERT_PLAN, "negP1prime_mono", Fraction(2, 5))
+    for case_id in ("acute-2", "obtuse-3"):
+        report = replay_case(case_id)
+        assert report.verdict == "Failed"
+        failed = [item.check for item in report.evidence if not item.passed]
+        assert failed == [
+            "the two derivative certificates tile (0, 111/125] and 7/10 <= (111/125)^3"
+        ]
 
 
 def test_upper_triangle_sample_reaches_the_equilateral_corner():
@@ -363,6 +377,18 @@ def test_sweep_rejects_non_finite_heights(tmp_path, flag, value):
         sweep_triangles(grid={key: value, "na": 2, "nb": 3}, max_level=4, csv_path=str(out))
     with pytest.raises(SystemExit, match="finite"):
         cli.main(["sweep", "--grid", "2x3", flag, str(value), "--out", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", ["0x5", "1x4"])
+def test_sweep_rejects_a_grid_without_chart_triangles(tmp_path, grid):
+    # 0x5 has no column; the one column of 1x4 sits at a = 0, outside the chart
+    out = tmp_path / "sweep.csv"
+    na, nb = (int(n) for n in grid.split("x"))
+    with pytest.raises(ValueError, match="no chart triangle"):
+        sweep_triangles(grid={"na": na, "nb": nb}, max_level=4, csv_path=str(out))
+    with pytest.raises(SystemExit, match="no chart triangle"):
+        cli.main(["sweep", "--grid", grid, "--out", str(out)])
     assert not out.exists()
 
 

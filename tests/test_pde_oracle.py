@@ -480,7 +480,7 @@ def test_cached_reference_arrays_are_read_only():
     ref = pde_oracle._reference("split", 3)
     arrays = (
         mesh.elements, mesh.boundary_flags, system.stiffness, ref.interior,
-        ref.indptr, ref.indices, ref.keep, ref.slot, ref.on_interior, ref.load_at,
+        ref.indptr, ref.indices, ref.slot, ref.load_at,
     )
     assert not any(array.flags.writeable for array in arrays)
 
