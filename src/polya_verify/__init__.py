@@ -54,7 +54,6 @@ from .harness import (
     CaseReport,
     EvidenceItem,
     REPLAY_IDS,
-    case_function,
     certify_all,
     certify_g_floor,
     g_remark_check,
@@ -86,7 +85,6 @@ __all__ = [
     "as_fraction",
     "bessel_first_zero",
     "build_lemma_polynomial",
-    "case_function",
     "certify_all",
     "certify_g_floor",
     "certify_nonpositive",

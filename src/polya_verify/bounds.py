@@ -2,9 +2,7 @@
 
 Each bound is returned as a BoundValue stating its direction (what it
 bounds, from which side) and the validity hypothesis under which it holds.
-Bounds are computed in floating point for general inputs; when the inputs
-are exact rationals and the formula is rational, the exact value is carried
-along and is authoritative.
+Bounds are computed in floating point.
 """
 
 from __future__ import annotations
@@ -12,10 +10,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 from . import closed_forms
-from .constants import C1, as_fraction
+from .constants import C1
 
 Number = Union[int, float, Fraction]
 
@@ -38,18 +36,11 @@ class BoundValue:
     value: float
     kind: str
     validity: str
-    exact: Optional[Fraction] = None
     details: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown bound kind {self.kind!r}")
-
-
-def _maybe_exact(x: Number) -> Optional[Fraction]:
-    if isinstance(x, (int, Fraction)):
-        return as_fraction(x)
-    return None
 
 
 def torsion_lb_equilateral_test(a: Number, b: Number) -> BoundValue:
@@ -62,18 +53,10 @@ def torsion_lb_equilateral_test(a: Number, b: Number) -> BoundValue:
     af, bf = float(a), float(b)
     if bf <= 0:
         raise DomainError(f"apex height must be positive, got b={b}")
-    exact = None
-    ea, eb = _maybe_exact(a), _maybe_exact(b)
-    if ea is not None and eb is not None:
-        exact = eb**3 / (80 * (1 - ea + ea * ea + eb * eb))
-    value = float(exact) if exact is not None else bf**3 / (
-        80.0 * (1.0 - af + af * af + bf * bf)
-    )
     return BoundValue(
-        value=value,
+        value=bf**3 / (80.0 * (1.0 - af + af * af + bf * bf)),
         kind="LowerOnT",
         validity="any apex with b > 0; tight only at the equilateral apex",
-        exact=exact,
     )
 
 
@@ -88,18 +71,10 @@ def torsion_lb_obtuse_test(a: Number, b: Number) -> BoundValue:
         raise DomainError(f"apex abscissa must lie in (0, 1), got a={a}")
     if bf <= 0:
         raise DomainError(f"apex height must be positive, got b={b}")
-    exact = None
-    ea, eb = _maybe_exact(a), _maybe_exact(b)
-    if ea is not None and eb is not None:
-        exact = (1 - ea) * ea * eb**3 / (48 * (ea - ea * ea + eb * eb))
-    value = float(exact) if exact is not None else (
-        (1.0 - af) * af * bf**3 / (48.0 * (af - af * af + bf * bf))
-    )
     return BoundValue(
-        value=value,
+        value=(1.0 - af) * af * bf**3 / (48.0 * (af - af * af + bf * bf)),
         kind="LowerOnT",
         validity="apex strictly between the base endpoints (0 < a < 1)",
-        exact=exact,
     )
 
 

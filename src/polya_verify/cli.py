@@ -1,8 +1,9 @@
 """Command line front end: compute, sweep, certify, and replay.
 
 Exit codes: 0 on success, 1 when a requested check fails (a certificate
-finds a positive value, or a replayed case reports Failed), 2 when a
-certificate run exhausts its depth budget without deciding.
+finds a positive value, or a replayed case reports Failed) or when compute
+or sweep rejects its input, 2 when a certificate run exhausts its depth
+budget without deciding.
 """
 
 from __future__ import annotations
@@ -27,10 +28,19 @@ def _emit(payload: dict, out: Optional[str]) -> None:
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
+    try:
+        payload = _compute(args)
+    except ValueError as exc:
+        raise SystemExit(f"compute: {exc}")
+    _emit(payload, args.out)
+    return 0
+
+
+def _compute(args: argparse.Namespace) -> dict:
     if args.shape == "triangle":
         tri = Triangle(args.a, args.b)
         res = pde_oracle.spectral(tri, max_level=args.level)
-        payload = {
+        return {
             "shape": "triangle",
             "a": args.a,
             "b": args.b,
@@ -45,25 +55,22 @@ def _cmd_compute(args: argparse.Namespace) -> int:
             "error_gauge": dict(res.error_gauge),
             "observed_order": dict(res.observed_order),
         }
-    else:
-        rect = Rectangle(args.a, args.b)
-        tor = closed_forms.rect_torsion(rect, n_terms=args.terms)
-        f = closed_forms.rect_F(rect, n_terms=args.terms)
-        center = closed_forms.rect_center_torsion(rect, n_terms=args.terms)
-        payload = {
-            "shape": "rect",
-            "a": args.a,
-            "b": args.b,
-            "lambda1": closed_forms.rect_lambda1(rect),
-            "T": tor.value,
-            "T_tail": tor.tail_bound,
-            "torsion_center": center.value,
-            "F": f.value,
-            "F_tail": f.tail_bound,
-            "area": 4.0 * args.a * args.b,
-        }
-    _emit(payload, args.out)
-    return 0
+    rect = Rectangle(args.a, args.b)
+    tor = closed_forms.rect_torsion(rect, n_terms=args.terms)
+    f = closed_forms.rect_F(rect, n_terms=args.terms)
+    center = closed_forms.rect_center_torsion(rect, n_terms=args.terms)
+    return {
+        "shape": "rect",
+        "a": args.a,
+        "b": args.b,
+        "lambda1": closed_forms.rect_lambda1(rect),
+        "T": tor.value,
+        "T_tail": tor.tail_bound,
+        "torsion_center": center.value,
+        "F": f.value,
+        "F_tail": f.tail_bound,
+        "area": 4.0 * args.a * args.b,
+    }
 
 
 def _parse_grid(text: str) -> dict:

@@ -47,6 +47,11 @@ class SeriesValue:
 _UNIT_ROUNDOFF = 2.0**-53
 
 
+def _require_terms(n_terms: int) -> None:
+    if n_terms < 1:
+        raise ValueError(f"n_terms must be at least 1, got {n_terms}")
+
+
 def _odd_inv_fifth_tail(n0: int) -> float:
     """Upper bound for the sum of n^-5 over odd n >= n0: first term plus integral."""
     return n0**-5.0 + n0**-4.0 / 8.0
@@ -87,6 +92,7 @@ def sector_torsion(s: Sector, n_terms: int = 64) -> SeriesValue:
     subtractions and the scaling add at most eight unit roundoffs of
     tan(angle), which bounds every other intermediate.
     """
+    _require_terms(n_terms)
     alpha = s.angle
     if not 0.0 < alpha < math.pi / 2.0:
         raise AngleOutOfRange(
@@ -293,6 +299,7 @@ def _torsion_series(r: Rectangle, n_terms: int) -> tuple[float, float]:
     (192/pi^5)(B/A) * sum < 0.64 all of it stays below (n_terms + 24) unit
     roundoffs of (4/3) A B^3.
     """
+    _require_terms(n_terms)
     big, small = max(r.a, r.b), min(r.a, r.b)
     ratio = big / small
     total = 0.0
@@ -350,6 +357,7 @@ def rect_center_torsion(r: Rectangle, n_terms: int = 256) -> SeriesValue:
     is below sech(pi/2) < 0.4 and each term carries a few roundings, so the
     rounding stays below (n_terms + 10) unit roundoffs of B^2.
     """
+    _require_terms(n_terms)
     big, small = max(r.a, r.b), min(r.a, r.b)
     ratio = big / small
     total = 0.0

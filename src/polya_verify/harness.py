@@ -67,7 +67,7 @@ _ZETA5 = float(enclose("zeta5", Fraction(1, 10**15)).midpoint)
 
 
 class OutOfRegion(ValueError):
-    """The point lies outside the region where a case function applies."""
+    """The input lies outside the region where an exact test applies."""
 
 
 class CellSubdivisionFailure(RuntimeError):
@@ -75,7 +75,7 @@ class CellSubdivisionFailure(RuntimeError):
 
 
 class UnknownCase(KeyError):
-    """No replayed case or case function carries the requested name."""
+    """No replayed case carries the requested name."""
 
 
 # ---------------------------------------------------------------------------
@@ -189,23 +189,19 @@ def identity_vanishes(fn: Callable[..., Fraction], degrees: Sequence[int]) -> bo
 
 
 # ---------------------------------------------------------------------------
-# Case functions
+# Case formulas: the acute ratio bounds that the survey reports
 # ---------------------------------------------------------------------------
 
 
-def _exact_or_float(a: Number, b: Number) -> tuple:
-    """(a, b) as Fractions when both are rational, as floats otherwise.
+def _g_acute_1a(a: Number, b: Number) -> Number:
+    """Band ratio bound at (a, b): exact on rationals, float otherwise.
 
-    The case formulas below then serve both: Fraction(3, 5) * x is 0.6 * x
-    on a float x.
+    Fraction(3, 5) * x is 0.6 * x on a float x, so one formula serves both.
     """
     if all(isinstance(v, (int, Fraction)) for v in (a, b)):
-        return as_fraction(a), as_fraction(b)
-    return float(a), float(b)
-
-
-def _g_acute_1a(a: Number, b: Number) -> Number:
-    a, b = _exact_or_float(a, b)
+        a, b = as_fraction(a), as_fraction(b)
+    else:
+        a, b = float(a), float(b)
     u = (1 - a) ** 2 + b * b
     return Fraction(3, 5) * (u + b) ** 2 / (u * (u + a))
 
@@ -228,138 +224,6 @@ def _f_mgeq3(b: float) -> float:
         * (1.0 + c * gb ** (2.0 / 3.0)) ** 2
         * last
     )
-
-
-def _h_mgeq3(x: float) -> float:
-    c = float(C1) / (2.0 ** (1.0 / 3.0) * PI ** (2.0 / 3.0))
-    return (
-        3.0
-        * math.cos(x / 2.0) ** 4
-        / (x * math.tan(x) ** 2)
-        * (1.0 + c * x ** (2.0 / 3.0)) ** 2
-        * (math.tan(x) - x - 124.0 * _ZETA5 * x**4 / PI**5)
-    )
-
-
-def _g_mgeq3(x: float) -> float:
-    c = float(C1) / (2.0 ** (1.0 / 3.0) * PI ** (2.0 / 3.0))
-    return (
-        (1.0 - x * x / 8.0) ** 4
-        / (1.0 + x * x / 3.0 + 2.0 * x**4 / 5.0) ** 2
-        * (1.0 + c * x ** (2.0 / 3.0)) ** 2
-        * (1.0 - 372.0 * _ZETA5 * x / PI**5)
-    )
-
-
-def _f_obtuse_1(a: Number, b: Number) -> Number:
-    a, b = _exact_or_float(a, b)
-    return Fraction(3, 5) * (1 + b) ** 2 / (1 - a + a * a + b * b)
-
-
-def _f_obtuse_2(a: Number, b: Number) -> Number:
-    a, b = _exact_or_float(a, b)
-    return a * (1 - a) * (1 + b) ** 2 / (a - a * a + b * b)
-
-
-def _prefactor_obtuse_3(b: float) -> float:
-    s = math.sqrt(1.0 - 4.0 * b * b)
-    return 4.0 / (1.0 + math.sqrt((1.0 + s) / 2.0)) ** 2
-
-
-def _soft_in_region(point: tuple, region_id: str, eps: float = 1e-9) -> bool:
-    a, b = point
-    if geometry.in_region((a, b), region_id):
-        return True
-    for da in (-eps, 0.0, eps):
-        for db in (-eps, 0.0, eps):
-            if geometry.in_region((float(a) + da, float(b) + db), region_id):
-                return True
-    return False
-
-
-_ATAN_THIRD = math.atan(1.0 / 3.0)
-
-
-def _require(ok: bool, name: str, point) -> None:
-    if not ok:
-        raise OutOfRegion(f"{point!r} is outside the region of {name}")
-
-
-def _check_acute_1a(pt) -> None:
-    a, b = pt
-    _require(
-        0 <= a <= 0.5 + 1e-12 and 0.86 - 1e-12 <= b <= 2.9 + 1e-12,
-        "acute-1a-g",
-        pt,
-    )
-
-
-def _check_acute_1b(pt) -> None:
-    (x,) = pt
-    _require(0.12 - 1e-12 <= x <= 0.464 + 1e-12, "acute-1b-f", pt)
-
-
-def _check_mgeq3_f(pt) -> None:
-    (b,) = pt
-    _require(b >= 3.0 - 1e-12, "mgeq3-f", pt)
-
-
-def _check_mgeq3_x(name):
-    def check(pt) -> None:
-        (x,) = pt
-        _require(0.0 < x <= _ATAN_THIRD + 1e-12, name, pt)
-
-    return check
-
-
-def _check_obtuse_1(pt) -> None:
-    _require(_soft_in_region(pt, "obtuse-case-1"), "obtuse-1-f", pt)
-
-
-def _check_obtuse_2(pt) -> None:
-    a, b = pt
-    _require(float(a) > 0 and float(b) > 0, "obtuse-2-f", pt)
-    _require(_soft_in_region(pt, "obtuse-case-2"), "obtuse-2-f", pt)
-
-
-def _check_obtuse_3_prefactor(pt) -> None:
-    (b,) = pt
-    _require(0.0 <= b <= 0.5 + 1e-12, "obtuse-3-prefactor", pt)
-
-
-_CASE_FUNCTIONS = {
-    "acute-1a-g": (_check_acute_1a, lambda pt: _g_acute_1a(*pt), 2),
-    "acute-1b-f": (_check_acute_1b, lambda pt: _f_acute_1b(float(pt[0])), 1),
-    "mgeq3-f": (_check_mgeq3_f, lambda pt: _f_mgeq3(float(pt[0])), 1),
-    "mgeq3-h": (_check_mgeq3_x("mgeq3-h"), lambda pt: _h_mgeq3(float(pt[0])), 1),
-    "mgeq3-g": (_check_mgeq3_x("mgeq3-g"), lambda pt: _g_mgeq3(float(pt[0])), 1),
-    "obtuse-1-f": (_check_obtuse_1, lambda pt: _f_obtuse_1(*pt), 2),
-    "obtuse-2-f": (_check_obtuse_2, lambda pt: _f_obtuse_2(*pt), 2),
-    "obtuse-3-prefactor": (
-        _check_obtuse_3_prefactor,
-        lambda pt: _prefactor_obtuse_3(float(pt[0])),
-        1,
-    ),
-}
-
-
-def case_function(name: str, point) -> Number:
-    """Evaluate a named per-case scalar function at a point in its region.
-
-    Bivariate functions take (a, b); univariate ones take a scalar or a
-    1-tuple.  Rational inputs give exact Fraction output where the
-    function is itself rational.  Raises OutOfRegion outside the case
-    region and UnknownCase for unknown names.
-    """
-    try:
-        check, fn, arity = _CASE_FUNCTIONS[name]
-    except KeyError:
-        raise UnknownCase(name) from None
-    pt = tuple(point) if isinstance(point, (tuple, list)) else (point,)
-    if len(pt) != arity:
-        raise ValueError(f"{name} expects {arity} coordinate(s), got {len(pt)}")
-    check(pt)
-    return fn(pt)
 
 
 def xb_ge_3_exact(b: Number) -> bool:
@@ -600,7 +464,7 @@ def _display_matches_builder() -> tuple:
 def _replay_acute_1a() -> CaseReport:
     region = "0 <= a <= 1/2, sqrt(3)/2 <= b <= 29/10 (acute chart, unit shortest side)"
     ev = []
-    corner = case_function("acute-1a-g", (Fraction(1, 2), Fraction(29, 10)))
+    corner = _g_acute_1a(Fraction(1, 2), Fraction(29, 10))
     target = Fraction(501126, 495785)
     ev.append(
         _exact_item(
@@ -1359,22 +1223,14 @@ def _analytic_bound_gaps(tri: Triangle, data, res) -> dict:
         gaps["lower:obtuse-test*diameter-height"] = lam_dh * ob_t / area - F
     sw = geometry.chart_swap(tri)
     if -1e-12 <= sw.a <= 0.5 + 1e-12:
-        try:
-            g = float(case_function("acute-1a-g", (sw.a, sw.b)))
-            gaps["lower:acute-band-g"] = F_LOWER_LIMIT * g - F
-        except OutOfRegion:
-            pass
-        try:
-            x = math.atan(1.0 / (2.0 * sw.b))
-            f = case_function("acute-1b-f", x)
-            gaps["lower:acute-band-f"] = F_LOWER_LIMIT * f - F
-        except OutOfRegion:
-            pass
-        try:
-            f_tall = case_function("mgeq3-f", sw.b)
-            gaps["lower:acute-tall-f"] = F_LOWER_LIMIT * f_tall - F
-        except OutOfRegion:
-            pass
+        # each formula only within its validity window
+        if 0 <= sw.a and 0.86 - 1e-12 <= sw.b <= 2.9 + 1e-12:
+            gaps["lower:acute-band-g"] = F_LOWER_LIMIT * _g_acute_1a(sw.a, sw.b) - F
+        x = math.atan(1.0 / (2.0 * sw.b))
+        if 0.12 - 1e-12 <= x <= 0.464 + 1e-12:
+            gaps["lower:acute-band-f"] = F_LOWER_LIMIT * _f_acute_1b(x) - F
+        if sw.b >= 3.0 - 1e-12:
+            gaps["lower:acute-tall-f"] = F_LOWER_LIMIT * _f_mgeq3(sw.b) - F
     chain = bounds.upper_chain(
         {"lambda1": res.lambda1, "T": res.T, "area": area, "P": data.P},
         "triangle",

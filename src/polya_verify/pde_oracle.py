@@ -10,8 +10,9 @@ accuracy of a level is set by its radial resolution, so more wedges would
 only add elements).  Each base mesh is the image of a reference mesh on the
 integer grid under one affine map per piece.  The refined reference mesh,
 its parent maps and its interior vertices in a band order (along the long
-axis, then the short one) are built once per (layout, level) and shared by
-every shape and thread.  Every mesh is its level-0 image prolonged through
+axis, then the short one) are a memo of (layout, level), shared by every
+shape and thread; two threads that miss it at once build the same
+read-only arrays.  Every mesh is its level-0 image prolonged through
 the parent maps one level at a time, and on a sector each new arc midpoint
 is projected back to the circle.
 
@@ -40,8 +41,8 @@ area defect.
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
@@ -195,11 +196,6 @@ class _System:
     area: float
 
 
-_CACHE_LOCK = threading.RLock()
-_REFERENCES: dict = {}
-_REFERENCE_SYSTEMS: dict = {}
-
-
 def _frozen(record):
     for field in fields(record):
         value = getattr(record, field.name)
@@ -284,41 +280,38 @@ def _refine_arrays(
     return np.vstack([vertices, mids]), children, new_flags, uniq
 
 
+@functools.cache
 def _reference(layout: str, level: int) -> _Reference:
     """The cached reference mesh of ``layout`` at ``level`` (read-only)."""
-    key = (layout, level)
-    with _CACHE_LOCK:
-        ref = _REFERENCES.get(key)
-        if ref is None:
-            if level == 0:
-                vertices, elements, pieces = _LAYOUTS[layout]
-                vertices = np.array(vertices, dtype=float)
-                elements = np.array(elements, dtype=np.int64)
-                pieces = np.array(pieces, dtype=np.int64)
-                flags = np.ones(len(vertices), dtype=bool)
-                parents = None
-            else:
-                coarse = _reference(layout, level - 1)
-                vertices, elements, flags, parents = _refine_arrays(
-                    coarse.vertices, coarse.elements, coarse.flags
-                )
-                pieces = np.tile(coarse.pieces, 4)
-            interior = np.flatnonzero(~flags)
-            # reference coordinates are dyadic, so the sort keys are exact
-            points = vertices[interior]
-            long = int(np.argmax(np.ptp(vertices, axis=0)))
-            interior = interior[np.lexsort((points[:, 1 - long], points[:, long]))]
-            ref = _Reference(
-                vertices=vertices,
-                elements=elements,
-                flags=flags,
-                pieces=pieces,
-                parents=parents,
-                interior=interior,
-                **_scatter_plan(elements, interior, len(vertices)),
-            )
-            _REFERENCES[key] = ref = _frozen(ref)
-        return ref
+    if level == 0:
+        vertices, elements, pieces = _LAYOUTS[layout]
+        vertices = np.array(vertices, dtype=float)
+        elements = np.array(elements, dtype=np.int64)
+        pieces = np.array(pieces, dtype=np.int64)
+        flags = np.ones(len(vertices), dtype=bool)
+        parents = None
+    else:
+        coarse = _reference(layout, level - 1)
+        vertices, elements, flags, parents = _refine_arrays(
+            coarse.vertices, coarse.elements, coarse.flags
+        )
+        pieces = np.tile(coarse.pieces, 4)
+    interior = np.flatnonzero(~flags)
+    # reference coordinates are dyadic, so the sort keys are exact
+    points = vertices[interior]
+    long = int(np.argmax(np.ptp(vertices, axis=0)))
+    interior = interior[np.lexsort((points[:, 1 - long], points[:, long]))]
+    return _frozen(
+        _Reference(
+            vertices=vertices,
+            elements=elements,
+            flags=flags,
+            pieces=pieces,
+            parents=parents,
+            interior=interior,
+            **_scatter_plan(elements, interior, len(vertices)),
+        )
+    )
 
 
 def _scatter_plan(elements: np.ndarray, interior: np.ndarray, nv: int) -> dict:
@@ -385,36 +378,32 @@ def _scatter(values: np.ndarray, at: np.ndarray, size: int):
     return np.bincount(at, weights=values.ravel(), minlength=size + 1)[:size]
 
 
+@functools.cache
 def _reference_system(layout: str, level: int) -> _ReferenceSystem:
     """The cached per-piece interior system of ``layout`` at ``level``."""
-    key = (layout, level)
-    with _CACHE_LOCK:
-        system = _REFERENCE_SYSTEMS.get(key)
-        if system is not None:
-            return system
-        ref = _reference(layout, level)
-        parts, mass, load = _element_parts(ref.vertices, ref.elements)
-        n_pieces = int(ref.pieces.max()) + 1
+    ref = _reference(layout, level)
+    parts, mass, load = _element_parts(ref.vertices, ref.elements)
+    n_pieces = int(ref.pieces.max()) + 1
 
-        def per_piece(values, at, size):
-            values = values.reshape(len(ref.pieces), -1)
-            return np.stack(
-                [
-                    _scatter(np.where((ref.pieces == p)[:, None], values, 0.0), at, size)
-                    for p in range(n_pieces)
-                ]
-            )
+    def per_piece(values, at, size):
+        values = values.reshape(len(ref.pieces), -1)
+        return np.stack(
+            [
+                _scatter(np.where((ref.pieces == p)[:, None], values, 0.0), at, size)
+                for p in range(n_pieces)
+            ]
+        )
 
-        def on_pattern(blocks):
-            return per_piece(blocks, ref.slot, len(ref.indices))
+    def on_pattern(blocks):
+        return per_piece(blocks, ref.slot, len(ref.indices))
 
-        system = _ReferenceSystem(
+    return _frozen(
+        _ReferenceSystem(
             stiffness=np.stack([on_pattern(part) for part in parts], axis=1),
             mass=on_pattern(mass),
             load=per_piece(load, ref.load_at, len(ref.interior)),
         )
-        _REFERENCE_SYSTEMS[key] = system = _frozen(system)
-        return system
+    )
 
 
 def _combine(parts, coefficients) -> np.ndarray:

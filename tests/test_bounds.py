@@ -30,12 +30,12 @@ def test_equilateral_test_bound_is_sharp_at_the_equilateral():
 def test_equilateral_test_bound_is_exact_on_rationals():
     bound = torsion_lb_equilateral_test(Fraction(1, 2), Fraction(1, 2))
     # denominator 1 - a + a^2 + b^2 equals 1 at a = b = 1/2
-    assert bound.exact == Fraction(1, 640)
+    assert bound.value == float(Fraction(1, 640))
 
 
 def test_obtuse_test_bound_exact_value_and_domain():
     bound = torsion_lb_obtuse_test(Fraction(1, 2), Fraction(1, 2))
-    assert bound.exact == Fraction(1, 768)
+    assert bound.value == float(Fraction(1, 768))
     with pytest.raises(DomainError):
         torsion_lb_obtuse_test(0.0, 0.5)
     with pytest.raises(DomainError):

@@ -324,3 +324,19 @@ def test_series_value_is_a_frozen_record():
     tor = rect_torsion(Rectangle(1.0, 1.0), n_terms=16)
     with pytest.raises(AttributeError):
         tor.value = 0.0
+
+
+@pytest.mark.parametrize("n_terms", (0, -3))
+@pytest.mark.parametrize(
+    "series, shape",
+    [
+        (sector_torsion, Sector(math.pi / 3.0, 1.0)),
+        (rect_torsion, Rectangle(1.0, 0.5)),
+        (rect_F, Rectangle(1.0, 0.5)),
+        (rect_center_torsion, Rectangle(1.0, 0.5)),
+    ],
+    ids=["sector_torsion", "rect_torsion", "rect_F", "rect_center_torsion"],
+)
+def test_series_reject_a_nonpositive_term_count(series, shape, n_terms):
+    with pytest.raises(ValueError, match="n_terms"):
+        series(shape, n_terms=n_terms)

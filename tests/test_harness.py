@@ -1,4 +1,4 @@
-"""Replay harness: case functions, certificates, replays, sweeps, CLI."""
+"""Replay harness: case formulas, certificates, replays, sweeps, CLI."""
 
 import json
 import math
@@ -6,14 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from polya_verify import bounds, cli, constants, harness, polycert
+from polya_verify import bounds, cli, constants, geometry, harness, polycert
 from polya_verify.harness import (
     CellSubdivisionFailure,
     EvidenceItem,
     OutOfRegion,
     UnknownCase,
     arctan_enclosure,
-    case_function,
     certify_all,
     certify_g_floor,
     g_remark_check,
@@ -54,7 +53,7 @@ def test_tan_brackets_on_the_unit_interval():
 
 
 def test_zeta5_float_is_the_midpoint_of_the_narrow_enclosure():
-    # the case functions read this float; a wider enclosure moves its midpoint
+    # the case formulas read this float; a wider enclosure moves its midpoint
     assert harness._ZETA5 == float(constants.enclose("zeta5", Fraction(1, 10**15)).midpoint)
     assert harness._ZETA5 == pytest.approx(1.0369277551433699, rel=1e-15)
 
@@ -77,65 +76,51 @@ def test_xb_threshold_is_exactly_three_tenths():
 
 
 # ---------------------------------------------------------------------------
-# Case functions and context
+# Case formulas
 # ---------------------------------------------------------------------------
 
 
+def _h_mgeq3(x):
+    """The tall-isosceles ratio bound in the apex half-angle x = arctan(1/b)."""
+    c = float(constants.C1) / (2.0 ** (1.0 / 3.0) * math.pi ** (2.0 / 3.0))
+    return (
+        3.0
+        * math.cos(x / 2.0) ** 4
+        / (x * math.tan(x) ** 2)
+        * (1.0 + c * x ** (2.0 / 3.0)) ** 2
+        * (math.tan(x) - x - 124.0 * harness._ZETA5 * x**4 / math.pi**5)
+    )
+
+
+def _f_obtuse_1(a, b):
+    return 0.6 * (1 + b) ** 2 / (1 - a + a * a + b * b)
+
+
+def _f_obtuse_2(a, b):
+    return a * (1 - a) * (1 + b) ** 2 / (a - a * a + b * b)
+
+
 def test_band_function_exact_values():
-    assert case_function("acute-1a-g", (Fraction(0), Fraction(1))) == Fraction(27, 20)
-    corner = case_function("acute-1a-g", (Fraction(1, 2), Fraction(29, 10)))
+    assert harness._g_acute_1a(Fraction(0), Fraction(1)) == Fraction(27, 20)
+    corner = harness._g_acute_1a(Fraction(1, 2), Fraction(29, 10))
     assert corner == Fraction(501126, 495785)
-    as_float = case_function("acute-1a-g", (0.5, 2.9))
+    as_float = harness._g_acute_1a(0.5, 2.9)
     assert as_float == pytest.approx(float(corner), rel=1e-12)
 
 
 def test_tall_isosceles_function_matches_its_angle_form():
-    assert case_function("mgeq3-f", 3.0) == pytest.approx(
-        1.1153192733722042, rel=1e-12
-    )
+    assert harness._f_mgeq3(3.0) == pytest.approx(1.1153192733722042, rel=1e-12)
     for b in (3.0, 3.732, 5.0, 10.0):
-        f = case_function("mgeq3-f", b)
-        h = case_function("mgeq3-h", math.atan(1.0 / b))
+        f = harness._f_mgeq3(b)
+        h = _h_mgeq3(math.atan(1.0 / b))
         assert f == pytest.approx(h, rel=1e-12)
-
-
-def test_tall_isosceles_minorant_sits_between_one_and_h():
-    top = math.atan(1.0 / 3.0)
-    for k in range(1, 40):
-        x = top * k / 39.0
-        g = case_function("mgeq3-g", x)
-        h = case_function("mgeq3-h", x)
-        assert g <= h + 1e-15
-        assert g >= 1.0
-
-
-def test_region_gating_raises_out_of_region():
-    with pytest.raises(OutOfRegion):
-        case_function("acute-1a-g", (0.6, 1.0))
-    with pytest.raises(OutOfRegion):
-        case_function("mgeq3-f", 2.9)
-    with pytest.raises(OutOfRegion):
-        case_function("obtuse-2-f", (Fraction(1, 4), Fraction(6, 13)))
-    with pytest.raises(UnknownCase):
-        case_function("no-such-case", 1.0)
-    with pytest.raises(ValueError):
-        case_function("acute-1a-g", (0.1,))
-
-
-def test_obtuse_prefactor_frozen_values():
-    pre = case_function("obtuse-3-prefactor", 0.3)
-    assert pre == pytest.approx(760.0 - 240.0 * math.sqrt(10.0), rel=1e-9)
-    assert case_function("obtuse-3-prefactor", 0.0) == pytest.approx(1.0, abs=1e-15)
-    assert case_function("obtuse-3-prefactor", 0.5) == pytest.approx(
-        4.0 / (1.0 + math.sqrt(0.5)) ** 2, rel=1e-14
-    )
 
 
 def test_case_functions_assemble_the_lower_bound_product():
     # each case scalar times pi^2/24 equals eigenvalue bound times torsion
     # bound over area for the matching chart
     for a, b in [(0.1, 1.2), (0.3, 0.95), (0.5, 2.0)]:
-        g = float(case_function("acute-1a-g", (a, b)))
+        g = float(harness._g_acute_1a(a, b))
         n = math.hypot(1.0 - a, b)
         rhs = (
             bounds.eig_lb_diameter_height(n, b / n).value
@@ -144,7 +129,7 @@ def test_case_functions_assemble_the_lower_bound_product():
         )
         assert PI2_24 * g == pytest.approx(rhs, rel=1e-10)
     for a, b in [(0.2, 0.35), (0.3, 0.4)]:
-        f1 = float(case_function("obtuse-1-f", (a, b)))
+        f1 = _f_obtuse_1(a, b)
         rhs = (
             bounds.eig_lb_diameter_height(1.0, b).value
             * bounds.torsion_lb_equilateral_test(a, b).value
@@ -152,13 +137,38 @@ def test_case_functions_assemble_the_lower_bound_product():
         )
         assert PI2_24 * f1 == pytest.approx(rhs, rel=1e-10)
     for a, b in [(0.1, 0.15), (0.125, 0.2)]:
-        f2 = float(case_function("obtuse-2-f", (a, b)))
+        f2 = _f_obtuse_2(a, b)
         rhs = (
             bounds.eig_lb_diameter_height(1.0, b).value
             * bounds.torsion_lb_obtuse_test(a, b).value
             / (b / 2.0)
         )
         assert PI2_24 * f2 == pytest.approx(rhs, rel=1e-10)
+
+
+def test_survey_reports_each_acute_formula_exactly_inside_its_window():
+    # in the chart with unit shortest side, the 12x5 grid's acute rows run
+    # from below b = 1/(2 tan 0.464) to above b = 1/(2 tan 0.12), so they
+    # cross both x edges of the band f, the b = 2.9 edge of the band g and
+    # the b = 3 edge of the tall f; no acute row lies below b = 0.86
+    rows = sweep_triangles(grid={"na": 12, "nb": 5}, max_level=4)
+    acute_b = []
+    for row in rows:
+        sw = geometry.chart_swap(geometry.Triangle(row.a, row.b))
+        acute = -1e-12 <= sw.a <= 0.5 + 1e-12
+        if acute:
+            acute_b.append(sw.b)
+        x = math.atan(1.0 / (2.0 * sw.b))
+        windows = {
+            "band-g": acute and 0 <= sw.a and 0.86 - 1e-12 <= sw.b <= 2.9 + 1e-12,
+            "band-f": acute and 0.12 - 1e-12 <= x <= 0.464 + 1e-12,
+            "tall-f": acute and sw.b >= 3.0 - 1e-12,
+        }
+        for key, inside in windows.items():
+            assert (f"lower:acute-{key}" in row.bound_gaps) == inside, (key, sw)
+    assert len(acute_b) < len(rows)
+    assert min(acute_b) < 1.0 / (2.0 * math.tan(0.464))
+    assert max(acute_b) > 1.0 / (2.0 * math.tan(0.12))
 
 
 # ---------------------------------------------------------------------------
@@ -220,21 +230,6 @@ def test_analytic_replays_verify_without_numerics(case_id):
     assert methods <= {"exact-rational", "certificate"}
     assert all(item.passed for item in report.evidence)
     json.dumps(report.to_json_dict())  # must serialize cleanly
-
-
-@pytest.mark.parametrize("case_id", ("obtuse-1", "obtuse-2"))
-def test_obtuse_replays_evaluate_no_sample_points(case_id, monkeypatch):
-    # the ratio bound holds on the whole region by identities; point
-    # evaluations of the case function would only be samples
-    calls = []
-    original = harness.case_function
-    monkeypatch.setattr(
-        harness,
-        "case_function",
-        lambda name, point: calls.append(name) or original(name, point),
-    )
-    assert replay_case(case_id).verdict == "Verified"
-    assert calls == []
 
 
 def test_analytic_pass_builds_each_lemma_once(monkeypatch):
@@ -436,6 +431,24 @@ def test_cli_compute_triangle(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["F"] == pytest.approx(math.pi**2 / 15.0, rel=1e-3)
     assert set(payload["observed_order"]) == {"lambda1", "T"}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--shape", "rect", "--a", "0.5", "--b", "0.5", "--terms", "0"], "n_terms"),
+        (["--shape", "rect", "--a", "-1", "--b", "0.5"], "half-widths"),
+        (["--shape", "triangle", "--a", "0.3", "--b", "0.4", "--level", "1"], "max_level"),
+    ],
+    ids=["terms-0", "a-negative", "level-1"],
+)
+def test_cli_compute_reports_bad_input_in_one_line(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["compute"] + argv)
+    text = str(exc.value.code)
+    assert text.startswith("compute: ") and message in text
+    assert "\n" not in text
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_certify_polynomial_file(tmp_path, capsys):

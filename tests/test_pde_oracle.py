@@ -504,11 +504,11 @@ def test_non_finite_shapes_raise_degenerate_shape(shape):
 
 
 @pytest.mark.parametrize("workers", [2, 4])
-def test_sweep_rows_do_not_depend_on_the_thread_count(monkeypatch, workers):
+def test_sweep_rows_do_not_depend_on_the_thread_count(workers):
     # a cold cache and frequent thread switches, so that the workers race to
     # build the shared reference systems
-    monkeypatch.setattr(pde_oracle, "_REFERENCES", {})
-    monkeypatch.setattr(pde_oracle, "_REFERENCE_SYSTEMS", {})
+    pde_oracle._reference.cache_clear()
+    pde_oracle._reference_system.cache_clear()
     grid = {"na": 4, "nb": 4, "b_min": 0.05}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -520,5 +520,9 @@ def test_sweep_rows_do_not_depend_on_the_thread_count(monkeypatch, workers):
     assert len(one) == 9
     assert not any(row.error for row in one)
     assert many == one
-    built = set(pde_oracle._REFERENCE_SYSTEMS)
-    assert built == {("split", level) for level in (3, 4, 5)}
+    memo = pde_oracle._reference_system
+    assert memo.cache_info().currsize == 3
+    for level in (3, 4, 5):
+        hits = memo.cache_info().hits
+        memo("split", level)
+        assert memo.cache_info().hits == hits + 1
