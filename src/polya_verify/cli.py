@@ -117,7 +117,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         except polycert.DepthExhausted as exc:
             _emit({"ok": False, "error": "depth exhausted", "detail": str(exc)}, args.out)
             return 2
-        _emit(json.loads(cert.to_json()), args.out)
+        _emit(cert.to_json_dict(), args.out)
         return 0 if cert.ok else 1
     summaries = harness.certify_all(max_depth=args.depth)
     _emit({"certificates": summaries}, args.out)

@@ -288,17 +288,11 @@ def _build(cid: str, eps: Fraction) -> RationalInterval:
         return _pi_interval(eps / 8).power(2)
     if cid == "pi_pow_5":
         return _pi_interval(eps / 1024).power(5)
-    if cid == "pi_pow_1_3":
-        return _nth_root_interval(_pi_interval(eps / 2), 3, eps / 2)
     if cid == "pi_pow_2_3":
         return _nth_root_interval(_pi_interval(eps / 16).power(2), 3, eps / 2)
     if cid == "pi_pow_4_3":
         pi = _pi_interval(eps / 16)
         return pi * _nth_root_interval(pi, 3, eps / 16)
-    if cid == "sqrt_pi":
-        return _nth_root_interval(_pi_interval(eps / 2), 2, eps / 2)
-    if cid == "sqrt2":
-        return _nth_root_interval(point(2), 2, eps)
     if cid == "sqrt3":
         return _nth_root_interval(point(3), 2, eps)
     if cid == "two_pow_1_3":
@@ -309,10 +303,6 @@ def _build(cid: str, eps: Fraction) -> RationalInterval:
         return _zeta5_interval(eps)
     if cid == "neg_a1":
         return _reference_bracket_neg_a1(eps)
-    if cid == "c1":
-        return point(C1)
-    if cid == "k":
-        return point(K)
     if cid.startswith("j_"):
         try:
             nu = as_fraction(cid[2:])
@@ -327,10 +317,9 @@ def _build(cid: str, eps: Fraction) -> RationalInterval:
 def enclose(constant_id: str, eps: RationalLike = Fraction(1, 10**12)) -> RationalInterval:
     """Rational enclosure of width <= eps for a housed constant.
 
-    constant_id is a canonical id: pi, pi_pow_2, pi_pow_5, pi_pow_1_3,
-    pi_pow_2_3, pi_pow_4_3, sqrt_pi, sqrt2, sqrt3, two_pow_1_3, two_pow_2_3,
-    zeta5, neg_a1, c1, k, or j_<nu> for the first zero of J_nu; anything
-    else raises UnknownConstant.
+    constant_id is a canonical id: pi, pi_pow_2, pi_pow_5, pi_pow_2_3,
+    pi_pow_4_3, sqrt3, two_pow_1_3, two_pow_2_3, zeta5, neg_a1, or j_<nu>
+    for the first zero of J_nu; anything else raises UnknownConstant.
 
     The result depends on (constant_id, eps) alone: each pair is built once
     per process and memoized, so the same call returns the same rational

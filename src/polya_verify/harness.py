@@ -9,7 +9,11 @@ families against the finite element oracle.
 
 Every replayed case produces a CaseReport holding EvidenceItem entries.
 Each item records the check performed, the method that settled it, and a
-numeric margin.  Methods:
+numeric margin.  An item states its check as comparisons (lhs, op, rhs),
+op one of "<", "<=" and "==", plus any identity test; it passes when all
+of them hold, a strict comparison with no slack failing.  Its margin is
+the smallest slack rhs - lhs of its stated inequalities, in their own
+units, and 0 for an item that states only identities.  Methods:
 
 - "exact-rational": settled in integer/Fraction arithmetic, no rounding,
   and holding on the whole stated region (a polynomial identity or an
@@ -32,6 +36,7 @@ import concurrent.futures
 import functools
 import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -49,19 +54,6 @@ F_LOWER_LIMIT = PI_SQ / 24.0
 F_UPPER_LIMIT = PI_SQ / 12.0
 
 METHODS = ("exact-rational", "certificate", "grid+modulus", "oracle")
-
-REPLAY_IDS = (
-    "acute-1a",
-    "acute-1b",
-    "acute-2",
-    "obtuse-1",
-    "obtuse-2",
-    "obtuse-3",
-    "upper-triangle",
-    "upper-tangential",
-    "rect-monotone",
-    "sharpness-thinning",
-)
 
 _ZETA5 = float(enclose("zeta5", Fraction(1, 10**15)).midpoint)
 
@@ -127,22 +119,37 @@ class CaseReport:
         }
 
 
-def _derive_verdict(evidence: Sequence[EvidenceItem]) -> str:
-    if any(not item.passed for item in evidence):
-        return "Failed"
-    if all(item.method in ("exact-rational", "certificate") for item in evidence):
-        return "Verified"
-    return "VerifiedNumerically"
+_OPS = {"<": operator.lt, "<=": operator.le, "==": operator.eq}
+
+
+def _item(
+    check: str, method: str, detail: str, *comparisons: tuple, holds: bool = True
+) -> EvidenceItem:
+    """An item whose pass flag and margin derive from its stated comparisons.
+
+    Each comparison is (lhs, op, rhs) with op one of "<", "<=" and "==";
+    ``holds`` carries an identity test.  The item passes when ``holds`` and
+    every comparison do.  Its margin is the smallest rhs - lhs over the
+    inequalities, or 0 when it states none.
+    """
+    slacks = [rhs - lhs for lhs, op, rhs in comparisons if op != "=="]
+    return EvidenceItem(
+        check=check,
+        method=method,
+        margin=float(min(slacks, default=0)),
+        passed=bool(holds) and all(_OPS[op](lhs, rhs) for lhs, op, rhs in comparisons),
+        detail=detail,
+    )
 
 
 def _report(case_id: str, region: str, evidence: list, notes: str = "") -> CaseReport:
-    return CaseReport(
-        case_id=case_id,
-        region=region,
-        evidence=tuple(evidence),
-        verdict=_derive_verdict(evidence),
-        notes=notes,
-    )
+    if any(not item.passed for item in evidence):
+        verdict = "Failed"
+    elif all(item.method in ("exact-rational", "certificate") for item in evidence):
+        verdict = "Verified"
+    else:
+        verdict = "VerifiedNumerically"
+    return CaseReport(case_id, region, tuple(evidence), verdict, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -355,26 +362,13 @@ def _certificate_item(name: str, check: str) -> EvidenceItem:
     dx = _CERT_PLAN[name]
     poly = polycert.build_lemma_polynomial(name, rounding="upper")
     cert = polycert.certify_nonpositive(poly, dx)
-    worst = max(c0 for _, _, c0 in cert.intervals) if cert.intervals else Fraction(0)
-    return EvidenceItem(
-        check=check,
-        method="certificate",
-        margin=float(-worst),
-        passed=cert.ok,
-        detail=(
-            f"{name} <= 0 on (0, {dx}]: {len(cert.intervals)} interval(s), "
-            f"depth {cert.depth}"
-        ),
-    )
-
-
-def _exact_item(check: str, passed: bool, margin: Number, detail: str = "") -> EvidenceItem:
-    return EvidenceItem(
-        check=check,
-        method="exact-rational",
-        margin=float(margin),
-        passed=bool(passed),
-        detail=detail,
+    return _item(
+        check,
+        "certificate",
+        f"{name} <= 0 on (0, {dx}]: {len(cert.intervals)} interval(s), "
+        f"depth {cert.depth}",
+        *((c0, "<=", 0) for _, _, c0 in cert.intervals),
+        holds=cert.ok,
     )
 
 
@@ -382,11 +376,12 @@ def _angle_window_item(detail: str) -> EvidenceItem:
     """arctan(1/3) lies below the cube of the Q_mgeq3 window's right end."""
     dx = _CERT_PLAN["Q_mgeq3"]
     _, hi13 = arctan_enclosure(Fraction(1, 3), 3)
-    return _exact_item(
+    return _item(
         f"arctan(1/3) <= 391/1215 <= ({dx})^3",
-        hi13 <= Fraction(391, 1215) <= dx**3,
-        dx**3 - Fraction(391, 1215),
+        "exact-rational",
         detail,
+        (hi13, "<=", Fraction(391, 1215)),
+        (Fraction(391, 1215), "<=", dx**3),
     )
 
 
@@ -400,13 +395,14 @@ def _monotone_map_items(first: str, second: str) -> list:
     return [
         _certificate_item("negP1prime_mono", first),
         _certificate_item("negP1prime_mono_shifted", second),
-        _exact_item(
+        _item(
             f"the two derivative certificates tile (0, {top}] and "
             f"7/10 <= ({top})^3",
-            shift <= _CERT_PLAN["negP1prime_mono"] and Fraction(7, 10) <= top**3,
-            top**3 - Fraction(7, 10),
+            "exact-rational",
             f"the first window reaches the re-centering point {shift}, so "
             "monotonicity of the angle map holds on (0, 7/10]",
+            (shift, "<=", _CERT_PLAN["negP1prime_mono"]),
+            (Fraction(7, 10), "<=", top**3),
         ),
     ]
 
@@ -463,45 +459,38 @@ def _display_matches_builder() -> tuple:
 
 def _replay_acute_1a() -> CaseReport:
     region = "0 <= a <= 1/2, sqrt(3)/2 <= b <= 29/10 (acute chart, unit shortest side)"
-    ev = []
     corner = _g_acute_1a(Fraction(1, 2), Fraction(29, 10))
-    target = Fraction(501126, 495785)
-    ev.append(
-        _exact_item(
-            "band corner value g(1/2, 29/10) equals 501126/495785 and exceeds 1",
-            corner == target and corner > 1,
-            corner - 1,
-            f"g = {corner}",
-        )
-    )
     cert = certify_g_floor()
-    ev.append(
-        _exact_item(
+    ev = [
+        _item(
+            "band corner value g(1/2, 29/10) equals 501126/495785 and exceeds 1",
+            "exact-rational",
+            f"g = {corner}",
+            (corner, "==", Fraction(501126, 495785)),
+            (1, "<", corner),
+        ),
+        _item(
             "g >= 201/200 on [0,1/2] x [43/50,29/10] by exact cell subdivision",
-            True,
-            Fraction(1, 200),
+            "exact-rational",
             f"{cert.cells} certified cells, max depth {cert.max_depth}",
-        )
-    )
-    ev.append(
-        _exact_item(
+            (1, "<", cert.floor),
+        ),
+        _item(
             "box floor 43/50 sits below sqrt(3)/2, so the box covers the band",
-            Fraction(43, 50) ** 2 <= Fraction(3, 4),
-            Fraction(3, 4) - Fraction(43, 50) ** 2,
+            "exact-rational",
             "compared as squares: (43/50)^2 = 1849/2500 <= 3/4",
-        )
-    )
-    ev.append(
-        _exact_item(
+            (Fraction(43, 50) ** 2, "<=", Fraction(3, 4)),
+        ),
+        _item(
             "denominator identity (a-1)^2 + b^2 + a = 1 - a + a^2 + b^2",
-            identity_vanishes(
+            "exact-rational",
+            "exact grid evaluation at 3 x 3 rational nodes",
+            holds=identity_vanishes(
                 lambda a, b: (a - 1) ** 2 + b * b + a - (1 - a + a * a + b * b),
                 (2, 2),
             ),
-            0,
-            "exact grid evaluation at 3 x 3 rational nodes",
-        )
-    )
+        ),
+    ]
     notes = (
         "g is the ratio bound assembled from the diameter-height eigenvalue "
         "bound pi^2 (1/N + N/b)^2 and the torsion bound b^3/(80(u+a)); the "
@@ -516,53 +505,45 @@ def _replay_acute_1b() -> CaseReport:
         "0 <= a <= 1/2, 1 <= b <= 4 (acute chart) via x = arctan(1/(2b)) "
         "in [arctan(1/8), arctan(1/2)]"
     )
-    ev = []
-    ev.append(
-        _certificate_item(
-            "P2_acute", "shifted band polynomial nonpositive on its window"
-        )
-    )
     lo18, _ = arctan_enclosure(Fraction(1, 8), 4)
     _, hi12 = arctan_enclosure(Fraction(1, 2), 6)
-    ev.append(
-        _exact_item(
-            "arctan(1/8) >= 191/1536 > 12/100",
-            lo18 >= Fraction(191, 1536) > Fraction(12, 100)
-            and lo18 > Fraction(12, 100),
-            lo18 - Fraction(12, 100),
-            f"alternating partial sum gives arctan(1/8) >= {lo18}",
-        )
-    )
-    ev.append(
-        _exact_item(
-            "arctan(1/2) < 464/1000",
-            hi12 < Fraction(464, 1000),
-            Fraction(464, 1000) - hi12,
-            f"alternating partial sum gives arctan(1/2) <= {hi12}",
-        )
-    )
     _, shift = polycert.RECENTERED["P2_acute"]
     top = shift + _CERT_PLAN["P2_acute"]
-    ev.append(
-        _exact_item(
+    match, bad_deg = _display_matches_builder()
+    ev = [
+        _certificate_item(
+            "P2_acute", "shifted band polynomial nonpositive on its window"
+        ),
+        _item(
+            "arctan(1/8) >= 191/1536 > 12/100",
+            "exact-rational",
+            f"alternating partial sum gives arctan(1/8) >= {lo18}",
+            (Fraction(191, 1536), "<=", lo18),
+            (Fraction(12, 100), "<", Fraction(191, 1536)),
+        ),
+        _item(
+            "arctan(1/2) < 464/1000",
+            "exact-rational",
+            f"alternating partial sum gives arctan(1/2) <= {hi12}",
+            (hi12, "<", Fraction(464, 1000)),
+        ),
+        _item(
             f"cube-window arithmetic: 12/100 >= ({shift})^3 and 464/1000 <= "
             f"({top})^3, where {top} = {shift} + the P2_acute window",
-            Fraction(12, 100) >= shift**3 and Fraction(464, 1000) <= top**3,
-            min(Fraction(12, 100) - shift**3, top**3 - Fraction(464, 1000)),
+            "exact-rational",
             "the substituted variable window lands inside the certified shift",
-        )
-    )
-    match, bad_deg = _display_matches_builder()
-    ev.append(
-        _exact_item(
+            (shift**3, "<=", Fraction(12, 100)),
+            (Fraction(464, 1000), "<=", top**3),
+        ),
+        _item(
             "sparse displayed coefficients agree with the product-built enclosures",
-            match,
-            0,
+            "exact-rational",
             "all 34 coefficient enclosures intersect"
             if match
             else f"degree {bad_deg} enclosures are disjoint",
-        )
-    )
+            holds=match,
+        ),
+    ]
     notes = (
         "The window function multiplies the equal-area sector eigenvalue "
         "bound (with the algebraic Bessel-zero minorant) against the "
@@ -574,43 +555,37 @@ def _replay_acute_1b() -> CaseReport:
 
 def _replay_acute_2() -> CaseReport:
     region = "0 <= a <= 1/2, b >= 3 (acute chart, unit shortest side)"
-    ev = _monotone_map_items(
-        "negated derivative of the monotone-map polynomial nonpositive on its window",
-        "negated derivative, re-centered, nonpositive on its window",
-    )
-    ev.append(
-        _certificate_item(
-            "Q_mgeq3", "tall-triangle comparison polynomial nonpositive on its window"
-        )
-    )
     _, hi16 = arctan_enclosure(Fraction(1, 6), 4)
-    ev.append(
-        _exact_item(
-            "angle window: 2 arctan(1/6) <= 1/3 < 7/10",
-            2 * hi16 <= Fraction(1, 3),
-            Fraction(1, 3) - 2 * hi16,
-            "the apex angle of every tall triangle here stays below 1/3",
-        )
-    )
-    ev.append(
-        _angle_window_item(
-            "the comparison certificate window covers the full angle range"
-        )
-    )
     dhat = (
         point(372)
         * enclose("zeta5", polycert._COEFF_EPS)
         / enclose("pi_pow_5", polycert._COEFF_EPS)
     )
-    ev.append(
-        _exact_item(
+    ev = _monotone_map_items(
+        "negated derivative of the monotone-map polynomial nonpositive on its window",
+        "negated derivative, re-centered, nonpositive on its window",
+    ) + [
+        _certificate_item(
+            "Q_mgeq3", "tall-triangle comparison polynomial nonpositive on its window"
+        ),
+        _item(
+            "angle window: 2 arctan(1/6) <= 1/3 < 7/10",
+            "exact-rational",
+            "the apex angle of every tall triangle here stays below 1/3",
+            (2 * hi16, "<=", Fraction(1, 3)),
+            (Fraction(1, 3), "<", Fraction(7, 10)),
+        ),
+        _angle_window_item(
+            "the comparison certificate window covers the full angle range"
+        ),
+        _item(
             "372 zeta(5) / pi^5 <= 13/10 and (13/10)(34/100) < 1",
-            dhat.hi <= Fraction(13, 10)
-            and Fraction(13, 10) * Fraction(34, 100) < 1,
-            Fraction(13, 10) - dhat.hi,
+            "exact-rational",
             "the linearized tail factor stays positive on the angle window",
-        )
-    )
+            (dhat.hi, "<=", Fraction(13, 10)),
+            (Fraction(13, 10) * Fraction(34, 100), "<", 1),
+        ),
+    ]
     notes = (
         "The chain reduces a general tall triangle to the isosceles one by "
         "the altitude comparison and the certified monotone angle map, then "
@@ -621,50 +596,44 @@ def _replay_acute_2() -> CaseReport:
 
 def _replay_obtuse_1() -> CaseReport:
     region = "obtuse chart band between the lower root curve and b^2 <= a - a^2"
-    ev = []
-    ok_band = True
+    p, q = Fraction(3, 2), Fraction(-1, 2)  # b = p + q sqrt(r)
+    # b^2 = p^2 + q^2 r + 2pq sqrt(r), so the sqrt(r) part of the quadratic
+    # 2b^2 - 6b + (2 - 5a + 5a^2) does not involve a
+    roots = [(2 * (2 * p * q) - 6 * q, "==", 0)]
     for a in (Fraction(0), Fraction(1, 7), Fraction(2, 7), Fraction(3, 7)):
         r = 5 + 10 * a - 10 * a * a
-        p, q = Fraction(3, 2), Fraction(-1, 2)  # b = p + q sqrt(r)
-        b2p = p * p + q * q * r
-        b2q = 2 * p * q
-        rat = 2 * b2p - 6 * p + (2 - 5 * a + 5 * a * a)
-        irr = 2 * b2q - 6 * q
-        if rat != 0 or irr != 0:
-            ok_band = False
-    ev.append(
-        _exact_item(
+        rat = 2 * (p * p + q * q * r) - 6 * p + (2 - 5 * a + 5 * a * a)
+        roots.append((rat, "==", 0))
+    ev = [
+        _item(
             "the band's lower curve is an exact root of the ratio quadratic",
-            ok_band,
-            0,
+            "exact-rational",
             "evaluated in Q[sqrt(r)] at four rational nodes, degree cap 2",
-        )
-    )
-    ev.append(
-        _exact_item(
+            *roots,
+        ),
+        _item(
             "quadratic expansion identity: 3(1+b)^2 - 5(1-a+a^2+b^2) "
             "= -(2b^2 - 6b + 2 - 5a + 5a^2)",
-            identity_vanishes(
+            "exact-rational",
+            "so the ratio clears 1 exactly between the quadratic's roots",
+            holds=identity_vanishes(
                 lambda a, b: 3 * (1 + b) ** 2
                 - 5 * (1 - a + a * a + b * b)
                 + (2 * b * b - 6 * b + 2 - 5 * a + 5 * a * a),
                 (2, 2),
             ),
-            0,
-            "so the ratio clears 1 exactly between the quadratic's roots",
-        )
-    )
-    ev.append(
-        _exact_item(
+        ),
+        _item(
             "the band stays below the upper root: 1/4 - (a - a^2) = (a - 1/2)^2",
-            identity_vanishes(
+            "exact-rational",
+            "so b^2 <= a - a^2 <= 1/4 forces b <= 1/2 < 3/2 <= (3 + sqrt(r))/2",
+            (Fraction(1, 2), "<", Fraction(3, 2)),
+            holds=identity_vanishes(
                 lambda a: Fraction(1, 4) - (a - a * a) - (a - Fraction(1, 2)) ** 2,
                 (2,),
             ),
-            Fraction(3, 2) - Fraction(1, 2),
-            "so b^2 <= a - a^2 <= 1/4 forces b <= 1/2 < 3/2 <= (3 + sqrt(r))/2",
-        )
-    )
+        ),
+    ]
     notes = (
         "Between the two roots the ratio quadratic is nonpositive, so the "
         "assembled lower bound clears pi^2/24 on the whole band; both root "
@@ -675,45 +644,41 @@ def _replay_obtuse_1() -> CaseReport:
 
 def _replay_obtuse_2() -> CaseReport:
     region = "obtuse chart, 0 < b <= 2a(1-a)/(1-a+a^2)"
-    ev = []
-    ev.append(
-        _exact_item(
+    ev = [
+        _item(
             "factorization identity a(1-a)(1+b)^2 - (a-a^2+b^2) "
             "= b(2a(1-a) - b(1-a+a^2))",
-            identity_vanishes(
+            "exact-rational",
+            "exact grid evaluation at 3 x 3 rational nodes",
+            holds=identity_vanishes(
                 lambda a, b: a * (1 - a) * (1 + b) ** 2
                 - (a - a * a + b * b)
                 - b * (2 * a * (1 - a) - b * (1 - a * (1 - a))),
                 (2, 2),
             ),
-            0,
-            "exact grid evaluation at 3 x 3 rational nodes",
-        )
-    )
-    ev.append(
-        _exact_item(
+        ),
+        _item(
             "the region's curve divisor is positive: 1 - a + a^2 = (a - 1/2)^2 + 3/4",
-            identity_vanishes(
+            "exact-rational",
+            "so b(1-a+a^2) <= 2a(1-a) and b >= 0 make the factored form >= 0, "
+            "and the ratio >= 1, on the whole region",
+            (0, "<", Fraction(3, 4)),
+            holds=identity_vanishes(
                 lambda a: 1 - a + a * a - (a - Fraction(1, 2)) ** 2 - Fraction(3, 4),
                 (2,),
             ),
-            Fraction(3, 4),
-            "so b(1-a+a^2) <= 2a(1-a) and b >= 0 make the factored form >= 0, "
-            "and the ratio >= 1, on the whole region",
-        )
-    )
-    ev.append(
-        _exact_item(
+        ),
+        _item(
             "the chart keeps the base the diameter: both slant sides stay "
             "inside the unit circle",
-            identity_vanishes(
+            "exact-rational",
+            "N^2 - (1-a) = b^2 - (a - a^2) <= 0 exactly on b^2 <= a - a^2",
+            holds=identity_vanishes(
                 lambda a, b: ((1 - a) ** 2 + b * b) - (1 - a) - (b * b - a + a * a),
                 (2, 2),
             ),
-            0,
-            "N^2 - (1-a) = b^2 - (a - a^2) <= 0 exactly on b^2 <= a - a^2",
-        )
-    )
+        ),
+    ]
     notes = (
         "The piecewise test function behind the torsion bound gives the "
         "ratio in closed rational form; its sign is the sign of the single "
@@ -726,11 +691,16 @@ def _replay_obtuse_3() -> CaseReport:
     region = (
         "obtuse chart, 2a(1-a)/(1-a+a^2) <= b <= sqrt(a-a^2), b <= 3/10"
     )
-    ev = []
-    ev.append(
-        _exact_item(
+    # 760 - 240 sqrt(10) >= 1 compares as squares: 759^2 >= 240^2 * 10, and
+    # then 759 - 240 sqrt(10) = gap / (759 + 240 sqrt(10)) >= gap / (2 * 759)
+    gap = 759**2 - 240**2 * 10
+    ev = [
+        _item(
             "x_b >= 3 exactly when b <= 3/10: quadratic difference identity",
-            identity_vanishes(
+            "exact-rational",
+            "(1/4 - b^2) - (3b - 1/2)^2 = b(3 - 10b); equality at b = 3/10 "
+            "gives x_b = 3 with a_b = 1/10 rational",
+            holds=identity_vanishes(
                 lambda b: (Fraction(1, 4) - b * b)
                 - (3 * b - Fraction(1, 2)) ** 2
                 - b * (3 - 10 * b),
@@ -738,67 +708,53 @@ def _replay_obtuse_3() -> CaseReport:
             )
             and xb_ge_3_exact(Fraction(3, 10))
             and xb_ge_3_exact(Fraction(1, 4)),
-            0,
-            "(1/4 - b^2) - (3b - 1/2)^2 = b(3 - 10b); equality at b = 3/10 "
-            "gives x_b = 3 with a_b = 1/10 rational",
-        )
-    )
-    ev.append(
+        ),
         _certificate_item(
             "Q_mgeq3", "comparison polynomial certificate reused for the base angle map"
-        )
-    )
-    ev.append(_angle_window_item("x_b >= 3 keeps beta_b inside the certified window"))
-    ev += _monotone_map_items(
-        "monotone angle map certificate, first tile",
-        "monotone angle map certificate, second tile",
-    )
-    ev.append(
-        _exact_item(
+        ),
+        _angle_window_item("x_b >= 3 keeps beta_b inside the certified window"),
+        *_monotone_map_items(
+            "monotone angle map certificate, first tile",
+            "monotone angle map certificate, second tile",
+        ),
+        _item(
             "base angle windows: tan(beta) <= 3/5, hence beta <= arctan(3/5) "
             "<= 3/5 < 7/10 and beta <= pi/4",
-            Fraction(3, 10) / Fraction(1, 2) == Fraction(3, 5)
-            and Fraction(3, 5) < Fraction(7, 10)
-            and Fraction(3, 5) <= 1,
-            Fraction(7, 10) - Fraction(3, 5),
+            "exact-rational",
             "b <= 3/10 and 1 - a >= 1/2 bound the tangent; arctan x <= x; "
             "tangent at most 1 keeps the angle at or below pi/4",
-        )
-    )
-    ok_w = identity_vanishes(
-        lambda w: 2 * (2 * w * w + 2 * w) ** 2 - 8 * w * w * (w + 1) ** 2,
-        (4,),
-    )
-    # 760 - 240 sqrt(10) >= 1 compares as squares: 759^2 >= 240^2 * 10, and
-    # then 759 - 240 sqrt(10) = gap / (759 + 240 sqrt(10)) >= gap / (2 * 759)
-    gap = 759**2 - 240**2 * 10
-    ev.append(
-        _exact_item(
+            (Fraction(3, 10) / Fraction(1, 2), "==", Fraction(3, 5)),
+            (Fraction(3, 5), "<", Fraction(7, 10)),
+            (Fraction(3, 5), "<=", 1),
+        ),
+        _item(
             "sector prefactor simplifies to 4/(1+w)^2 with w = sqrt((1+s)/2) "
             "and is >= 1 on the region",
-            ok_w and gap >= 0,
-            Fraction(gap, 2 * 759),
+            "exact-rational",
             "denominator identity 2(2w^2+2w)^2 = 8w^2(w+1)^2 is exact; "
             "w <= 1 since s = sqrt(1-4b^2) <= 1; at b = 3/10 the exact "
             "value 760 - 240 sqrt(10) still exceeds 1, compared as squares: "
             f"759^2 - 240^2 * 10 = {gap}",
-        )
-    )
-    ev.append(
-        _exact_item(
+            (1, "<=", 1 + Fraction(gap, 2 * 759)),
+            holds=identity_vanishes(
+                lambda w: 2 * (2 * w * w + 2 * w) ** 2 - 8 * w * w * (w + 1) ** 2,
+                (4,),
+            ),
+        ),
+        _item(
             "the sector of the base angle fits: with P = (a, b), V = (1, 0), "
             "O = (0, 0), (P - V).(O - P) = a - a^2 - b^2",
-            identity_vanishes(
-                lambda a, b: (a - 1) * (-a) + b * (-b) - (a - a * a - b * b),
-                (2, 2),
-            ),
-            0,
+            "exact-rational",
             "the dot product is >= 0 on b^2 <= a - a^2, so the distance to V "
             "grows from N = |P - V| along the side from P to O; that side "
             "stays outside the open radius-N disc about V, and the radius-N "
             "sector at V lies in the triangle",
-        )
-    )
+            holds=identity_vanishes(
+                lambda a, b: (a - 1) * (-a) + b * (-b) - (a - a * a - b * b),
+                (2, 2),
+            ),
+        ),
+    ]
     notes = (
         "Region predicates used are the exact rational ones from the "
         "geometry module.  The region text pins the band between the "
@@ -835,41 +791,9 @@ def _sample_triangles() -> list:
 
 def _replay_upper_triangle() -> CaseReport:
     region = "all triangles (chart with the base the longest side)"
-    ev = []
-    lam_ratio = Fraction(16, 3) * Fraction(3, 16) / 9
-    ev.append(
-        _exact_item(
-            "equilateral saturates the eigenvalue cap: lambda |D|^2 / P^2 "
-            "= pi^2/9 exactly",
-            lam_ratio == Fraction(1, 9),
-            0,
-            "(16/3)(3/16)/9 = 1/9 after the pi^2 factor cancels",
-        )
-    )
     tor_ratio = Fraction(1, 320) * 9 / Fraction(3, 64)
-    ev.append(
-        _exact_item(
-            "equilateral torsion factor T P^2 / |D|^3 equals 3/5 < 2/3",
-            tor_ratio == Fraction(3, 5) and tor_ratio < Fraction(2, 3),
-            Fraction(2, 3) - tor_ratio,
-            "sqrt(3) cancels between T = sqrt(3)/320 and |D|^3 = 3 sqrt(3)/64",
-        )
-    )
-    ev.append(
-        _exact_item(
-            "cap product identity: (1/9)(2/3) = 2/27 and the equilateral "
-            "value (1/9)(3/5) = 1/15",
-            Fraction(1, 9) * Fraction(2, 3) == Fraction(2, 27)
-            and Fraction(1, 9) * Fraction(3, 5) == Fraction(1, 15),
-            Fraction(2, 27) - Fraction(1, 15),
-            "so the functional tops out at 2 pi^2/27, with pi^2/15 at the "
-            "equilateral",
-        )
-    )
     tris = _sample_triangles()
-    worst_eig = math.inf
-    worst_tor = math.inf
-    worst_cap = math.inf
+    eig, tor, cap = [], [], []
     for tri in tris:
         data = geometry.derive(tri)
         res = pde_oracle.spectral(tri, max_level=5)
@@ -877,87 +801,94 @@ def _replay_upper_triangle() -> CaseReport:
             {"lambda1": res.lambda1, "T": res.T, "area": data.area, "P": data.P},
             "triangle",
         ).details
-        worst_eig = min(worst_eig, chain["cap_eig"] * (1.0 + 2e-3) - chain["factor_eig"])
-        worst_tor = min(worst_tor, chain["cap_tor"] - chain["factor_tor"])
-        worst_cap = min(worst_cap, 2.0 * PI_SQ / 27.0 + 1e-3 - res.F)
-    ev.append(
-        EvidenceItem(
-            check=f"oracle eigenvalue factor stays at or below pi^2/9 "
+        eig.append((chain["factor_eig"], "<=", chain["cap_eig"] * (1.0 + 2e-3)))
+        tor.append((chain["factor_tor"], "<", chain["cap_tor"]))
+        cap.append((res.F, "<=", 2.0 * PI_SQ / 27.0 + 1e-3))
+    ev = [
+        _item(
+            "equilateral saturates the eigenvalue cap: lambda |D|^2 / P^2 "
+            "= pi^2/9 exactly",
+            "exact-rational",
+            "(16/3)(3/16)/9 = 1/9 after the pi^2 factor cancels",
+            (Fraction(16, 3) * Fraction(3, 16) / 9, "==", Fraction(1, 9)),
+        ),
+        _item(
+            "equilateral torsion factor T P^2 / |D|^3 equals 3/5 < 2/3",
+            "exact-rational",
+            "sqrt(3) cancels between T = sqrt(3)/320 and |D|^3 = 3 sqrt(3)/64",
+            (tor_ratio, "==", Fraction(3, 5)),
+            (tor_ratio, "<", Fraction(2, 3)),
+        ),
+        _item(
+            "cap product identity: (1/9)(2/3) = 2/27 and the equilateral "
+            "value (1/9)(3/5) = 1/15",
+            "exact-rational",
+            "so the functional tops out at 2 pi^2/27, with pi^2/15 at the "
+            "equilateral",
+            (Fraction(1, 9) * Fraction(2, 3), "==", Fraction(2, 27)),
+            (Fraction(1, 9) * Fraction(3, 5), "==", Fraction(1, 15)),
+            (Fraction(1, 15), "<", Fraction(2, 27)),
+        ),
+        _item(
+            f"oracle eigenvalue factor stays at or below pi^2/9 "
             f"(2e-3 discretization allowance) on {len(tris)} triangles",
-            method="oracle",
-            margin=worst_eig,
-            passed=worst_eig >= 0,
-            detail="conforming elements approach the cap from above at the "
+            "oracle",
+            "conforming elements approach the cap from above at the "
             "equilateral corner",
-        )
-    )
-    ev.append(
-        EvidenceItem(
-            check=f"oracle torsion factor stays strictly below 2/3 on "
+            *eig,
+        ),
+        _item(
+            f"oracle torsion factor stays strictly below 2/3 on "
             f"{len(tris)} triangles",
-            method="oracle",
-            margin=worst_tor,
-            passed=worst_tor > 0,
-            detail="the factor tends to 2/3 only in the degenerate thin limit",
-        )
-    )
-    ev.append(
-        EvidenceItem(
-            check="oracle functional stays below 2 pi^2/27 + 1e-3 on the sample",
-            method="oracle",
-            margin=worst_cap,
-            passed=worst_cap >= 0,
-            detail="product of the two capped factors",
-        )
-    )
+            "oracle",
+            "the factor tends to 2/3 only in the degenerate thin limit",
+            *tor,
+        ),
+        _item(
+            "oracle functional stays below 2 pi^2/27 + 1e-3 on the sample",
+            "oracle",
+            "product of the two capped factors",
+            *cap,
+        ),
+    ]
     return _report("upper-triangle", region, ev)
 
 
 def _replay_upper_tangential() -> CaseReport:
     region = "tangential domains; among rectangles, exactly the squares"
-    ev = []
-    ev.append(
-        _exact_item(
-            "cap product identity: (1/8)(2/3) = 1/12",
-            Fraction(1, 8) * Fraction(2, 3) == Fraction(1, 12),
-            0,
-            "so tangential domains keep the functional below pi^2/12",
-        )
-    )
     sq = Rectangle(0.5, 0.5)
     tor = closed_forms.rect_torsion(sq, n_terms=64)
     factor_tor = (tor.value + tor.tail_bound) * 16.0
-    ev.append(
-        EvidenceItem(
-            check="square torsion factor T P^2 / |D|^3 < 2/3 by series with tail",
-            method="grid+modulus",
-            margin=2.0 / 3.0 - factor_tor,
-            passed=factor_tor < 2.0 / 3.0,
-            detail=f"series value {tor.value:.9g}, tail {tor.tail_bound:.3g}, "
-            f"factor {factor_tor:.9g}",
-        )
-    )
     f_series = closed_forms.rect_F(Rectangle(1.0, 1.0), n_terms=64)
-    ev.append(
-        EvidenceItem(
-            check="square functional by series stays below pi^2/12",
-            method="grid+modulus",
-            margin=F_UPPER_LIMIT - (f_series.value + f_series.tail_bound),
-            passed=f_series.value + f_series.tail_bound < F_UPPER_LIMIT,
-            detail=f"series value {f_series.value:.9g} with tail "
-            f"{f_series.tail_bound:.3g}",
-        )
-    )
     res = pde_oracle.spectral(sq, max_level=6)
-    ev.append(
-        EvidenceItem(
-            check="oracle square functional agrees with the series to 1e-3",
-            method="oracle",
-            margin=1e-3 - abs(res.F - f_series.value),
-            passed=abs(res.F - f_series.value) <= 1e-3,
-            detail=f"oracle {res.F:.9g} vs series {f_series.value:.9g}",
-        )
-    )
+    ev = [
+        _item(
+            "cap product identity: (1/8)(2/3) = 1/12",
+            "exact-rational",
+            "so tangential domains keep the functional below pi^2/12",
+            (Fraction(1, 8) * Fraction(2, 3), "==", Fraction(1, 12)),
+        ),
+        _item(
+            "square torsion factor T P^2 / |D|^3 < 2/3 by series with tail",
+            "grid+modulus",
+            f"series value {tor.value:.9g}, tail {tor.tail_bound:.3g}, "
+            f"factor {factor_tor:.9g}",
+            (factor_tor, "<", 2.0 / 3.0),
+        ),
+        _item(
+            "square functional by series stays below pi^2/12",
+            "grid+modulus",
+            f"series value {f_series.value:.9g} with tail "
+            f"{f_series.tail_bound:.3g}",
+            (f_series.value + f_series.tail_bound, "<", F_UPPER_LIMIT),
+        ),
+        _item(
+            "oracle square functional agrees with the series to 1e-3",
+            "oracle",
+            f"oracle {res.F:.9g} vs series {f_series.value:.9g}",
+            (abs(res.F - f_series.value), "<=", 1e-3),
+        ),
+    ]
     notes = (
         "Rectangles other than squares have no inscribed circle touching "
         "all four sides, and the mesh families cover no other tangential "
@@ -969,7 +900,6 @@ def _replay_upper_tangential() -> CaseReport:
 
 def _replay_rect_monotone() -> CaseReport:
     region = "rectangles (-a, a) x (-1, 1), aspect a >= 1"
-    ev = []
 
     def deriv_num_residual(alpha, beta, x):
         g_first = 2 * x * (alpha + beta * x * x) - (1 + x * x) * 2 * beta * x
@@ -981,20 +911,23 @@ def _replay_rect_monotone() -> CaseReport:
         display = 2 * (alpha - beta) ** 2 * (alpha + beta) * x * (x**4 - 1)
         return direct - display
 
-    ev.append(
-        _exact_item(
+    scan = rect_monotonicity_scan()
+    p6 = enclose("pi_pow_2", polycert._COEFF_EPS).power(3)
+    ev = [
+        _item(
             "termwise derivative numerator equals "
             "2 (alpha-beta)^2 (alpha+beta) x (x^4 - 1) identically",
-            identity_vanishes(deriv_num_residual, (3, 3, 7)),
-            0,
+            "exact-rational",
             "exact grid evaluation with 4 x 4 x 8 rational nodes",
-        )
-    )
-    ev.append(
-        _exact_item(
+            holds=identity_vanishes(deriv_num_residual, (3, 3, 7)),
+        ),
+        _item(
             "index factor identity: alpha - beta factors as "
             "(2n+1)^2 (2m+1)^2 ((2n+1)^2 - (2m+1)^2), positive for n > m",
-            identity_vanishes(
+            "exact-rational",
+            "so every paired series term is nondecreasing in the aspect "
+            "ratio at or past 1",
+            holds=identity_vanishes(
                 lambda n, m: (2 * n + 1) ** 4 * (2 * m + 1) ** 2
                 - (2 * m + 1) ** 4 * (2 * n + 1) ** 2
                 - (2 * n + 1) ** 2
@@ -1002,50 +935,35 @@ def _replay_rect_monotone() -> CaseReport:
                 * ((2 * n + 1) ** 2 - (2 * m + 1) ** 2),
                 (6, 6),
             ),
-            0,
-            "so every paired series term is nondecreasing in the aspect "
-            "ratio at or past 1",
-        )
-    )
-    scan = rect_monotonicity_scan()
-    ev.append(
-        EvidenceItem(
-            check="series values along the aspect grid are nondecreasing "
+        ),
+        _item(
+            "series values along the aspect grid are nondecreasing "
             "within twice the series tail bounds",
-            method="grid+modulus",
-            margin=scan["min_increment_with_slack"],
-            passed=scan["nondecreasing"],
-            detail=f"grid {scan['a_values'][0]}..{scan['a_values'][-1]}, "
+            "grid+modulus",
+            f"grid {scan['a_values'][0]}..{scan['a_values'][-1]}, "
             f"{len(scan['a_values'])} points, max tail "
             f"{max(scan['tails']):.3g}",
-        )
-    )
-    ev.append(
-        EvidenceItem(
-            check="the square value is the minimum of the scanned family",
-            method="grid+modulus",
-            margin=scan["min_above_square"],
-            passed=scan["square_is_min"],
-            detail=f"square value {scan['F_values'][0]:.9g}",
-        )
-    )
-    p6 = enclose("pi_pow_2", polycert._COEFF_EPS).power(3)
-    ev.append(
-        _exact_item(
+            (0.0, "<=", scan["min_increment_with_slack"]),
+        ),
+        _item(
+            "the square value is the minimum of the scanned family",
+            "grid+modulus",
+            f"square value {scan['F_values'][0]:.9g}",
+            (0.0, "<=", scan["min_above_square"]),
+        ),
+        _item(
             "floor constant: 64/pi^4 >= pi^2/24, since 64 * 24 >= pi^6",
-            p6.hi <= 1536,
-            1536 - p6.hi,
+            "exact-rational",
             "pi^6 enclosed rationally below 1536",
-        )
-    )
-    ev.append(
-        _exact_item(
+            (p6.hi, "<=", 1536),
+        ),
+        _item(
             "slab limit constants: 64 (1/8) (1/96) = 1/12",
-            Fraction(64, 1) * Fraction(1, 8) * Fraction(1, 96) == Fraction(1, 12),
-            0,
+            "exact-rational",
             "the three Fourier factors compose to the strip value pi^2/12",
-        )
-    )
+            (Fraction(64, 1) * Fraction(1, 8) * Fraction(1, 96), "==", Fraction(1, 12)),
+        ),
+    ]
     notes = (
         "The leading series term alone gives 64/pi^4 as a floor; "
         "monotonicity follows termwise from the exact derivative identity."
@@ -1055,61 +973,43 @@ def _replay_rect_monotone() -> CaseReport:
 
 def _replay_sharpness_thinning() -> CaseReport:
     region = "isosceles triangles of height b over a unit base, b -> 0"
-    ev = []
-    bs = (0.2, 0.1, 0.05)
     rows = []
-    for b in bs:
+    for b in (0.2, 0.1, 0.05):
         res = pde_oracle.spectral(Triangle(0.5, b), max_level=7)
         data = geometry.derive(Triangle(0.5, b))
-        cap = bounds.thinning_upper(data.area, data.P).value
-        rows.append((b, res.F, cap, res.error_gauge.get("F", 0.0)))
-    decreasing = all(rows[i][1] > rows[i + 1][1] for i in range(len(rows) - 1))
-    ev.append(
-        EvidenceItem(
-            check="oracle functional decreases along b = 0.2, 0.1, 0.05",
-            method="oracle",
-            margin=min(
-                rows[i][1] - rows[i + 1][1] for i in range(len(rows) - 1)
-            ),
-            passed=decreasing,
-            detail=", ".join(f"F({b}) = {f:.6g}" for b, f, _, _ in rows),
-        )
-    )
-    above = min(f - F_LOWER_LIMIT for _, f, _, _ in rows)
-    ev.append(
-        EvidenceItem(
-            check="each value stays strictly above pi^2/24",
-            method="oracle",
-            margin=above,
-            passed=above > 0,
-            detail="the floor is approached but never attained",
-        )
-    )
-    below_cap = min(cap - f for _, f, cap, _ in rows)
-    ev.append(
-        EvidenceItem(
-            check="each value sits below the thinning upper bound",
-            method="oracle",
-            margin=below_cap,
-            passed=below_cap > 0,
-            detail="bound (pi^2/24)(1 + 2 sqrt(pi area)/P)^2 per triangle",
-        )
-    )
+        rows.append((b, res.F, bounds.thinning_upper(data.area, data.P).value))
     caps = [
         bounds.thinning_upper(t / 2.0, 1.0 + 2.0 * math.hypot(0.5, t)).value
         for t in (1e-1, 1e-2, 1e-3, 1e-4)
     ]
-    trend = all(caps[i] > caps[i + 1] for i in range(len(caps) - 1))
-    ev.append(
-        EvidenceItem(
-            check="the thinning bound itself decreases to pi^2/24 as b -> 0",
-            method="grid+modulus",
-            margin=caps[-1] - F_LOWER_LIMIT,
-            passed=trend and caps[-1] - F_LOWER_LIMIT < 0.02,
-            detail=f"bound at b = 1e-4 is {caps[-1]:.9g} vs limit "
+    ev = [
+        _item(
+            "oracle functional decreases along b = 0.2, 0.1, 0.05",
+            "oracle",
+            ", ".join(f"F({b}) = {f:.6g}" for b, f, _ in rows),
+            *((nxt[1], "<", cur[1]) for cur, nxt in zip(rows, rows[1:])),
+        ),
+        _item(
+            "each value stays strictly above pi^2/24",
+            "oracle",
+            "the floor is approached but never attained",
+            *((F_LOWER_LIMIT, "<", f) for _, f, _ in rows),
+        ),
+        _item(
+            "each value sits below the thinning upper bound",
+            "oracle",
+            "bound (pi^2/24)(1 + 2 sqrt(pi area)/P)^2 per triangle",
+            *((f, "<", cap) for _, f, cap in rows),
+        ),
+        _item(
+            "the thinning bound itself decreases to pi^2/24 as b -> 0",
+            "grid+modulus",
+            f"bound at b = 1e-4 is {caps[-1]:.9g} vs limit "
             f"{F_LOWER_LIMIT:.9g}",
-        )
-    )
+            *((c_next, "<", c) for c, c_next in zip(caps, caps[1:])),
+            (caps[-1] - F_LOWER_LIMIT, "<", 0.02),
+        ),
+    ]
     notes = (
         "The sequence exhibits sharpness of the pi^2/24 floor along "
         "thinning isosceles triangles; the bound squeezes the functional "
@@ -1130,6 +1030,8 @@ _REPLAYS = {
     "rect-monotone": _replay_rect_monotone,
     "sharpness-thinning": _replay_sharpness_thinning,
 }
+
+REPLAY_IDS = tuple(_REPLAYS)
 
 
 def replay_case(case_id: str) -> CaseReport:
@@ -1292,7 +1194,8 @@ def sweep_triangles(
     back sorted by (a, b); csv_path writes the fixed-format table.  One
     worker by default; ``threads`` above 1 runs a thread pool of that size.
     Raises ValueError, before any solve, for non-finite or degenerate
-    heights and for a grid that holds no chart triangle.
+    heights, for a grid that holds no chart triangle and for a max_level
+    outside [2, pde_oracle.MAX_LEVEL].
     """
     cfg = {"na": 60, "nb": 60, "b_min": 0.02, "b_max": math.sqrt(3.0) / 2.0}
     if grid:
@@ -1303,6 +1206,10 @@ def sweep_triangles(
         )
     if cfg["b_min"] < 1e-3:
         raise ValueError(f"b_min below 1e-3 is degenerate, got {cfg['b_min']}")
+    if not 2 <= max_level <= pde_oracle.MAX_LEVEL:
+        raise ValueError(
+            f"max_level must lie in [2, {pde_oracle.MAX_LEVEL}], got {max_level}"
+        )
     na, nb = int(cfg["na"]), int(cfg["nb"])
     tasks = []
     for i in range(na):

@@ -206,6 +206,24 @@ def test_evidence_item_rejects_unknown_methods():
         EvidenceItem(check="x", method="vibes", margin=0.0)
 
 
+def test_item_derives_pass_flag_and_margin_from_its_comparisons():
+    method = "exact-rational"
+    tight = harness._item("x", method, "", (Fraction(1, 3), "<", Fraction(1, 3)))
+    assert not tight.passed and tight.margin == 0.0
+    loose = harness._item("x", method, "", (Fraction(1, 3), "<=", Fraction(1, 3)))
+    assert loose.passed and loose.margin == 0.0
+    # "==" adds no slack: the margin is the inequality's
+    mixed = harness._item("x", method, "", (2, "==", 2), (Fraction(1, 4), "<", 1))
+    assert mixed.passed and mixed.margin == 0.75
+    # the smallest slack counts, and a failing comparison makes it negative
+    worst = harness._item("x", method, "", (0, "<", 5), (3, "<=", 2.5))
+    assert not worst.passed and worst.margin == -0.5
+    identity = harness._item("x", method, "", (1, "==", 1))
+    assert identity.passed and identity.margin == 0.0
+    assert not harness._item("x", method, "", holds=False).passed
+    assert not harness._item("x", method, "", (1, "==", 2)).passed
+
+
 # ---------------------------------------------------------------------------
 # Replays
 # ---------------------------------------------------------------------------
@@ -229,6 +247,7 @@ def test_analytic_replays_verify_without_numerics(case_id):
     methods = {item.method for item in report.evidence}
     assert methods <= {"exact-rational", "certificate"}
     assert all(item.passed for item in report.evidence)
+    assert all(item.margin >= 0 for item in report.evidence)
     json.dumps(report.to_json_dict())  # must serialize cleanly
 
 
@@ -281,8 +300,9 @@ def test_replay_windows_come_from_the_certificate_plan(monkeypatch):
     for case_id in ("acute-2", "obtuse-3"):
         report = replay_case(case_id)
         assert report.verdict == "Failed"
-        failed = [item.check for item in report.evidence if not item.passed]
-        assert failed == ["arctan(1/3) <= 391/1215 <= (3/5)^3"]
+        failed = [item for item in report.evidence if not item.passed]
+        assert [item.check for item in failed] == ["arctan(1/3) <= 391/1215 <= (3/5)^3"]
+        assert failed[0].margin < 0
 
 
 def test_both_monotone_map_replays_check_the_tiling(monkeypatch):
@@ -293,10 +313,11 @@ def test_both_monotone_map_replays_check_the_tiling(monkeypatch):
     for case_id in ("acute-2", "obtuse-3"):
         report = replay_case(case_id)
         assert report.verdict == "Failed"
-        failed = [item.check for item in report.evidence if not item.passed]
-        assert failed == [
+        failed = [item for item in report.evidence if not item.passed]
+        assert [item.check for item in failed] == [
             "the two derivative certificates tile (0, 111/125] and 7/10 <= (111/125)^3"
         ]
+        assert failed[0].margin < 0
 
 
 def test_upper_triangle_sample_reaches_the_equilateral_corner():
@@ -319,12 +340,14 @@ def test_oracle_backed_replays_pass(case_id):
     assert all(item.passed for item in report.evidence), [
         (item.check, item.margin) for item in report.evidence if not item.passed
     ]
+    assert all(item.margin >= 0 for item in report.evidence)
 
 
 def test_series_only_replay_is_numeric_but_passing():
     report = replay_case("rect-monotone")
     assert report.verdict == "VerifiedNumerically"
     assert all(item.passed for item in report.evidence)
+    assert all(item.margin >= 0 for item in report.evidence)
 
 
 def test_unknown_replay_id_raises():
@@ -384,6 +407,18 @@ def test_sweep_rejects_a_grid_without_chart_triangles(tmp_path, grid):
         sweep_triangles(grid={"na": na, "nb": nb}, max_level=4, csv_path=str(out))
     with pytest.raises(SystemExit, match="no chart triangle"):
         cli.main(["sweep", "--grid", grid, "--out", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("level", [1, 12])
+def test_sweep_rejects_a_level_outside_the_oracle_range(tmp_path, level):
+    # the oracle solves levels 2 to MAX_LEVEL; the sweep says so before
+    # any solve instead of writing a table of failed rows
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(ValueError, match="max_level"):
+        sweep_triangles(grid={"na": 2, "nb": 3}, max_level=level, csv_path=str(out))
+    with pytest.raises(SystemExit, match="max_level"):
+        cli.main(["sweep", "--grid", "2x3", "--level", str(level), "--out", str(out)])
     assert not out.exists()
 
 
