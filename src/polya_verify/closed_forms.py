@@ -6,9 +6,13 @@ as an enclosure.  Rectangle torsion and centre values come from the
 classical single series along the short side (tanh and sech), whose tail
 bounds cover truncation and floating-point rounding; rect_F is
 rect_lambda1 * T / area.  Bessel zeros are bracketed by the first sign
-change of the ascending series, evaluated on an arbitrary-precision
-substrate (the series cancels catastrophically in double precision once
-the order grows), and narrowed by Illinois regula falsi.
+change of the ascending series and narrowed by Illinois regula falsi.  The
+series cancels catastrophically in double precision once the order grows,
+so it is summed in exact integers at scale 2^bits, each term rounded down
+for one end of an enclosure and up for the other, and the alternating tail
+past the last term adds that term's upper bound to both ends.  A sign is
+taken only when the enclosure excludes 0, so it is never wrong: too few
+bits make the bracket raise ConvergenceFailure instead.
 """
 
 from __future__ import annotations
@@ -122,7 +126,7 @@ def sector_torsion(s: Sector, n_terms: int = 64) -> SeriesValue:
 
 
 # ---------------------------------------------------------------------------
-# Bessel first zeros (ascending series on an arbitrary-precision substrate)
+# Bessel first zeros (ascending series in exact-integer interval arithmetic)
 # ---------------------------------------------------------------------------
 
 # regula falsi steps allowed once the sign change is found: orders up to 100
@@ -130,41 +134,47 @@ def sector_torsion(s: Sector, n_terms: int = 64) -> SeriesValue:
 _BRACKET_MAXIT = 50
 
 
-def _series_sign(nu: float, x, mp) -> tuple[int, object]:
-    """Sign and value of J_nu(x) via the even part of the ascending series.
+def _series_sign(nu: Fraction, x: Fraction, bits: int) -> tuple[int, int, int]:
+    """Sign of J_nu(x) from an integer enclosure of the normalized series.
 
-    Evaluates sum_m (-1)^m (x^2/4)^m / (m! Gamma(m + nu + 1)), which shares
-    the positive zeros of J_nu.  Terms stop once they are geometric with
-    ratio <= 1/2 and negligible against the largest term seen.  Returns
-    (sign, sum); the sign is 0 when the sum is too small to resolve: within
-    twice the last term (the omitted tail) plus 4 m^2 eps max|term|, which
-    bounds the rounding of m recursive term updates and their summation.
-    The order is taken to working precision too: the terms cancel, so a
-    float rounding in nu + m would move a zero of order 33.3 by 3e-7.
+    S(x) = sum_m (-t)^m / (m! (nu+1)_m) with t = x^2/4 equals
+    Gamma(nu+1) (2/x)^nu J_nu(x), so it shares the positive zeros of J_nu
+    and needs no Gamma.  With nu = p/q and t = a/c, term m is term m-1
+    times a q / (c m (p + m q)).  Each term's magnitude is carried at scale
+    2^bits as a pair of integers, the update rounded down for the lower
+    bound and up for the upper one; even terms add to both ends of the sum,
+    odd terms subtract the upper bound from the low end and the lower bound
+    from the high end.  The sum stops once the next term ratio is at most
+    1/2 and the last upper bound is at most one unit.  The omitted terms
+    then alternate and shrink, so their sum is at most half that bound, by
+    which the enclosure widens.
+
+    Returns (sign, low, high) with low <= 2^bits S(x) <= high.  The sign is
+    0 unless the enclosure excludes 0, so too few bits leave a sign
+    unresolved but never make it wrong.
     """
-    nu = mp.mpf(nu)
-    t = mp.mpf(x) ** 2 / 4
-    term = 1 / mp.gamma(nu + 1)
-    total = term
-    largest = abs(term)
-    cutoff = mp.mpf(10) ** (-(mp.mp.dps + 10))
+    p, q = nu.numerator, nu.denominator
+    t = x * x / 4
+    ratio_num, c = t.numerator * q, t.denominator
+    lo_term = hi_term = low = high = 1 << bits
     m = 0
     while True:
         m += 1
-        term = -term * t / (m * (nu + m))
-        total += term
-        largest = max(largest, abs(term))
-        if (m + 1) * (nu + m + 1) > 2 * t and abs(term) < cutoff * largest:
+        den = c * m * (p + m * q)
+        lo_term = lo_term * ratio_num // den
+        hi_term = -(-hi_term * ratio_num // den)
+        if m % 2:
+            low, high = low - hi_term, high - lo_term
+        else:
+            low, high = low + lo_term, high + hi_term
+        if hi_term <= 1 and 2 * ratio_num <= c * (m + 1) * (p + (m + 1) * q):
             break
-        if m > 100000:  # pragma: no cover - defensive
-            raise ConvergenceFailure("ascending series did not settle")
-    if abs(total) <= 2 * abs(term) + 4 * m * m * mp.eps * largest:
-        return 0, total
-    return (1 if total > 0 else -1), total
+    low, high = low - hi_term, high + hi_term
+    return (1 if low > 0 else -1 if high < 0 else 0), low, high
 
 
-def _outward(lo, hi) -> tuple[float, float]:
-    """Floats enclosing the working-precision bracket [lo, hi]."""
+def _outward(lo: Fraction, hi: Fraction) -> tuple[float, float]:
+    """Floats enclosing the exact bracket [lo, hi]."""
     flo, fhi = float(lo), float(hi)
     if flo > lo:
         flo = math.nextafter(flo, -math.inf)
@@ -173,99 +183,97 @@ def _outward(lo, hi) -> tuple[float, float]:
     return flo, fhi
 
 
-def _exact(lo, hi) -> tuple[Fraction, Fraction]:
-    """The working-precision bracket [lo, hi] itself, as binary rationals."""
-    return tuple(Fraction(m) * Fraction(2) ** e for m, e in (lo.man_exp, hi.man_exp))
-
-
-def _working(q, mp):
-    """A float or Fraction at working precision: exact for a float."""
-    q = Fraction(q)
-    return mp.mpf(q.numerator) / q.denominator
-
-
 def bessel_zero_bracket(nu: float | Fraction, tol: float | Fraction = 1e-12) -> tuple:
     """Bracket [lo, hi] of the first positive zero of J_nu, hi - lo <= tol.
 
     A hunt from x = nu, below the first zero, in steps shorter than the gap
     between zeros finds the first sign change of the series.  Illinois
     regula falsi on the series values then narrows the bracket.  Each trial
-    point keeps a quarter of tol (or of the bracket) clear of both ends, so
-    once one end is that close to the zero the next trial lands past it.
-    The order enters the series at working precision, exactly for a float
-    and rounded once for a Fraction.  For a float tol the endpoints are
-    floats rounded outward; for a Fraction tol they are the
-    working-precision endpoints themselves, as exact rationals, and the
-    working precision grows with the digits tol asks for.  Either way the
-    endpoints carry opposite series signs at working precision.  Raises
-    ConvergenceFailure if a sign cannot be resolved or the bracket is still
-    wider than tol after _BRACKET_MAXIT steps.
+    point is rounded to a multiple of 2^-bits that keeps a quarter of tol
+    (or of the bracket) clear of both ends, so once one end is that close
+    to the zero the next trial lands past it.  The order enters the series
+    as an exact Fraction, and every point is a dyadic rational, so the
+    series is summed in integers (_series_sign).  Its directed rounding
+    encloses the true sum, and a sign counts only when the enclosure
+    excludes 0: each endpoint carries the true sign of J_nu, and too few
+    bits can only raise ConvergenceFailure, never give a wrong bracket.
+    A trial whose sign is unresolved is replaced by a straddle of it whose
+    signs are checked.  For a float tol the endpoints are floats rounded
+    outward; for a Fraction tol they are the exact dyadic endpoints, and
+    the bits grow with the digits tol asks for.  Raises ConvergenceFailure
+    if a sign cannot be resolved, tol is below the working precision, or
+    the bracket is still wider than tol after _BRACKET_MAXIT steps.
     """
     if nu < 0:
         raise ValueError(f"order must be nonnegative, got {nu}")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    import mpmath as mp
-
-    endpoints = _exact if isinstance(tol, Fraction) else _outward
-    nu_f = float(nu)
-    hunt_start = nu_f if nu_f > 0 else 0.25
+    exact = isinstance(tol, Fraction)
+    order, nu_f = Fraction(nu), float(nu)
     dps = 30 + int(0.5 * (nu_f + 12.0))
-    if endpoints is _exact:  # one more digit per decimal digit of 1/tol past 12
+    if exact:  # one more digit per decimal digit of 1/tol past 12
         dps += max(0, len(str(tol.denominator // tol.numerator)) - 13)
-    with mp.workdps(dps):
-        order = _working(nu, mp)
-        lo = mp.mpf(hunt_start)
-        step = min(1.0 + 0.1 * nu_f ** (1.0 / 3.0), 2.0)
-        sign_lo, f_lo = _series_sign(order, lo, mp)
-        if sign_lo <= 0:
-            raise ConvergenceFailure(
-                f"series not positive at hunt start x={float(lo)} for nu={nu}"
-            )
+    bits = math.ceil(dps * math.log2(10))
+    scale = 1 << bits
+
+    def evaluate(x: Fraction) -> tuple[int, int]:
+        # regula falsi steers by the enclosure's midpoint, doubled
+        sign, low, high = _series_sign(order, x, bits)
+        return sign, low + high
+
+    lo = Fraction(nu_f if nu_f > 0 else 0.25)
+    step = Fraction(min(1.0 + 0.1 * nu_f ** (1.0 / 3.0), 2.0))
+    sign_lo, f_lo = evaluate(lo)
+    if sign_lo <= 0:
+        raise ConvergenceFailure(
+            f"series not positive at hunt start x={float(lo)} for nu={nu}"
+        )
+    hi = lo + step
+    sign, f_hi = evaluate(hi)
+    hunts = 0
+    while sign > 0:
+        lo, f_lo = hi, f_hi
         hi = lo + step
-        sign, f_hi = _series_sign(order, hi, mp)
-        hunts = 0
-        while sign > 0:
-            lo, f_lo = hi, f_hi
-            hi = lo + step
-            sign, f_hi = _series_sign(order, hi, mp)
-            hunts += 1
-            if hunts > 400:
-                raise ConvergenceFailure(f"no sign change found for nu={nu}")
-        side = 0  # the end the last trial replaced: 1 for lo, -1 for hi
-        steps = 0
-        tol_wp = _working(tol, mp)
-        while True:
-            if sign == 0:
-                raise ConvergenceFailure(f"unresolved series sign for nu={nu}")
-            bracket = endpoints(lo, hi)
-            if bracket[1] - bracket[0] <= tol:
-                return bracket
-            if steps == _BRACKET_MAXIT:
-                raise ConvergenceFailure(
-                    f"bracket for nu={nu} still {float(hi - lo):.3g} wide after "
-                    f"{steps} regula falsi steps"
-                )
-            steps += 1
-            margin = min(tol_wp, hi - lo) / 4
-            x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-            x = min(max(x, lo + margin), hi - margin)
-            sign, f = _series_sign(order, x, mp)
-            if sign == 0:  # x is within rounding of the zero: straddle it
-                lo, hi = x - margin, x + margin
-                (sign_lo, f_lo), (sign_hi, f_hi) = (
-                    _series_sign(order, end, mp) for end in (lo, hi)
-                )
-                sign = -1 if (sign_lo, sign_hi) == (1, -1) else 0
-            elif sign > 0:
-                lo, f_lo = x, f
-                if side == 1:
-                    f_hi /= 2
-            elif sign < 0:
-                hi, f_hi = x, f
-                if side == -1:
-                    f_lo /= 2
-            side = sign
+        sign, f_hi = evaluate(hi)
+        hunts += 1
+        if hunts > 400:
+            raise ConvergenceFailure(f"no sign change found for nu={nu}")
+    side = 0  # the end the last trial replaced: 1 for lo, -1 for hi
+    steps = 0
+    while True:
+        if sign == 0:
+            raise ConvergenceFailure(f"unresolved series sign for nu={nu}")
+        bracket = (lo, hi) if exact else _outward(lo, hi)
+        if bracket[1] - bracket[0] <= tol:
+            return bracket
+        if steps == _BRACKET_MAXIT:
+            raise ConvergenceFailure(
+                f"bracket for nu={nu} still {float(hi - lo):.3g} wide after "
+                f"{steps} regula falsi steps"
+            )
+        steps += 1
+        units = math.floor(min(Fraction(tol), hi - lo) * scale / 4)
+        if units == 0:
+            raise ConvergenceFailure(f"tol {tol} is finer than the working precision")
+        margin = Fraction(units, scale)
+        x = round((hi - f_hi * (hi - lo) / (f_hi - f_lo)) * scale)
+        x = max(x, math.ceil((lo + margin) * scale))
+        x = min(x, math.floor((hi - margin) * scale))
+        x = Fraction(x, scale)
+        sign, f = evaluate(x)
+        if sign == 0:  # x is within rounding of the zero: straddle it
+            lo, hi = x - margin, x + margin
+            (sign_lo, f_lo), (sign_hi, f_hi) = evaluate(lo), evaluate(hi)
+            sign = -1 if (sign_lo, sign_hi) == (1, -1) else 0
+        elif sign > 0:
+            lo, f_lo = x, f
+            if side == 1:
+                f_hi = Fraction(f_hi, 2)
+        elif sign < 0:
+            hi, f_hi = x, f
+            if side == -1:
+                f_lo = Fraction(f_lo, 2)
+        side = sign
 
 
 @functools.lru_cache(maxsize=4096)

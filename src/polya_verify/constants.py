@@ -3,11 +3,12 @@
 Every enclosure is a pair of exact rationals that bracket the target value:
 alternating partial sums with remainder control for the arctangent series
 behind pi, an Euler-Maclaurin tail bracket for zeta(5), and rational
-bisection for algebraic roots.  The only brackets from floating-point
-searches are the reference-grade Bessel and Airy ones, located by sign
-changes at high working precision (the Bessel endpoints are the
-working-precision points themselves, the Airy ones are padded outward);
-certified inequality chains never consume them (they use the exact
+bisection for algebraic roots.  Bessel zeros are bracketed by sign changes
+of the ascending series summed in exact integers with directed rounding,
+so their dyadic endpoints carry certified signs.  The only bracket from a
+floating-point search is the reference-grade Airy one, located by mpmath
+at high working precision and padded outward (the package's one use of
+mpmath); certified inequality chains never consume it (they use the exact
 rational lower-bound constant c1 instead).
 """
 
@@ -263,10 +264,10 @@ def _reference_bracket_neg_a1(eps: Fraction) -> RationalInterval:
 
 
 def _bessel_zero_interval(nu: Fraction, eps: Fraction) -> RationalInterval:
-    """Reference-grade bracket for the first positive zero of J_nu.
+    """Bracket for the first positive zero of J_nu.
 
     The order enters the series from its Fraction, and the endpoints are
-    the working-precision bracket itself, so the width reaches any eps.
+    the exact dyadic bracket itself, so the width reaches any eps.
     """
     from . import closed_forms
 

@@ -1245,9 +1245,10 @@ def rect_monotonicity_scan(
 ) -> dict:
     """Scan F over rectangles (-a,a) x (-1,1) for monotonicity in a.
 
-    Checks the series values are nondecreasing within twice their tail
-    bounds, that the square starts the family at its minimum, and the floor
-    check F >= 64/pi^4.  The relative gap to the strip limit pi^2/12
+    The series values are nondecreasing within twice their tail bounds when
+    ``min_increment_with_slack`` >= 0, and the square starts the family at
+    its minimum when ``min_above_square`` >= 0; ``all_above_floor`` is the
+    floor check F >= 64/pi^4.  The relative gap to the strip limit pi^2/12
     (``gap_to_limit``) is taken at the fixed aspect 100, not at
     ``a_values[-1]``; ``last_gap`` is the absolute gap of the last scanned
     value.
@@ -1270,9 +1271,7 @@ def rect_monotonicity_scan(
         "a_values": list(a_values),
         "F_values": values,
         "tails": tails,
-        "nondecreasing": all(inc >= 0.0 for inc in increments),
         "min_increment_with_slack": min(increments) if increments else 0.0,
-        "square_is_min": all(v >= values[0] for v in values),
         "min_above_square": min(v - values[0] for v in values[1:]) if len(values) > 1 else 0.0,
         "floor": floor,
         "all_above_floor": all(v + t >= floor for v, t in zip(values, tails))

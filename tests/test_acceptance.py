@@ -3,7 +3,8 @@
 Each test pins one promised behavior: exact evaluation speed, certificate
 soundness, oracle accuracy against closed forms, series cross-checks, the
 full-chart survey, scan direction checks, thinning sharpness, randomized
-certifier soundness, and the exit-time chain.
+certifier soundness, the exit-time chain, and Bessel zeros, replays and
+certificates that run without mpmath.
 
 The two limit checks state their thresholds at inputs where an independent
 route confirms them.  The strip-limit gap of the aspect-100 rectangle is
@@ -14,16 +15,21 @@ with consistent mass on a base mesh split at the altitude foot, so the 0.48
 threshold is checked at height 0.04.
 """
 
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from polya_verify import bounds, closed_forms, harness, pde_oracle
-from polya_verify.constants import K, C1
+from polya_verify.constants import K, C1, enclose
 from polya_verify.geometry import Rectangle, Sector, Triangle
 from polya_verify.polycert import (
     DepthExhausted,
@@ -102,8 +108,7 @@ def test_full_chart_survey_respects_all_bounds():
 
 def test_rectangle_family_is_monotone_with_floor():
     scan = harness.rect_monotonicity_scan()
-    assert scan["nondecreasing"]
-    assert scan["square_is_min"]
+    assert scan["min_increment_with_slack"] >= 0.0
     assert scan["min_above_square"] > 0.0
     assert scan["all_above_floor"]
     assert scan["floor"] == pytest.approx(64.0 / math.pi**4, rel=1e-15)
@@ -205,6 +210,59 @@ def test_bessel_zero_floor_holds_for_all_orders():
     for nu in range(1, 21):
         assert closed_forms.bessel_first_zero(float(nu)) > nu + c * nu ** (1.0 / 3.0)
     assert float(K) < float(C1)  # the rounded-down constant stays below
+
+
+ANALYTIC_CASES = ("acute-1a", "acute-1b", "acute-2", "obtuse-1", "obtuse-2", "obtuse-3")
+
+# runs _exact_layer_outputs with every import of mpmath refused
+_FENCED_RUN = """
+import importlib.abc, json, sys
+
+class RefuseMpmath(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "mpmath":
+            raise ImportError("mpmath is fenced off")
+
+sys.meta_path.insert(0, RefuseMpmath())
+import test_acceptance
+print(json.dumps(test_acceptance._exact_layer_outputs()))
+"""
+
+
+def _exact_layer_outputs() -> dict:
+    """Bessel zeros and enclosures, the analytic replays and the certificates, as JSON."""
+    enclosures = {}
+    for cid, digits in (("j_1/3", 40), ("j_3", 80)):
+        iv = enclose(cid, Fraction(1, 10**digits))
+        enclosures[f"{cid}@1e-{digits}"] = [str(iv.lo), str(iv.hi)]
+    certificates = [
+        {key: value for key, value in cert.items() if key != "seconds"}
+        for cert in harness.certify_all()
+    ]
+    out = {
+        "zeros": [closed_forms.bessel_first_zero(nu) for nu in range(1, 21)],
+        "enclosures": enclosures,
+        "replays": [harness.replay_case(cid).to_json_dict() for cid in ANALYTIC_CASES],
+        "certificates": certificates,
+    }
+    return json.loads(json.dumps(out))
+
+
+def test_bessel_zeros_replays_and_certificates_run_without_mpmath():
+    here = Path(__file__).resolve().parent
+    paths = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run(
+        [sys.executable, "-c", _FENCED_RUN],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    fenced = json.loads(done.stdout.splitlines()[-1])
+    assert fenced == _exact_layer_outputs()
+    assert [r["verdict"] for r in fenced["replays"]] == ["Verified"] * 6
 
 
 def test_oracle_dilation_invariance():

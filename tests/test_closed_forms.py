@@ -1,6 +1,7 @@
 """Closed forms, series with tails, and Bessel zero brackets."""
 
 import math
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -71,18 +72,62 @@ def test_bessel_zero_bracket_signs_width_and_cost(monkeypatch, nu):
     assert 0.0 < hi - lo <= tol
     assert len(calls) <= 20, len(calls)
     with mpmath.workdps(60):
-        assert series_sign(nu, lo, mpmath)[0] == 1
-        assert series_sign(nu, hi, mpmath)[0] == -1
+        assert mpmath.besselj(nu, lo) > 0 > mpmath.besselj(nu, hi)
         assert lo <= mpmath.besseljzero(nu, 1) <= hi
     if nu.is_integer():
         assert abs(float(jn_zeros(int(nu), 1)[0]) - 0.5 * (lo + hi)) <= tol
 
 
+# orders of the series kernel tests: integer, inexact in binary, half-integer, large
+SERIES_ORDERS = (Fraction(0), Fraction(1, 3), Fraction(5, 2), Fraction(20))
+
+
+def _mp(q):
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+def _near_zero_points(nu, bits=120):
+    """Dyadic points 1e-30 below and above the first zero, with the series sign there."""
+    with mpmath.workdps(80):
+        zero = mpmath.besseljzero(_mp(nu), 1)
+        offset = mpmath.mpf(10) ** -30
+        return [
+            (Fraction(int(mpmath.nint(x * 2**bits)), 2**bits), sign)
+            for x, sign in ((zero - offset, 1), (zero + offset, -1))
+        ]
+
+
+@pytest.mark.parametrize("nu", SERIES_ORDERS, ids=str)
+def test_series_sign_encloses_the_normalized_bessel_function(nu):
+    bits = 200
+    points = [Fraction(1, 2), nu + 1, 3 * nu + 9]
+    points += [x for x, _ in _near_zero_points(nu)]
+    for x in points:
+        sign, low, high = closed_forms._series_sign(nu, x, bits)
+        with mpmath.workdps(80):
+            # Gamma(nu+1) (2/x)^nu J_nu(x), the series the kernel sums
+            order, x_mp = _mp(nu), _mp(x)
+            value = mpmath.gamma(order + 1) * (2 / x_mp) ** order
+            value *= mpmath.besselj(order, x_mp)
+            assert low <= value * 2**bits <= high, (x, low, high)
+            assert high - low <= 2**bits * mpmath.mpf(10) ** -40
+            assert sign == mpmath.sign(value)
+
+
+@pytest.mark.parametrize("nu", SERIES_ORDERS, ids=str)
+def test_series_sign_is_unresolved_not_wrong_at_too_few_bits(nu):
+    for x, true_sign in _near_zero_points(nu):
+        signs = {closed_forms._series_sign(nu, x, bits)[0] for bits in range(4, 120, 4)}
+        assert signs <= {0, true_sign}
+        # 2^-60 is far above the series value 1e-30 from the zero
+        assert closed_forms._series_sign(nu, x, 60)[0] == 0
+
+
 @pytest.mark.parametrize("nu", (7.1, 33.3, math.pi / 0.05))
 def test_bessel_zero_bracket_for_orders_inexact_in_binary(nu):
-    # the series terms cancel, so the order must enter them at working
-    # precision: rounding nu + m to a float moves the order-33.3 bracket
-    # 2.7e-7 above the zero
+    # the series terms cancel, so the order must enter them exactly:
+    # rounding nu + m to a float moves the order-33.3 bracket 2.7e-7 above
+    # the zero
     lo, hi = bessel_zero_bracket(nu, tol=1e-12)
     assert hi - lo <= 1e-12
     with mpmath.workdps(60):
@@ -93,6 +138,13 @@ def test_bessel_zero_bracket_step_cap_raises(monkeypatch):
     monkeypatch.setattr(closed_forms, "_BRACKET_MAXIT", 2)
     with pytest.raises(ConvergenceFailure):
         bessel_zero_bracket(3.0, tol=1e-12)
+
+
+def test_bessel_zero_bracket_rejects_a_tol_below_working_precision():
+    # a float tol gets 120 bits at order 1: trial points cannot keep
+    # tol/4 clear of the ends on a grid of 2^-120
+    with pytest.raises(ConvergenceFailure, match="working precision"):
+        bessel_zero_bracket(1.0, tol=1e-40)
 
 
 def test_bessel_zero_is_increasing_in_the_order():
