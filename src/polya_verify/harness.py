@@ -171,16 +171,15 @@ def arctan_enclosure(x: Number, terms: int = 6) -> tuple:
     return partials[-1], partials[-2]
 
 
-def tan_lower_frac(x: Number) -> Fraction:
-    """Rational minorant x + x^3/3 + 2x^5/15 of tan x, valid on (0, pi/2)."""
-    x = as_fraction(x)
-    return x + x**3 / 3 + Fraction(2, 15) * x**5
+def _tan_lower(x: Number) -> Number:
+    """Minorant x + x^3/3 + 2x^5/15 of tan x on (0, pi/2), for a float or a
+    Fraction; the integer constants keep a Fraction exact."""
+    return x + x**3 / 3 + 2 * x**5 / 15
 
 
-def tan_upper_quintic_frac(x: Number) -> Fraction:
-    """Rational majorant x + x^3/3 + 2x^5/5 of tan x, valid on (0, 1)."""
-    x = as_fraction(x)
-    return x + x**3 / 3 + Fraction(2, 5) * x**5
+def _tan_upper(x: Number) -> Number:
+    """Majorant x + x^3/3 + 2x^5/5 of tan x on (0, 1), as ``_tan_lower``."""
+    return x + x**3 / 3 + 2 * x**5 / 5
 
 
 def identity_vanishes(fn: Callable[..., Fraction], degrees: Sequence[int]) -> bool:
@@ -214,8 +213,7 @@ def _g_acute_1a(a: Number, b: Number) -> Number:
 
 
 def _f_acute_1b(x: float) -> float:
-    tl = x + x**3 / 3.0 + 2.0 * x**5 / 15.0
-    tu = x + x**3 / 3.0 + 2.0 * x**5 / 5.0
+    tl, tu = _tan_lower(x), _tan_upper(x)
     c = float(K) * 2.0 ** (1.0 / 3.0) / PI ** (2.0 / 3.0)
     return 0.6 * x * tl / (1.0 + 4.0 * tu * tu) * (1.0 / x + c / x ** (1.0 / 3.0)) ** 2
 

@@ -16,13 +16,15 @@ read-only arrays.  Every mesh is its level-0 image prolonged through
 the parent maps one level at a time, and on a sector each new arc midpoint
 is projected back to the circle.
 
-The cached reference also holds the CSC pattern of its interior system and
-the plan that scatters element blocks and loads onto it; one routine makes
-the element parts (stiffness xx, xy + yx and yy, mass and lumped load) and
-one bincount scatter sums them.  Red refinement commutes with affine maps,
-so a triangle or rectangle solve only combines cached per-piece components,
-scattered once per layout and level, with the coefficients of its maps.  A
-projected sector mesh is no such image; its parts are scattered per solve.
+The cached reference also holds the CSC pattern of its interior system,
+the plan that scatters element blocks and loads onto it and the place of
+each pattern entry in LAPACK's band storage; one routine makes the element
+parts (stiffness xx, xy + yx and yy, mass and lumped load) and one bincount
+scatter sums them, onto the pattern and from it into the band.  Red
+refinement commutes with affine maps, so a triangle or rectangle solve only
+combines cached per-piece components, scattered once per layout and level,
+with the coefficients of its maps.  A projected sector mesh is no such
+image; its parts are scattered per solve.
 
 The eigenproblem uses the consistent mass matrix (variational, so discrete
 eigenvalues sit above the true ones); the torsion load is mass-lumped.  In
@@ -147,12 +149,15 @@ class _Reference:
     layout's longer axis, then its shorter one.  Every edge joins grid
     points at most one step apart in each axis, so the half-bandwidth is
     2^level - 1 for ``split``, 2^level for ``square``, ``fan2`` and
-    ``fan3``, and 2^level - 2 for ``shear`` and ``fan1``.  Stiffness and
-    mass share one symmetric CSC pattern over them (``indptr``,
-    ``indices``); entry k of the raveled (ne, 3, 3) element blocks sums into
-    the pattern at ``slot[k]``, and entry k of the raveled (ne, 3) element
-    loads into the unknown ``load_at[k]``.  An entry that touches a boundary
-    vertex goes to one past the end, a discard bin.
+    ``fan3``, and 2^level - 2 for ``shear`` and ``fan1``; ``half_width``
+    is its exact value w.  Stiffness and mass share one symmetric CSC
+    pattern over them (``indptr``, ``indices``); entry k of the raveled
+    (ne, 3, 3) element blocks sums into the pattern at ``slot[k]``, entry k
+    of the raveled (ne, 3) element loads into the unknown ``load_at[k]``,
+    and pattern entry k, at (i, j) with i <= j, into the raveled Fortran
+    (w + 1, n) band that dpbtrf reads at ``band_at[k] = w + i - j + (w + 1) j``.
+    An entry that touches a boundary vertex, or lies below the diagonal,
+    goes to one past the end, a discard bin.
     """
 
     vertices: np.ndarray
@@ -165,6 +170,8 @@ class _Reference:
     indices: np.ndarray
     slot: np.ndarray
     load_at: np.ndarray
+    half_width: int
+    band_at: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,16 +189,15 @@ class _ReferenceSystem:
 
 @dataclass(frozen=True, eq=False)
 class _System:
-    """Interior stiffness, mass and load of one shape at one level, ready to
-    solve, with the mesh's largest edge ``h`` and its area."""
+    """Interior stiffness (its values on the reference's pattern), mass and
+    load of one shape at one level, ready to solve, with the mesh's largest
+    edge ``h`` and its area."""
 
-    stiffness: sp.csc_matrix
-    mass: sp.spmatrix
+    stiffness: np.ndarray
+    mass: sp.csr_matrix
     load: np.ndarray
-    interior: np.ndarray  # vertex of each unknown, in band order
+    reference: _Reference
     level: int
-    n_vertices: int
-    n_elements: int
     h: float
     area: float
 
@@ -315,7 +321,7 @@ def _reference(layout: str, level: int) -> _Reference:
 
 
 def _scatter_plan(elements: np.ndarray, interior: np.ndarray, nv: int) -> dict:
-    """Interior CSC pattern of a mesh and the plan that scatters onto it."""
+    """Interior CSC pattern of a mesh, its band map and the scatter plan."""
     n = len(interior)
     unknown = np.full(nv, -1, dtype=np.int64)
     unknown[interior] = np.arange(n)
@@ -327,12 +333,17 @@ def _scatter_plan(elements: np.ndarray, interior: np.ndarray, nv: int) -> dict:
     slot[keep] = kept
     load_at = unknown[elements].ravel()
     load_at[load_at < 0] = n
-    columns = np.bincount(pattern // n, minlength=n)
+    cols, rows = np.divmod(pattern, n)
+    w = int(np.max(cols - rows, initial=0))
+    band_at = np.where(rows <= cols, w + rows - cols + (w + 1) * cols, (w + 1) * n)
+    columns = np.bincount(cols, minlength=n)
     return {
         "indptr": np.concatenate([[0], np.cumsum(columns)]).astype(np.int32),
-        "indices": (pattern % n).astype(np.int32),
+        "indices": rows.astype(np.int32),
         "slot": slot,
         "load_at": load_at.astype(np.int32),
+        "half_width": w,
+        "band_at": band_at.astype(np.int32),
     }
 
 
@@ -457,16 +468,13 @@ def _system(shape, level: int, base: Optional[Mesh] = None) -> _System:
         )
         mass = _combine(system.mass, m_coef)
         load = _combine(system.load, m_coef)
-    pattern = (ref.indices, ref.indptr)
     return _System(
-        stiffness=sp.csc_matrix((stiffness, *pattern), shape=(n, n)),
+        stiffness=stiffness,
         # symmetric values on a symmetric pattern: read as CSR it is the same matrix
-        mass=sp.csr_matrix((mass, *pattern), shape=(n, n)),
+        mass=sp.csr_matrix((mass, ref.indices, ref.indptr), shape=(n, n)),
         load=load,
-        interior=ref.interior,
+        reference=ref,
         level=level,
-        n_vertices=len(ref.vertices),
-        n_elements=len(ref.elements),
         h=_mesh_h(mesh) / 2.0 ** (level - mesh.level),
         area=_mesh_area(mesh),
     )
@@ -509,39 +517,29 @@ def mesh_domain(shape, level: int) -> Mesh:
     )
 
 
-def _upper_band(matrix: sp.csc_matrix) -> np.ndarray:
-    """Upper band of a symmetric CSC matrix without duplicate entries, in
-    LAPACK's storage: entry (i, j), i <= j, at ``[w + i - j, j]`` of a
-    Fortran-ordered (w + 1, n) array, where w is the half-bandwidth."""
-    n = matrix.shape[0]
-    cols = np.repeat(np.arange(n), np.diff(matrix.indptr))
-    upper = matrix.indices <= cols
-    rows, cols = matrix.indices[upper], cols[upper]
-    w = int((cols - rows).max())
-    band = np.zeros((w + 1, n), order="F")
-    band[w + rows - cols, cols] = matrix.data[upper]
-    return band
-
-
 def _solve_system(system: _System, x0: Optional[np.ndarray] = None) -> dict:
     """Torsion and ground eigenpair of one system from one banded Cholesky
     factorization of its stiffness.
 
-    dpbtrf factors the upper band of the stiffness in place, and every
-    solve is one dpbtrs call on that factor.  A nonpositive pivot raises
-    NotPositiveDefinite.  Inverse iteration starts from ``x0`` (on all
-    vertices) or, without it, from the torsion function.  Each step takes
-    two mass products: with ``K y = M x``, the Rayleigh quotient of y is
-    ``(y . M x) / (y . M y)``.  It raises EigenNotConverged if the quotient
-    has not settled to _EIG_TOL within _EIG_MAXIT iterations.
+    dpbtrf factors in place a fresh band that the reference's ``band_at``
+    fills from the stiffness values, so the system is left as it was, and
+    every solve is one dpbtrs call on that factor.  A nonpositive pivot
+    raises NotPositiveDefinite.  Inverse iteration starts from ``x0`` (on
+    all vertices) or, without it, from the torsion function.  Each step
+    takes two mass products: with ``K y = M x``, the Rayleigh quotient of y
+    is ``(y . M x) / (y . M y)``.  It raises EigenNotConverged if the
+    quotient has not settled to _EIG_TOL within _EIG_MAXIT iterations.
     """
-    factor, info = lapack.dpbtrf(_upper_band(system.stiffness), overwrite_ab=1)
+    ref = system.reference
+    mass, idx = system.mass, ref.interior
+    w, n = ref.half_width, len(idx)
+    band = _scatter(system.stiffness, ref.band_at, (w + 1) * n)
+    factor, info = lapack.dpbtrf(band.reshape((w + 1, n), order="F"), overwrite_ab=1)
     if info > 0:
         raise NotPositiveDefinite(
             f"stiffness at level {system.level}: Cholesky pivot {info} of "
-            f"{factor.shape[1]} is not positive"
+            f"{n} is not positive"
         )
-    mass, idx = system.mass, system.interior
     u = lapack.dpbtrs(factor, system.load)[0]
     x = u if x0 is None else x0[idx]
     lam_prev = math.inf
@@ -561,7 +559,7 @@ def _solve_system(system: _System, x0: Optional[np.ndarray] = None) -> dict:
             f"relative eigenvalue change {abs(lam - lam_prev) / abs(lam):.1e} "
             f"after {_EIG_MAXIT} iterations exceeds {_EIG_TOL:.0e}"
         )
-    eigvec = np.zeros(system.n_vertices)
+    eigvec = np.zeros(len(ref.vertices))
     eigvec[idx] = x
     return {
         "lambda1": lam,
@@ -569,7 +567,7 @@ def _solve_system(system: _System, x0: Optional[np.ndarray] = None) -> dict:
         "torsion_max": float(u.max()),
         "eigvec": eigvec,
         "eigen_iterations": iteration,
-        "elements": system.n_elements,
+        "elements": len(ref.elements),
         "dofs": len(idx),
         "lu_nnz": factor.size,
     }

@@ -12,6 +12,8 @@ from polya_verify.harness import (
     EvidenceItem,
     OutOfRegion,
     UnknownCase,
+    _tan_lower,
+    _tan_upper,
     arctan_enclosure,
     certify_all,
     certify_g_floor,
@@ -20,8 +22,6 @@ from polya_verify.harness import (
     rect_monotonicity_scan,
     replay_case,
     sweep_triangles,
-    tan_lower_frac,
-    tan_upper_quintic_frac,
     xb_ge_3_exact,
 )
 
@@ -45,11 +45,11 @@ def test_arctan_enclosure_brackets_and_contracts():
 
 
 def test_tan_brackets_on_the_unit_interval():
-    assert tan_lower_frac(Fraction(7, 10)) == Fraction(627557, 750000)
+    assert _tan_lower(Fraction(7, 10)) == Fraction(627557, 750000)
     for k in range(1, 10):
         x = Fraction(k, 10)
-        assert float(tan_lower_frac(x)) <= math.tan(float(x))
-        assert math.tan(float(x)) <= float(tan_upper_quintic_frac(x))
+        assert float(_tan_lower(x)) <= math.tan(float(x))
+        assert math.tan(float(x)) <= float(_tan_upper(x))
 
 
 def test_zeta5_float_is_the_midpoint_of_the_narrow_enclosure():

@@ -284,16 +284,41 @@ def test_spectral_reports_eigen_iterations_per_level():
     assert all(isinstance(n, int) and 0 < n <= pde_oracle._EIG_MAXIT for n in iterations)
 
 
+def _stiffness_matrix(system):
+    """The stiffness of ``system``, values on its reference's pattern, as a
+    sparse matrix."""
+    ref = system.reference
+    n = len(ref.interior)
+    return sp.csc_matrix((system.stiffness, ref.indices, ref.indptr), shape=(n, n))
+
+
 def _negated_diagonal(system, k):
     """``system`` with the k-th diagonal entry of its stiffness negated."""
+    ref = system.reference
+    column = ref.indices[ref.indptr[k] : ref.indptr[k + 1]]
+    at = ref.indptr[k] + np.flatnonzero(column == k)
     stiffness = system.stiffness.copy()
-    stiffness[k, k] = -stiffness[k, k]
+    stiffness[at] = -stiffness[at]
     return dataclasses.replace(system, stiffness=stiffness)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [Triangle(0.3, 0.4), Sector(math.pi / 3.0, 1.0)],
+    ids=["triangle", "sector"],
+)
+def test_a_system_solves_the_same_way_twice(shape):
+    # the factorization overwrites its band, so it must not be the system's
+    system = pde_oracle._system(shape, 5)
+    first = pde_oracle._solve_system(system)
+    second = pde_oracle._solve_system(system)
+    assert np.array_equal(first.pop("eigvec"), second.pop("eigvec"))
+    assert first == second
 
 
 def test_indefinite_stiffness_raises_not_positive_definite():
     system = pde_oracle._system(Triangle(0.3, 0.4), 4)
-    k = len(system.interior) // 2
+    k = len(system.reference.interior) // 2
     with pytest.raises(NotPositiveDefinite, match=r"level 4: Cholesky pivot \d+ of"):
         pde_oracle._solve_system(_negated_diagonal(system, k))
     # the unchanged system factors
@@ -414,26 +439,30 @@ def test_cached_assembly_matches_elementwise_assembly(shape, elements):
     mesh = mesh_domain(shape, level)
     assert len(mesh.elements) == elements * 4**level
     system = pde_oracle._system(shape, level)
+    ref = system.reference
     stiffness, mass, load, idx = _coo_system(mesh)
     # the same unknowns, in the system's band order
-    assert np.array_equal(np.sort(system.interior), idx)
-    order = np.argsort(system.interior)
+    assert np.array_equal(np.sort(ref.interior), idx)
+    order = np.argsort(ref.interior)
     for combined, direct in (
-        (system.stiffness, stiffness),
+        (_stiffness_matrix(system), stiffness),
         (system.mass, mass),
     ):
         scale = abs(direct).max()
         assert abs(combined[order][:, order] - direct).max() <= 1e-13 * scale
     assert np.allclose(system.load[order], load, rtol=1e-13, atol=0.0)
 
-    # the same mesh solved from the element-by-element system
+    # the same mesh solved from the element-by-element system, taken to the
+    # band order and read on the reference's pattern
+    rank = np.argsort(order)
+    stiffness = stiffness[rank][:, rank]
+    columns = np.repeat(np.arange(len(idx)), np.diff(ref.indptr))
     plain = pde_oracle._solve_system(
         dataclasses.replace(
             system,
-            stiffness=stiffness.tocsc(),
-            mass=mass,
-            load=load,
-            interior=idx,
+            stiffness=np.asarray(stiffness[ref.indices, columns]).ravel(),
+            mass=mass[rank][:, rank],
+            load=load[rank],
         )
     )
     solved = pde_oracle._solve_system(system)
@@ -452,26 +481,39 @@ _LAYOUT_SHAPES = {
 
 
 @pytest.mark.parametrize("layout", sorted(_LAYOUT_SHAPES))
-def test_band_order_bounds_the_half_width_and_the_band_is_exact(layout):
+def test_band_order_bounds_the_half_width_and_the_band_is_exact(monkeypatch, layout):
     shape = _LAYOUT_SHAPES[layout]
     assert pde_oracle._piece_maps(shape)[0] == layout
+    bands = []
+    dpbtrf = pde_oracle.lapack.dpbtrf
+
+    def reading_dpbtrf(band, **kwargs):
+        bands.append((band.flags.f_contiguous, band.copy(order="F")))
+        return dpbtrf(band, **kwargs)
+
+    monkeypatch.setattr(pde_oracle.lapack, "dpbtrf", reading_dpbtrf)
     for level in range(1, 6):
         ref = pde_oracle._reference(layout, level)
         n = len(ref.interior)
         columns = np.repeat(np.arange(n), np.diff(ref.indptr))
         assert np.all(columns - ref.indices <= 2**level)
+        w = ref.half_width
+        assert w == np.max(columns - ref.indices, initial=0) <= 2**level
+        # the map is built without unknowns too, and it sends the entries
+        # below the diagonal, and only those, to the discard bin
+        assert np.array_equal(ref.band_at == (w + 1) * n, ref.indices > columns)
         if n == 0:
             continue
-        stiffness = pde_oracle._system(shape, level).stiffness
-        band = pde_oracle._upper_band(stiffness)
-        assert band.flags.f_contiguous
-        w = band.shape[0] - 1
-        assert w <= 2**level
+        system = pde_oracle._system(shape, level)
+        pde_oracle._solve_system(system)
+        f_contiguous, band = bands.pop()
+        assert f_contiguous
+        assert band.shape == (w + 1, n)
         # entry (i, j), i <= j, of the matrix sits at band[w + i - j, j]
         dense = np.zeros((n, n))
         for d in range(w + 1):
             dense += np.diag(band[w - d, d:], d)
-        assert np.array_equal(dense, np.triu(stiffness.toarray()))
+        assert np.array_equal(dense, np.triu(_stiffness_matrix(system).toarray()))
 
 
 def test_cached_reference_arrays_are_read_only():
@@ -480,7 +522,7 @@ def test_cached_reference_arrays_are_read_only():
     ref = pde_oracle._reference("split", 3)
     arrays = (
         mesh.elements, mesh.boundary_flags, system.stiffness, ref.interior,
-        ref.indptr, ref.indices, ref.slot, ref.load_at,
+        ref.indptr, ref.indices, ref.slot, ref.load_at, ref.band_at,
     )
     assert not any(array.flags.writeable for array in arrays)
 
