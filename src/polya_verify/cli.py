@@ -1,9 +1,10 @@
 """Command line front end: compute, sweep, certify, and replay.
 
 Exit codes: 0 on success, 1 when a requested check fails (a certificate
-finds a positive value, or a replayed case reports Failed) or when compute
-or sweep rejects its input, 2 when a certificate run exhausts its depth
-budget without deciding.
+finds a positive value, or a replayed case reports Failed) or when compute,
+sweep or certify rejects its input, 2 when a certificate run exhausts its
+depth budget without deciding.  Rejected input prints one line naming the
+command, such as "certify: dx must be positive, got 0".
 """
 
 from __future__ import annotations
@@ -101,22 +102,39 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0 if not errors else 1
 
 
+def _rational(text, what: str) -> Fraction:
+    try:
+        return Fraction(str(text))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{what} must be a rational P/Q, got {text!r}") from None
+
+
 def _load_poly(path: str) -> polycert.RationalPoly:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ValueError(f"cannot read --poly {path}: {exc.strerror}") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"--poly {path} is not JSON: {exc}") from None
     if isinstance(data, dict):
-        data = data["coeffs"]
-    return polycert.RationalPoly(tuple(Fraction(str(c)) for c in data))
+        data = data.get("coeffs")
+    if not isinstance(data, list):
+        raise ValueError(f"--poly {path} holds no coefficient list")
+    return polycert.RationalPoly(tuple(_rational(c, "a coefficient") for c in data))
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
     if args.poly:
-        poly = _load_poly(args.poly)
-        dx = Fraction(args.dx)
         try:
-            cert = polycert.certify_nonpositive(poly, dx, max_depth=args.depth)
+            poly = _load_poly(args.poly)
+            cert = polycert.certify_nonpositive(
+                poly, _rational(args.dx, "--dx"), max_depth=args.depth
+            )
         except polycert.DepthExhausted as exc:
             _emit({"ok": False, "error": "depth exhausted", "detail": str(exc)}, args.out)
             return 2
+        except ValueError as exc:
+            raise SystemExit(f"certify: {exc}")
         _emit(cert.to_json_dict(), args.out)
         return 0 if cert.ok else 1
     summaries = harness.certify_all(max_depth=args.depth)

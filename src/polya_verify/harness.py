@@ -130,8 +130,14 @@ def _item(
     Each comparison is (lhs, op, rhs) with op one of "<", "<=" and "==";
     ``holds`` carries an identity test.  The item passes when ``holds`` and
     every comparison do.  Its margin is the smallest rhs - lhs over the
-    inequalities, or 0 when it states none.
+    inequalities, or 0 when it states none.  An exact-rational or
+    certificate item takes int and Fraction operands only: a float one
+    raises TypeError, since it would carry rounding into an exact verdict.
     """
+    if method in ("exact-rational", "certificate") and any(
+        isinstance(side, float) for lhs, _, rhs in comparisons for side in (lhs, rhs)
+    ):
+        raise TypeError(f"{method} item {check!r} has a float operand")
     slacks = [rhs - lhs for lhs, op, rhs in comparisons if op != "=="]
     return EvidenceItem(
         check=check,
@@ -263,18 +269,6 @@ class CellCertificate:
     max_depth: int
 
 
-def _g_cell_lower(a0: Fraction, a1: Fraction, b0: Fraction, b1: Fraction) -> Fraction:
-    """Exact lower bound for g on [a0,a1] x [b0,b1] by interval monotonicity.
-
-    With u = (1-a)^2 + b^2, the numerator (u+b)^2 only grows with u and b
-    while the denominator u(u+a) only grows with u and a, so the corner
-    values below bound g on the whole cell.
-    """
-    u_lo = (1 - a1) ** 2 + b0 * b0
-    u_hi = (1 - a0) ** 2 + b1 * b1
-    return Fraction(3, 5) * (u_lo + b0) ** 2 / (u_hi * (u_hi + a1))
-
-
 def certify_g_floor(
     floor: Number = Fraction(201, 200),
     box: Optional[tuple] = None,
@@ -285,37 +279,60 @@ def certify_g_floor(
     The default box [0, 1/2] x [43/50, 29/10] covers the acute band; the
     default floor 201/200 sits strictly below the band's corner minimum,
     leaving room for the interval slack to contract under subdivision.
+    A box (a0, a1, b0, b1) must satisfy 0 <= a0 < a1 <= 1 and 0 < b0 < b1,
+    where the corner bound of each cell holds; OutOfRegion otherwise.
     Raises CellSubdivisionFailure if some cell resists to max_depth.
     """
     if box is None:
         box = (Fraction(0), Fraction(1, 2), Fraction(43, 50), Fraction(29, 10))
+    a0, a1, b0, b1 = (as_fraction(v) for v in box)
+    if not (0 <= a0 < a1 <= 1 and 0 < b0 < b1):
+        raise OutOfRegion(
+            f"the g-floor box needs 0 <= a0 < a1 <= 1 and 0 < b0 < b1, got {tuple(box)}"
+        )
     return _g_floor(as_fraction(floor), tuple(box), max_depth)
 
 
 @functools.cache
 def _g_floor(floor: Fraction, box: tuple, max_depth: int) -> CellCertificate:
-    a0, a1, b0, b1 = (as_fraction(v) for v in box)
-    stack = [(a0, a1, b0, b1, 0)]
+    """Subdivide the box in integers until every cell's corner bound clears floor.
+
+    On a cell [a0, a1] x [b0, b1], with u = (1-a)^2 + b^2, the numerator
+    (u+b)^2 of g only grows with u and b and the denominator u(u+a) only
+    grows with u and a, so 3/5 (u_lo + b0)^2 / (u_hi (u_hi + a1)) bounds g
+    on the cell, u_lo = (1-a1)^2 + b0^2 and u_hi = (1-a0)^2 + b1^2.  The box
+    is scaled by q = lcm(denominators) * 2^max_depth, so every corner down
+    to max_depth is an integer A = a q, B = b q, and the bound clears
+    floor = n/d exactly when 3 d (U_lo + B0 q)^2 >= 5 n U_hi (U_hi + A1 q),
+    U = u q^2; the right-hand denominator is positive on a valid box.
+    """
+    corners = tuple(as_fraction(v) for v in box)
+    q = math.lcm(*(v.denominator for v in corners)) << max_depth
+    lhs, rhs = 3 * floor.denominator, 5 * floor.numerator
+    stack = [tuple(int(v * q) for v in corners) + (0,)]
     cells = 0
     deepest = 0
     while stack:
         a0, a1, b0, b1, depth = stack.pop()
-        if _g_cell_lower(a0, a1, b0, b1) >= floor:
+        u_lo = (q - a1) ** 2 + b0 * b0
+        u_hi = (q - a0) ** 2 + b1 * b1
+        if lhs * (u_lo + b0 * q) ** 2 >= rhs * u_hi * (u_hi + a1 * q):
             cells += 1
             deepest = max(deepest, depth)
             continue
         if depth >= max_depth:
+            a0, a1, b0, b1 = (Fraction(v, q) for v in (a0, a1, b0, b1))
             raise CellSubdivisionFailure(
                 f"cell [{a0},{a1}] x [{b0},{b1}] resisted at depth {depth} "
                 f"(floor {floor})"
             )
         # split the direction contributing most slack to u = (1-a)^2 + b^2
-        if (b1 - b0) * (b0 + b1) >= (a1 - a0) * (2 - a0 - a1):
-            mid = (b0 + b1) / 2
+        if (b1 - b0) * (b0 + b1) >= (a1 - a0) * (2 * q - a0 - a1):
+            mid = (b0 + b1) // 2
             stack.append((a0, a1, b0, mid, depth + 1))
             stack.append((a0, a1, mid, b1, depth + 1))
         else:
-            mid = (a0 + a1) / 2
+            mid = (a0 + a1) // 2
             stack.append((a0, mid, b0, b1, depth + 1))
             stack.append((mid, a1, b0, b1, depth + 1))
     return CellCertificate(floor=floor, box=box, cells=cells, max_depth=deepest)

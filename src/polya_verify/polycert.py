@@ -4,17 +4,22 @@ The certifier works on an interval (0, dx] by carrying positive coefficients
 down one degree at a time (a_i x^i <= a_i dx x^(i-1) for a_i > 0 and
 0 < x <= dx), which proves P(x) <= c_0 for the reduced constant c_0.  When
 c_0 > 0 the interval is split in half, the right half being handled by an
-exact Taylor shift.  Everything is Fraction arithmetic end to end, so a
+exact Taylor shift.  The certifier is Fraction arithmetic end to end, so a
 returned certificate is a proof, not a numeric indication.
 
 The module also builds the lemma polynomials whose nonpositivity underlies
 the triangle lower-bound case analysis.  Their irrational coefficients are
 first enclosed in rational intervals and then rounded upward once; since
 the certification domain lies in x > 0, the rounded polynomial dominates
-the true one pointwise and its certificate transfers.  A lemma is one
-coefficient tuple (dense, ascending, RationalInterval entries), built once
-per process; the re-centered lemmas shift the cached tuple with the same
-synthetic division that taylor_shift applies to Fraction coefficients.
+the true one pointwise and its certificate transfers.  The builders run on
+an integer interval kernel: every coefficient is a pair of integers
+(lo, hi) standing for [lo, hi] * 2^-P.  Sums, negation and integer
+multiples are exact; a product floors its lower end and ceils its upper
+end, so each pair encloses the exact rational result.  A lemma is one
+coefficient tuple (dense, ascending), built once per process and handed
+out as RationalIntervals with dyadic endpoints; the re-centered lemmas
+shift the cached tuple with the same synthetic division that taylor_shift
+applies to Fraction coefficients.
 """
 
 from __future__ import annotations
@@ -88,11 +93,12 @@ def eval_exact(poly: RationalPoly, x) -> Fraction:
     return acc
 
 
-def _shift(coeffs: Sequence, c: Fraction) -> list:
+def _shift(coeffs: Sequence, c) -> list:
     """Ascending coefficients of p(x + c) by synthetic division.
 
-    The entries may be Fractions or RationalIntervals: the same loop shifts
-    certified polynomials and lemma coefficient tuples.
+    The entries and c may be Fractions, for an exact shift of a certified
+    polynomial, or kernel intervals (_Scaled), for an outward-rounded shift
+    of a lemma coefficient tuple: the same loop serves both.
     """
     b = list(coeffs)
     for i in range(len(b) - 1):
@@ -210,14 +216,66 @@ def certify_nonpositive(
 
 
 # ---------------------------------------------------------------------------
-# Lemma coefficient tuples: dense, ascending, RationalInterval entries
+# Lemma coefficient tuples: dense, ascending, integer interval kernel entries
 # ---------------------------------------------------------------------------
+
+# every lemma coefficient is an integer multiple of 2^-P at both ends
+P = 256
+
+
+class _Scaled:
+    """Interval [lo, hi] * 2^-P with integer ends, rounded outward.
+
+    Sums, negation and integer multiples are exact.  A product of two
+    intervals sits at scale 2^-2P; ``>>`` floors its lower end (also for
+    negative numbers) and the negated shift ceils its upper end.
+    """
+
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo: int, hi: int):
+        self.lo = lo
+        self.hi = hi
+
+    def __add__(self, other: "_Scaled") -> "_Scaled":
+        return _Scaled(self.lo + other.lo, self.hi + other.hi)
+
+    def __neg__(self) -> "_Scaled":
+        return _Scaled(-self.hi, -self.lo)
+
+    def __mul__(self, other) -> "_Scaled":
+        if isinstance(other, int):
+            ends = (self.lo * other, self.hi * other)
+            return _Scaled(min(ends), max(ends))
+        ends = (
+            self.lo * other.lo,
+            self.lo * other.hi,
+            self.hi * other.lo,
+            self.hi * other.hi,
+        )
+        return _Scaled(min(ends) >> P, -(-max(ends) >> P))
+
+    def interval(self) -> RationalInterval:
+        return RationalInterval(Fraction(self.lo, 1 << P), Fraction(self.hi, 1 << P))
+
+
+def _scaled(value) -> _Scaled:
+    """Outward kernel interval of an int, Fraction or RationalInterval.
+
+    Dyadic endpoints at scale 2^-P, such as those of a built lemma, convert
+    exactly.
+    """
+    iv = value if isinstance(value, RationalInterval) else point(value)
+    lo, hi = iv.lo, iv.hi
+    return _Scaled(
+        (lo.numerator << P) // lo.denominator,
+        -((-hi.numerator << P) // hi.denominator),
+    )
 
 
 def _poly(terms: dict) -> tuple:
-    """Dense coefficients from {degree: value}, values rational or intervals."""
-    zero = point(0)
-    return tuple(zero + terms.get(deg, 0) for deg in range(max(terms) + 1))
+    """Dense kernel coefficients from {degree: value}, values rational or intervals."""
+    return tuple(_scaled(terms.get(deg, 0)) for deg in range(max(terms) + 1))
 
 
 def _add(p: tuple, q: tuple) -> tuple:
@@ -227,7 +285,7 @@ def _add(p: tuple, q: tuple) -> tuple:
 
 
 def _mul(p: tuple, q: tuple) -> tuple:
-    out = [point(0)] * (len(p) + len(q) - 1)
+    out = [_Scaled(0, 0)] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         for j, b in enumerate(q):
             out[i + j] = out[i + j] + a * b
@@ -340,13 +398,20 @@ RECENTERED = {
 
 @functools.cache
 def _lemma(name: str) -> tuple:
-    """Interval coefficients of a named lemma, built once per process."""
+    """RationalInterval coefficients of a named lemma, built once per process.
+
+    A re-centered lemma reads its base back into the kernel exactly (the
+    endpoints are dyadic at scale 2^-P) and shifts it by an outward
+    interval around its re-centering point.
+    """
     if name in RECENTERED:
         base, c = RECENTERED[name]
-        return tuple(_shift(_lemma(base), c))
-    if name not in _LEMMA_BUILDERS:
+        kernel = _shift([_scaled(iv) for iv in _lemma(base)], _scaled(c))
+    elif name in _LEMMA_BUILDERS:
+        kernel = _LEMMA_BUILDERS[name]()
+    else:
         raise UnknownName(name)
-    return _LEMMA_BUILDERS[name]()
+    return tuple(coeff.interval() for coeff in kernel)
 
 
 def build_lemma_polynomial(name: str, rounding: str = "upper"):

@@ -189,6 +189,76 @@ def test_band_floor_above_the_minimum_fails():
         certify_g_floor(floor=Fraction(51, 50), max_depth=6)
 
 
+def _fraction_g_floor(floor, box, max_depth):
+    """The cell loop in Fraction arithmetic: (cells, deepest depth), or the
+    message of the failure it stops at."""
+    stack = [tuple(box) + (0,)]
+    cells = deepest = 0
+    while stack:
+        a0, a1, b0, b1, depth = stack.pop()
+        u_lo = (1 - a1) ** 2 + b0 * b0
+        u_hi = (1 - a0) ** 2 + b1 * b1
+        if Fraction(3, 5) * (u_lo + b0) ** 2 / (u_hi * (u_hi + a1)) >= floor:
+            cells += 1
+            deepest = max(deepest, depth)
+            continue
+        if depth >= max_depth:
+            return (
+                f"cell [{a0},{a1}] x [{b0},{b1}] resisted at depth {depth} "
+                f"(floor {floor})"
+            )
+        if (b1 - b0) * (b0 + b1) >= (a1 - a0) * (2 - a0 - a1):
+            mid = (b0 + b1) / 2
+            stack += [(a0, a1, b0, mid, depth + 1), (a0, a1, mid, b1, depth + 1)]
+        else:
+            mid = (a0 + a1) / 2
+            stack += [(a0, mid, b0, b1, depth + 1), (mid, a1, b0, b1, depth + 1)]
+    return cells, deepest
+
+
+BAND = (Fraction(0), Fraction(1, 2), Fraction(43, 50), Fraction(29, 10))
+
+
+@pytest.mark.parametrize(
+    "floor, box, max_depth",
+    [
+        (Fraction(201, 200), BAND, 18),
+        (Fraction(201, 200), (Fraction(0), Fraction(1, 4), Fraction(43, 50), Fraction(3, 2)), 18),
+        # non-dyadic corners, and cells certified at the depth cap itself
+        (Fraction(1), (Fraction(1, 3), Fraction(1, 2), Fraction(7, 6), Fraction(29, 10)), 12),
+        (Fraction(51, 50), BAND, 6),
+    ],
+    ids=["band", "left-low", "right-high", "floor-51/50"],
+)
+def test_integer_cell_loop_matches_the_fraction_loop(floor, box, max_depth):
+    want = _fraction_g_floor(floor, box, max_depth)
+    if isinstance(want, str):
+        with pytest.raises(CellSubdivisionFailure) as exc:
+            certify_g_floor(floor=floor, box=box, max_depth=max_depth)
+        assert str(exc.value) == want
+    else:
+        cert = certify_g_floor(floor=floor, box=box, max_depth=max_depth)
+        assert (cert.cells, cert.max_depth) == want
+
+
+@pytest.mark.parametrize(
+    "box",
+    [
+        (1, Fraction(6, 5), Fraction(1, 100), Fraction(1, 50)),
+        (Fraction(-1, 10), Fraction(1, 2), Fraction(43, 50), Fraction(29, 10)),
+        (Fraction(1, 2), Fraction(1, 2), Fraction(43, 50), Fraction(29, 10)),
+        (0, Fraction(1, 2), 0, Fraction(29, 10)),
+    ],
+    ids=["a-past-1", "a-negative", "a-empty", "b-from-0"],
+)
+def test_band_floor_rejects_a_box_outside_its_corner_bound(box):
+    # on [1, 6/5] x [1/100, 1/50], (1-a)^2 grows with a, so the corner
+    # bound is no bound: it would certify g >= 1 where g(6/5, 1/100) ~ 0.03
+    assert harness._g_acute_1a(Fraction(6, 5), Fraction(1, 100)) < Fraction(1, 30)
+    with pytest.raises(ValueError, match="0 <= a0 < a1 <= 1"):
+        certify_g_floor(floor=1, box=box)
+
+
 def test_polynomial_certificate_plan_all_hold():
     results = certify_all()
     assert len(results) == 4
@@ -216,12 +286,23 @@ def test_item_derives_pass_flag_and_margin_from_its_comparisons():
     mixed = harness._item("x", method, "", (2, "==", 2), (Fraction(1, 4), "<", 1))
     assert mixed.passed and mixed.margin == 0.75
     # the smallest slack counts, and a failing comparison makes it negative
-    worst = harness._item("x", method, "", (0, "<", 5), (3, "<=", 2.5))
+    worst = harness._item("x", method, "", (0, "<", 5), (3, "<=", Fraction(5, 2)))
     assert not worst.passed and worst.margin == -0.5
     identity = harness._item("x", method, "", (1, "==", 1))
     assert identity.passed and identity.margin == 0.0
     assert not harness._item("x", method, "", holds=False).passed
     assert not harness._item("x", method, "", (1, "==", 2)).passed
+
+
+@pytest.mark.parametrize("method", ["exact-rational", "certificate"])
+def test_exact_items_refuse_float_operands(method):
+    for comparison in ((0.5, "<", 1), (Fraction(1, 2), "<=", 1.0), (0.5, "==", 0.5)):
+        with pytest.raises(TypeError, match="float operand"):
+            harness._item("x", method, "", (0, "<", 1), comparison)
+    # numeric methods keep taking floats
+    for numeric in ("grid+modulus", "oracle"):
+        item = harness._item("x", numeric, "", (0.25, "<", 1), (Fraction(1, 2), "<=", 1.0))
+        assert item.passed and item.margin == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +577,36 @@ def test_cli_certify_polynomial_file(tmp_path, capsys):
     positive = tmp_path / "pos.json"
     positive.write_text(json.dumps({"coeffs": ["1/10"]}))
     assert cli.main(["certify", "--poly", str(positive), "--dx", "1"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--dx", "0"], "dx must be positive"),
+        (["--dx", "-1"], "dx must be positive"),
+        (["--dx", "abc"], "--dx must be a rational"),
+        (["--dx", "1/0"], "--dx must be a rational"),
+        (["--poly", "missing.json"], "cannot read --poly"),
+        (["--poly", "nocoeffs.json"], "holds no coefficient list"),
+        (["--poly", "notjson.json"], "is not JSON"),
+        (["--poly", "badcoeff.json"], "a coefficient must be a rational"),
+    ],
+    ids=["dx-0", "dx-negative", "dx-abc", "dx-1/0", "missing-file", "no-coeffs", "not-json", "bad-coeff"],
+)
+def test_cli_certify_reports_bad_input_in_one_line(argv, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "poly.json").write_text(json.dumps(["-1", "1/3"]))
+    (tmp_path / "nocoeffs.json").write_text(json.dumps({"x": 1}))
+    (tmp_path / "notjson.json").write_text("[-1,")
+    (tmp_path / "badcoeff.json").write_text(json.dumps(["-1", "one"]))
+    if "--poly" not in argv:
+        argv = argv + ["--poly", "poly.json"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["certify"] + argv)
+    text = str(exc.value.code)
+    assert text.startswith("certify: ") and message in text
+    assert "\n" not in text
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_certify_builtin_plan(capsys):

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polya_verify.constants import RationalInterval
+from polya_verify import polycert
+from polya_verify.constants import RationalInterval, point
 from polya_verify.polycert import (
     Certificate,
     DepthExhausted,
@@ -161,3 +162,80 @@ def test_upper_rounding_dominates_interval_true_value():
     top = eval_exact(upper, x)
     low_poly = RationalPoly(tuple(iv.lo for iv in intervals))
     assert eval_exact(low_poly, x) <= top
+
+
+# ---------------------------------------------------------------------------
+# The integer interval kernel against exact RationalInterval arithmetic
+# ---------------------------------------------------------------------------
+
+
+def _exact_poly(terms):
+    return tuple(point(0) + terms.get(deg, 0) for deg in range(max(terms) + 1))
+
+
+def _exact_add(p, q):
+    if len(p) < len(q):
+        p, q = q, p
+    return tuple(a + b for a, b in zip(p, q)) + p[len(q):]
+
+
+def _exact_mul(p, q):
+    out = [point(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] = out[i + j] + a * b
+    return tuple(out)
+
+
+def _exact_pow(p, n):
+    out = _exact_poly({0: 1})
+    for _ in range(n):
+        out = _exact_mul(out, p)
+    return out
+
+
+def _exact_lemma(name, monkeypatch):
+    """The builders' formulas run on exact RationalInterval entries."""
+    for attr, fn in (
+        ("_poly", _exact_poly),
+        ("_add", _exact_add),
+        ("_mul", _exact_mul),
+        ("_pow", _exact_pow),
+    ):
+        monkeypatch.setattr(polycert, attr, fn)
+    if name in polycert.RECENTERED:
+        base, c = polycert.RECENTERED[name]
+        return polycert._shift(polycert._LEMMA_BUILDERS[base](), c)
+    return polycert._LEMMA_BUILDERS[name]()
+
+
+@pytest.mark.parametrize("name", LEMMAS)
+def test_kernel_lemma_encloses_the_exact_interval_result(name, monkeypatch):
+    kernel = build_lemma_polynomial(name, rounding="interval")
+    exact = _exact_lemma(name, monkeypatch)
+    assert len(kernel) == len(exact)
+    for k, e in zip(kernel, exact):
+        assert k.lo <= e.lo and e.hi <= k.hi
+        assert k.width - e.width <= Fraction(1, 10**60)
+        for end in (k.lo, k.hi):  # dyadic at the kernel's scale
+            assert (end * 2**polycert.P).denominator == 1
+
+
+def test_kernel_products_round_outward_on_both_signs():
+    ends = [Fraction(-7, 3), Fraction(-1, 10**40), Fraction(0), Fraction(2, 9), Fraction(5, 2)]
+    for a in ends:
+        for b in ends:
+            for c in ends:
+                for d in ends:
+                    if a > b or c > d:
+                        continue
+                    x, y = RationalInterval(a, b), RationalInterval(c, d)
+                    got = (polycert._scaled(x) * polycert._scaled(y)).interval()
+                    want = x * y
+                    assert got.lo <= want.lo and want.hi <= got.hi
+                    # each end moves by at most (|x| + |y| + 1) units of 2^-P
+                    assert got.width - want.width <= Fraction(12, 2**polycert.P)
+                    # sums, negation and integer multiples stay exact
+                    s = polycert._scaled(x) + polycert._scaled(y)
+                    t = -s * -3
+                    assert (t.lo, t.hi) == (3 * s.lo, 3 * s.hi)
