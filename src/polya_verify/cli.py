@@ -2,9 +2,9 @@
 
 Exit codes: 0 on success, 1 when a requested check fails (a certificate
 finds a positive value, or a replayed case reports Failed) or when compute,
-sweep or certify rejects its input, 2 when a certificate run exhausts its
-depth budget without deciding.  Rejected input prints one line naming the
-command, such as "certify: dx must be positive, got 0".
+sweep or certify rejects its input (such as a negative --depth), 2 when a
+certificate run exhausts its depth budget without deciding.  Rejected input
+prints one line naming the command: "certify: dx must be positive, got 0".
 """
 
 from __future__ import annotations
@@ -124,22 +124,22 @@ def _load_poly(path: str) -> polycert.RationalPoly:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
-    if args.poly:
-        try:
-            poly = _load_poly(args.poly)
-            cert = polycert.certify_nonpositive(
-                poly, _rational(args.dx, "--dx"), max_depth=args.depth
-            )
-        except polycert.DepthExhausted as exc:
-            _emit({"ok": False, "error": "depth exhausted", "detail": str(exc)}, args.out)
-            return 2
-        except ValueError as exc:
-            raise SystemExit(f"certify: {exc}")
-        _emit(cert.to_json_dict(), args.out)
-        return 0 if cert.ok else 1
-    summaries = harness.certify_all(max_depth=args.depth)
-    _emit({"certificates": summaries}, args.out)
-    return 0 if all(s["ok"] for s in summaries) else 1
+    try:
+        if not args.poly:
+            summaries = harness.certify_all(max_depth=args.depth)
+            _emit({"certificates": summaries}, args.out)
+            return 0 if all(s["ok"] for s in summaries) else 1
+        poly = _load_poly(args.poly)
+        cert = polycert.certify_nonpositive(
+            poly, _rational(args.dx, "--dx"), max_depth=args.depth
+        )
+    except polycert.DepthExhausted as exc:
+        _emit({"ok": False, "error": "depth exhausted", "detail": str(exc)}, args.out)
+        return 2
+    except ValueError as exc:
+        raise SystemExit(f"certify: {exc}")
+    _emit(cert.to_json_dict(), args.out)
+    return 0 if cert.ok else 1
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:

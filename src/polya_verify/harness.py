@@ -354,6 +354,8 @@ _CERT_PLAN = {
 
 def certify_all(max_depth: int = 40) -> list:
     """Run the four planned lemma certificates; returns per-run summaries."""
+    if max_depth < 0:
+        raise ValueError(f"max_depth must be nonnegative, got {max_depth}")
     out = []
     for name, dx in _CERT_PLAN.items():
         poly = polycert.build_lemma_polynomial(name, rounding="upper")
@@ -1208,13 +1210,15 @@ def sweep_triangles(
     bound.  Rows where the solver fails are flagged and kept.  Rows come
     back sorted by (a, b); csv_path writes the fixed-format table.  One
     worker by default; ``threads`` above 1 runs a thread pool of that size.
-    Raises ValueError, before any solve, for non-finite or degenerate
-    heights, for a grid that holds no chart triangle and for a max_level
-    outside [2, pde_oracle.MAX_LEVEL].
+    Raises ValueError, before any solve, for an unknown grid key, for
+    non-finite or degenerate heights, for a grid that holds no chart
+    triangle and for a max_level outside [2, pde_oracle.MAX_LEVEL].
     """
     cfg = {"na": 60, "nb": 60, "b_min": 0.02, "b_max": math.sqrt(3.0) / 2.0}
-    if grid:
-        cfg.update(grid)
+    unknown = sorted(set(grid or ()) - set(cfg))
+    if unknown:
+        raise ValueError(f"unknown grid keys {unknown}; the keys are {sorted(cfg)}")
+    cfg.update(grid or {})
     if not (math.isfinite(cfg["b_min"]) and math.isfinite(cfg["b_max"])):
         raise ValueError(
             f"b_min and b_max must be finite, got {cfg['b_min']} and {cfg['b_max']}"

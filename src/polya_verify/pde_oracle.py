@@ -4,10 +4,11 @@ Conforming P1 elements on uniformly red-refined meshes.  A triangle whose
 apex lies above the interior of its base is split at the foot of the apex
 altitude into two right triangles, so every refined element keeps a right
 angle and the maximum-angle condition (Babuska & Aziz, 1976) holds however
-thin the triangle; any other triangle is one element, and a rectangle two.
-A sector is a fan of ceil(angle / (pi/3)) wedges about the apex (the
-accuracy of a level is set by its radial resolution, so more wedges would
-only add elements).  Each base mesh is the image of a reference mesh on the
+thin the triangle; any other triangle is meshed as its congruent copy on
+its longest side, split the same way, and a rectangle is two elements.  A
+sector is a fan of ceil(angle / (pi/3)) wedges about the apex (the accuracy
+of a level is set by its radial resolution, so more wedges would only add
+elements).  Each base mesh is the image of a reference mesh on the
 integer grid under one affine map per piece.  The refined reference mesh,
 its parent maps and its interior vertices in a band order (along the long
 axis, then the short one) are a memo of (layout, level), shared by every
@@ -19,12 +20,12 @@ is projected back to the circle.
 The cached reference also holds the CSC pattern of its interior system,
 the plan that scatters element blocks and loads onto it and the place of
 each pattern entry in LAPACK's band storage; one routine makes the element
-parts (stiffness xx, xy + yx and yy, mass and lumped load) and one bincount
-scatter sums them, onto the pattern and from it into the band.  Red
-refinement commutes with affine maps, so a triangle or rectangle solve only
-combines cached per-piece components, scattered once per layout and level,
-with the coefficients of its maps.  A projected sector mesh is no such
-image; its parts are scattered per solve.
+parts (stiffness xx and yy, mass and lumped load) and one bincount scatter
+sums them, onto the pattern and from it into the band.  Red refinement
+commutes with affine maps, so a triangle or rectangle solve only combines
+cached per-piece components, scattered once per layout and level, with the
+coefficients of its maps, which are all diagonal.  A projected sector mesh
+is no such image; its parts are scattered per solve.
 
 The eigenproblem uses the consistent mass matrix (variational, so discrete
 eigenvalues sit above the true ones); the torsion load is mass-lumped.  In
@@ -63,7 +64,6 @@ _EIG_MAXIT = 400
 _LAYOUTS = {
     # two right triangles that share the altitude foot (1, 0) and apex (1, 1)
     "split": (((0, 0), (1, 0), (2, 0), (1, 1)), ((0, 1, 3), (1, 2, 3)), (0, 1)),
-    "shear": (((0, 0), (1, 0), (0, 1)), ((0, 1, 2),), (0,)),
     "square": (((-1, -1), (1, -1), (1, 1), (-1, 1)), ((0, 1, 2), (0, 2, 3)), (0, 0)),
 }
 # fan{k}: k wedges about the apex (0, 0), one piece each, on the first k + 1
@@ -103,8 +103,9 @@ class Mesh:
     """Triangulation with vertex coordinates, elements, and boundary flags.
 
     The mesh is its shape's layout's reference mesh at ``level`` carried to
-    the shape: elements and flags are the cached reference arrays, and the
-    interior unknowns are the reference interior.
+    the shape, or to the congruent copy on the longest side of a triangle
+    whose apex lies off its base: elements and flags are the cached
+    reference arrays, and the interior unknowns are the reference interior.
     """
 
     vertices: np.ndarray  # (nv, 2) float
@@ -149,13 +150,13 @@ class _Reference:
     layout's longer axis, then its shorter one.  Every edge joins grid
     points at most one step apart in each axis, so the half-bandwidth is
     2^level - 1 for ``split``, 2^level for ``square``, ``fan2`` and
-    ``fan3``, and 2^level - 2 for ``shear`` and ``fan1``; ``half_width``
-    is its exact value w.  Stiffness and mass share one symmetric CSC
-    pattern over them (``indptr``, ``indices``); entry k of the raveled
-    (ne, 3, 3) element blocks sums into the pattern at ``slot[k]``, entry k
-    of the raveled (ne, 3) element loads into the unknown ``load_at[k]``,
-    and pattern entry k, at (i, j) with i <= j, into the raveled Fortran
-    (w + 1, n) band that dpbtrf reads at ``band_at[k] = w + i - j + (w + 1) j``.
+    ``fan3``, and 2^level - 2 for ``fan1``; ``half_width`` is its exact
+    value w.  Stiffness and mass share one symmetric CSC pattern over them
+    (``indptr``, ``indices``); entry k of the raveled (ne, 3, 3) element
+    blocks sums into the pattern at ``slot[k]``, entry k of the raveled
+    (ne, 3) element loads into the unknown ``load_at[k]``, and pattern entry
+    k, at (i, j) with i <= j, into the raveled Fortran (w + 1, n) band that
+    dpbtrf reads at ``band_at[k] = w + i - j + (w + 1) j``.
     An entry that touches a boundary vertex, or lies below the diagonal,
     goes to one past the end, a discard bin.
     """
@@ -179,10 +180,10 @@ class _ReferenceSystem:
     """Per-piece components of one layout's interior system at one level.
 
     Stiffness and mass lie on the reference's pattern; ``stiffness`` holds
-    the xx, xy + yx and yy parts of every piece on it.
+    the xx and yy parts of every piece, the only ones a diagonal map weights.
     """
 
-    stiffness: np.ndarray  # (pieces, 3, nnz)
+    stiffness: np.ndarray  # (pieces, 2, nnz)
     mass: np.ndarray  # (pieces, nnz)
     load: np.ndarray  # (pieces, n)
 
@@ -227,15 +228,15 @@ def _piece_maps(shape) -> tuple[str, tuple]:
     if isinstance(shape, Triangle):
         a, b = shape.a, shape.b
         if b < 1e-6:
-            raise DegenerateShape(
-                f"apex height {b} is below the meshing cutoff 1e-6"
-            )
-        if 0.0 < a < 1.0:
-            return "split", (
-                (np.diag([a, b]), origin, origin),
-                (np.diag([1.0 - a, b]), (1.0, 0.0), (a, 0.0)),
-            )
-        return "shear", ((np.array([[1.0, a], [0.0, b]]), origin, origin),)
+            raise DegenerateShape(f"apex height {b} is below the meshing cutoff 1e-6")
+        # with its apex off the base, the congruent copy on the longest side
+        c = 1.0 - a if a <= 0.0 else a
+        length = 1.0 if 0.0 < a < 1.0 else math.hypot(c, b)
+        foot, height = c / length, b / length
+        return "split", (
+            (np.diag([foot, height]), origin, origin),
+            (np.diag([length - foot, height]), (1.0, 0.0), (foot, 0.0)),
+        )
     if isinstance(shape, Rectangle):
         return "square", ((np.diag([shape.a, shape.b]), origin, origin),)
     k = math.ceil(shape.angle / (math.pi / 3.0))
@@ -359,12 +360,11 @@ def _element_geometry(vertices: np.ndarray, elements: np.ndarray):
 _MASS_REF = (np.ones((3, 3)) + np.eye(3)) / 12.0
 
 
-def _element_parts(vertices: np.ndarray, elements: np.ndarray, laplacian=False):
+def _element_parts(vertices: np.ndarray, elements: np.ndarray):
     """Element stiffness parts, consistent mass and lumped load.
 
-    The stiffness parts are the (ne, 3, 3) blocks xx, xy + yx and yy, or
-    with ``laplacian`` their Laplacian xx + yy alone; the mass is one
-    (ne, 3, 3) block and the loads are (ne, 3).
+    The stiffness parts are the (ne, 3, 3) blocks xx and yy; the mass is
+    one (ne, 3, 3) block and the loads are (ne, 3).
     """
     bvec, cvec, areas = _element_geometry(vertices, elements)
     if np.any(areas <= 0):
@@ -375,10 +375,7 @@ def _element_parts(vertices: np.ndarray, elements: np.ndarray, laplacian=False):
 
     mass = areas[:, None, None] * _MASS_REF
     load = np.repeat(areas / 3.0, 3).reshape(-1, 3)
-    xx, yy = outer(bvec, bvec), outer(cvec, cvec)
-    if laplacian:
-        return (xx + yy,), mass, load
-    return (xx, outer(bvec, cvec) + outer(cvec, bvec), yy), mass, load
+    return (outer(bvec, bvec), outer(cvec, cvec)), mass, load
 
 
 def _scatter(values: np.ndarray, at: np.ndarray, size: int):
@@ -421,8 +418,6 @@ def _combine(parts, coefficients) -> np.ndarray:
     """``sum_k coefficients[k] * parts[k]``, in a fixed order."""
     out = None
     for c, part in zip(coefficients, parts):
-        if c == 0.0:
-            continue
         out = c * part if out is None else out + c * part
     return out
 
@@ -431,7 +426,7 @@ def _system(shape, level: int, base: Optional[Mesh] = None) -> _System:
     """Interior system of ``shape`` at ``level`` on its layout's pattern.
 
     A triangle or rectangle combines its layout's cached components: a
-    piece with map A contributes ``|det A| (G11 Kxx + G12 Kxy + G22 Kyy)``
+    piece with diagonal map A contributes ``|det A| (G11 Kxx + G22 Kyy)``
     to the stiffness, with ``G = A^-1 A^-T``, and ``|det A|`` times its
     reference mass and load; its h halves per level from the longest edge
     of its level-0 mesh ``base`` (built here when not given), and its area
@@ -447,10 +442,8 @@ def _system(shape, level: int, base: Optional[Mesh] = None) -> _System:
         )
     if isinstance(shape, Sector):
         mesh = mesh_domain(shape, level)
-        (laplacian,), mass, load = _element_parts(
-            mesh.vertices, mesh.elements, laplacian=True
-        )
-        stiffness = _scatter(laplacian, ref.slot, len(ref.indices))
+        (xx, yy), mass, load = _element_parts(mesh.vertices, mesh.elements)
+        stiffness = _scatter(xx + yy, ref.slot, len(ref.indices))
         mass = _scatter(mass, ref.slot, len(ref.indices))
         load = _scatter(load, ref.load_at, n)
     else:
@@ -461,7 +454,7 @@ def _system(shape, level: int, base: Optional[Mesh] = None) -> _System:
             det = abs(float(np.linalg.det(A)))
             inv = np.linalg.inv(A)
             g = inv @ inv.T
-            k_coef += [det * g[0, 0], det * g[0, 1], det * g[1, 1]]
+            k_coef += [det * g[0, 0], det * g[1, 1]]
             m_coef.append(det)
         stiffness = _combine(
             system.stiffness.reshape(-1, system.stiffness.shape[-1]), k_coef
@@ -486,7 +479,8 @@ def mesh_domain(shape, level: int) -> Mesh:
     The level-0 image of the shape's layout, prolonged one level at a time
     through the reference parent maps: new vertices are the midpoints of
     their parents, and on a sector those on the rim are projected back to
-    the circle.
+    the circle.  A triangle whose apex lies off its base is meshed as its
+    congruent copy with the longest side on the x-axis.
     """
     if level < 0:
         raise ValueError(f"level must be nonnegative, got {level}")

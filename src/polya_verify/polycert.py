@@ -168,9 +168,11 @@ def certify_nonpositive(
 
     Returns a Certificate whose intervals tile (0, dx].  A point where the
     polynomial is exactly positive yields ok=False with that witness.  If the
-    sign cannot be settled within max_depth subdivisions, DepthExhausted is
-    raised with the offending subinterval.
+    sign cannot be settled within max_depth subdivisions (max_depth < 0 raises
+    ValueError), DepthExhausted is raised with the offending subinterval.
     """
+    if max_depth < 0:
+        raise ValueError(f"max_depth must be nonnegative, got {max_depth}")
     dx = as_fraction(dx)
     if dx <= 0:
         raise ZeroWidthInterval(f"dx must be positive, got {dx}")

@@ -461,6 +461,16 @@ def test_tiny_sweep_is_deterministic_and_sorted(tmp_path):
         assert math.pi**2 / 24.0 < r.F < math.pi**2 / 12.0
 
 
+def test_sweep_rejects_unknown_grid_keys(monkeypatch):
+    # a misspelt key used to survey the default heights without a word
+    def no_solve(task):
+        raise AssertionError(f"solved {task} before rejecting the grid")
+
+    monkeypatch.setattr(harness, "_sweep_one", no_solve)
+    with pytest.raises(ValueError, match=r"unknown grid keys \['bmin'\]"):
+        sweep_triangles(grid={"na": 2, "nb": 3, "bmin": 0.5}, max_level=3)
+
+
 def test_sweep_rejects_degenerate_heights():
     with pytest.raises(ValueError):
         sweep_triangles(grid={"b_min": 1e-5, "na": 2, "nb": 2}, max_level=4)
@@ -606,6 +616,25 @@ def test_cli_certify_reports_bad_input_in_one_line(argv, message, tmp_path, monk
     text = str(exc.value.code)
     assert text.startswith("certify: ") and message in text
     assert "\n" not in text
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("depth", [-1, -3, -5])
+def test_negative_certificate_depth_is_rejected(depth, tmp_path, capsys):
+    # a negative budget used to run and certify every lemma settled at depth 0
+    poly = polycert.RationalPoly((Fraction(-1),))
+    with pytest.raises(ValueError, match="max_depth must be nonnegative"):
+        polycert.certify_nonpositive(poly, Fraction(1), max_depth=depth)
+    with pytest.raises(ValueError, match="max_depth must be nonnegative"):
+        certify_all(max_depth=depth)
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps(["-1"]))
+    for argv in (["--depth", str(depth)], ["--poly", str(path), "--depth", str(depth)]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["certify"] + argv)
+        text = str(exc.value.code)
+        assert text.startswith("certify: ") and "max_depth" in text
+        assert "\n" not in text
     assert capsys.readouterr().out == ""
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from polya_verify import harness, pde_oracle
+from polya_verify import geometry, harness, pde_oracle
 from polya_verify.closed_forms import (
     bessel_first_zero,
     equilateral_exact,
@@ -151,6 +151,29 @@ def test_levels_and_h_sequence_shape():
 def _parents(shape, level):
     """Parent pairs of the vertices new at ``level`` in the shape's meshes."""
     return pde_oracle._reference(pde_oracle._piece_maps(shape)[0], level).parents
+
+
+_OFF_BASE = [(-2.0, 0.1), (-0.5, 0.05), (0.0, 0.7), (1.0, 0.4), (1.3, 0.6)]
+
+
+@pytest.mark.parametrize("a, b", _OFF_BASE)
+def test_off_base_triangles_match_their_similar_chart_triangle(a, b):
+    # F is similarity-invariant, and the mesh of a triangle whose apex lies
+    # off the interior of its base is that of its chart copy scaled by L
+    sides = (1.0, math.hypot(a, b), math.hypot(1.0 - a, b))
+    longest = max(sides)
+    chart = geometry.triangle_from_sides(longest, 1.0, min(sides[1:]))
+    assert 0.0 < chart.a < 1.0
+    res, ref = spectral(Triangle(a, b), 6), spectral(chart, 6)
+    assert res.F == pytest.approx(ref.F, rel=1e-12, abs=0.0)
+    assert res.lambda1 * longest**2 == pytest.approx(ref.lambda1, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("a, b", _OFF_BASE)
+def test_off_base_triangle_meshes_keep_the_maximum_angle_condition(a, b):
+    mesh = mesh_domain(Triangle(a, b), 3)
+    assert np.all(_corner_angles(mesh).max(axis=1) <= math.pi / 2.0 + 1e-9)
+    assert pde_oracle._mesh_area(mesh) == pytest.approx(b / 2.0, rel=1e-12)
 
 
 def test_mesh_refinement_quadruples_elements():
@@ -420,9 +443,9 @@ def _coo_system(mesh):
     [
         (Triangle(0.3, 0.4), 2),
         (Triangle(0.5, 0.05), 2),
-        (Triangle(0.0, 0.7), 1),
-        (Triangle(-0.2, 0.5), 1),
-        (Triangle(1.3, 0.6), 1),
+        (Triangle(0.0, 0.7), 2),
+        (Triangle(-0.2, 0.5), 2),
+        (Triangle(1.3, 0.6), 2),
         (Rectangle(0.5, 0.25), 2),
         (Sector(0.3, 1.0), 1),
         (Sector(math.pi / 3.0, 1.0), 1),
@@ -472,7 +495,6 @@ def test_cached_assembly_matches_elementwise_assembly(shape, elements):
 
 _LAYOUT_SHAPES = {
     "split": Triangle(0.3, 0.4),
-    "shear": Triangle(0.0, 0.7),
     "square": Rectangle(0.5, 0.25),
     "fan1": Sector(0.3, 1.0),
     "fan2": Sector(1.4, 1.0),
