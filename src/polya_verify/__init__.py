@@ -15,7 +15,9 @@ Modules:
 - bounds: the individual eigenvalue and torsion bounds with validity;
 - polycert: exact nonpositivity certificates for rational polynomials;
 - pde_oracle: conforming finite element solver with extrapolation;
-- harness: case replays, evidence reports, sweeps, and scans.
+- exact: the six analytic case replays, evidence reports, the certificate
+  plan and the band-floor cell certifier, on the standard library alone;
+- harness: the oracle-backed replays, the case list, sweeps, and scans.
 """
 
 from .bounds import (
@@ -50,12 +52,9 @@ from .geometry import (
     in_region,
     triangle_from_sides,
 )
+from .exact import CaseReport, EvidenceItem, certify_all, certify_g_floor
 from .harness import (
-    CaseReport,
-    EvidenceItem,
     REPLAY_IDS,
-    certify_all,
-    certify_g_floor,
     g_remark_check,
     rect_monotonicity_scan,
     replay_all,

@@ -5,11 +5,10 @@ alternating partial sums with remainder control for the arctangent series
 behind pi, an Euler-Maclaurin tail bracket for zeta(5), and rational
 bisection for algebraic roots.  Bessel zeros are bracketed by sign changes
 of the ascending series summed in exact integers with directed rounding,
-so their dyadic endpoints carry certified signs.  The only bracket from a
-floating-point search is the reference-grade Airy one, located by mpmath
-at high working precision and padded outward (the package's one use of
-mpmath); certified inequality chains never consume it (they use the exact
-rational lower-bound constant c1 instead).
+so their dyadic endpoints carry certified signs.  No bracket comes from a
+floating-point search, and the module imports only the standard library.
+The first Airy zero |a_1| = 2.33810741... enters only through the rationals
+K < C1 taken below it; the premise C1 < |a_1| is not yet certified.
 """
 
 from __future__ import annotations
@@ -154,23 +153,31 @@ def point(x: RationalLike) -> RationalInterval:
 # ---------------------------------------------------------------------------
 
 
+def arctan_recip(m: int, n: int) -> RationalInterval:
+    """arctan(1/m) for an integer m >= 1, between the partial sums S_(n-1) and S_n.
+
+    S_n sums the first n terms of the alternating series
+    sum_k (-1)^k m^-(2k+1) / (2k+1), whose terms shrink, so the limit lies
+    between any two consecutive partial sums; for an even n, S_n is the
+    lower end.
+    """
+    if m < 1:
+        raise ValueError(f"arctan_recip needs an integer m >= 1, got {m}")
+    x2 = Fraction(1, m * m)
+    term = Fraction(1, m)
+    prev = total = Fraction(0)
+    for k in range(n):
+        prev, total = total, total - term if k % 2 else total + term
+        term *= x2 * Fraction(2 * k + 1, 2 * k + 3)
+    return RationalInterval(min(prev, total), max(prev, total))
+
+
 def _arctan_recip(m: int, tol: Fraction) -> RationalInterval:
-    """Bracket arctan(1/m) between consecutive alternating partial sums."""
-    x = Fraction(1, m)
-    x2 = x * x
-    term = x
-    total = Fraction(0)
-    prev = Fraction(0)
-    k = 0
-    while True:
-        prev = total
-        total += term if k % 2 == 0 else -term
-        k += 1
-        term *= x2 * Fraction(2 * k - 1, 2 * k + 1)
-        if term <= tol:
-            # one more partial sum so the last two straddle the limit
-            final = total + (term if k % 2 == 0 else -term)
-            return RationalInterval(min(total, final), max(total, final))
+    """arctan_recip at the first n >= 2 whose last term, the width, is at most tol."""
+    n = 2
+    while Fraction(1, (2 * n - 1) * m ** (2 * n - 1)) > tol:
+        n += 1
+    return arctan_recip(m, n)
 
 
 def _pi_interval(eps: Fraction) -> RationalInterval:
@@ -239,30 +246,6 @@ def _decimal_digits(eps: Fraction) -> int:
     return d
 
 
-def _reference_bracket_neg_a1(eps: Fraction) -> RationalInterval:
-    """Reference-grade bracket for the magnitude of the first Airy-function zero.
-
-    The zero is located at high working precision and the bracket is
-    validated by a sign change of the Airy function at its endpoints.
-    """
-    import mpmath as mp
-
-    digits = max(30, _decimal_digits(eps) + 10)
-    with mp.workdps(digits + 15):
-        z = mp.airyaizero(1)  # negative real number
-        delta = mp.mpf(10) ** (-digits)
-        lo_pt, hi_pt = z - delta, z + delta
-        if mp.sign(mp.airyai(lo_pt)) * mp.sign(mp.airyai(hi_pt)) < 0:
-            pad = Fraction(0)
-        else:  # pragma: no cover - defensive padding
-            pad = Fraction(1, 10 ** (digits - 5))
-        lo = as_fraction(mp.nstr(-hi_pt, digits + 5)) - pad
-        hi = as_fraction(mp.nstr(-lo_pt, digits + 5)) + pad
-    # outward nudge for the decimal-string conversion itself
-    slack = Fraction(1, 10 ** (digits - 2))
-    return RationalInterval(lo - slack, hi + slack)
-
-
 def _bessel_zero_interval(nu: Fraction, eps: Fraction) -> RationalInterval:
     """Bracket for the first positive zero of J_nu.
 
@@ -302,8 +285,6 @@ def _build(cid: str, eps: Fraction) -> RationalInterval:
         return _nth_root_interval(point(4), 3, eps)
     if cid == "zeta5":
         return _zeta5_interval(eps)
-    if cid == "neg_a1":
-        return _reference_bracket_neg_a1(eps)
     if cid.startswith("j_"):
         try:
             nu = as_fraction(cid[2:])
@@ -319,8 +300,8 @@ def enclose(constant_id: str, eps: RationalLike = Fraction(1, 10**12)) -> Ration
     """Rational enclosure of width <= eps for a housed constant.
 
     constant_id is a canonical id: pi, pi_pow_2, pi_pow_5, pi_pow_2_3,
-    pi_pow_4_3, sqrt3, two_pow_1_3, two_pow_2_3, zeta5, neg_a1, or j_<nu>
-    for the first zero of J_nu; anything else raises UnknownConstant.
+    pi_pow_4_3, sqrt3, two_pow_1_3, two_pow_2_3, zeta5, or j_<nu> for the
+    first zero of J_nu; anything else raises UnknownConstant.
 
     The result depends on (constant_id, eps) alone: each pair is built once
     per process and memoized, so the same call returns the same rational
@@ -335,10 +316,6 @@ def enclose(constant_id: str, eps: RationalLike = Fraction(1, 10**12)) -> Ration
 @functools.cache
 def _enclosure(constant_id: str, eps: Fraction) -> RationalInterval:
     result = _build(constant_id, eps)
-    attempts = 0
-    while result.width > eps and attempts < 8:
-        attempts += 1
-        result = _build(constant_id, eps / 4**attempts)
     if result.width > eps:
         raise UnknownConstant(
             f"could not tighten {constant_id} to requested width {eps}"

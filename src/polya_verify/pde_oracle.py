@@ -227,12 +227,14 @@ def _piece_maps(shape) -> tuple[str, tuple]:
     origin = (0.0, 0.0)
     if isinstance(shape, Triangle):
         a, b = shape.a, shape.b
-        if b < 1e-6:
-            raise DegenerateShape(f"apex height {b} is below the meshing cutoff 1e-6")
         # with its apex off the base, the congruent copy on the longest side
         c = 1.0 - a if a <= 0.0 else a
         length = 1.0 if 0.0 < a < 1.0 else math.hypot(c, b)
         foot, height = c / length, b / length
+        if height / length < 1e-6:
+            raise DegenerateShape(
+                f"relative apex height {height / length} is below the meshing cutoff 1e-6"
+            )
         return "split", (
             (np.diag([foot, height]), origin, origin),
             (np.diag([length - foot, height]), (1.0, 0.0), (foot, 0.0)),

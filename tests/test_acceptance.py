@@ -3,8 +3,8 @@
 Each test pins one promised behavior: exact evaluation speed, certificate
 soundness, oracle accuracy against closed forms, series cross-checks, the
 full-chart survey, scan direction checks, thinning sharpness, randomized
-certifier soundness, the exit-time chain, and Bessel zeros, replays and
-certificates that run without mpmath.
+certifier soundness, the exit-time chain, and the exact side (Bessel zeros,
+constants, replays and certificates) run without numpy, scipy or mpmath.
 
 The two limit checks state their thresholds at inputs where an independent
 route confirms them.  The strip-limit gap of the aspect-100 rectangle is
@@ -28,8 +28,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polya_verify import bounds, closed_forms, harness, pde_oracle
-from polya_verify.constants import K, C1, enclose
+import exact_outputs
+from polya_verify import bounds, closed_forms, exact, harness, pde_oracle
+from polya_verify.constants import K, C1
 from polya_verify.geometry import Rectangle, Sector, Triangle
 from polya_verify.polycert import (
     DepthExhausted,
@@ -49,14 +50,14 @@ def test_band_corner_evaluates_exactly_and_fast():
     value = None
     for _ in range(5):
         t0 = time.perf_counter()
-        value = harness._g_acute_1a(Fraction(1, 2), Fraction(29, 10))
+        value = exact._g_acute_1a(Fraction(1, 2), Fraction(29, 10))
         timings.append(time.perf_counter() - t0)
     assert value == Fraction(501126, 495785)
     assert min(timings) < 1e-3
 
 
 def test_certificate_plan_completes_quickly():
-    results = harness.certify_all(max_depth=40)
+    results = exact.certify_all(max_depth=40)
     assert len(results) == 4
     for entry in results:
         assert entry["ok"], entry["lemma"]
@@ -212,48 +213,32 @@ def test_bessel_zero_floor_holds_for_all_orders():
     assert float(K) < float(C1)  # the rounded-down constant stays below
 
 
-ANALYTIC_CASES = ("acute-1a", "acute-1b", "acute-2", "obtuse-1", "obtuse-2", "obtuse-3")
-
-# runs _exact_layer_outputs with every import of mpmath refused
+# runs exact_outputs with the package's __init__ skipped and every import of
+# numpy, scipy and mpmath refused; argv[1] is the package directory
 _FENCED_RUN = """
-import importlib.abc, json, sys
+import importlib.abc, json, sys, types
 
-class RefuseMpmath(importlib.abc.MetaPathFinder):
+class Refuse(importlib.abc.MetaPathFinder):
     def find_spec(self, name, path=None, target=None):
-        if name.partition(".")[0] == "mpmath":
-            raise ImportError("mpmath is fenced off")
+        if name.partition(".")[0] in ("numpy", "scipy", "mpmath"):
+            raise ImportError(name + " is fenced off")
 
-sys.meta_path.insert(0, RefuseMpmath())
-import test_acceptance
-print(json.dumps(test_acceptance._exact_layer_outputs()))
+sys.meta_path.insert(0, Refuse())
+package = types.ModuleType("polya_verify")
+package.__path__ = [sys.argv[1]]
+sys.modules["polya_verify"] = package
+import exact_outputs
+print(json.dumps(exact_outputs.exact_outputs()))
 """
 
 
-def _exact_layer_outputs() -> dict:
-    """Bessel zeros and enclosures, the analytic replays and the certificates, as JSON."""
-    enclosures = {}
-    for cid, digits in (("j_1/3", 40), ("j_3", 80)):
-        iv = enclose(cid, Fraction(1, 10**digits))
-        enclosures[f"{cid}@1e-{digits}"] = [str(iv.lo), str(iv.hi)]
-    certificates = [
-        {key: value for key, value in cert.items() if key != "seconds"}
-        for cert in harness.certify_all()
-    ]
-    out = {
-        "zeros": [closed_forms.bessel_first_zero(nu) for nu in range(1, 21)],
-        "enclosures": enclosures,
-        "replays": [harness.replay_case(cid).to_json_dict() for cid in ANALYTIC_CASES],
-        "certificates": certificates,
-    }
-    return json.loads(json.dumps(out))
-
-
 def test_bessel_zeros_replays_and_certificates_run_without_mpmath():
+    # the exact side imports no numpy, scipy or mpmath, gives the same JSON
+    # fenced and in process, and matches the committed outputs exactly
     here = Path(__file__).resolve().parent
-    paths = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    env = dict(os.environ, PYTHONPATH=str(here))
     done = subprocess.run(
-        [sys.executable, "-c", _FENCED_RUN],
+        [sys.executable, "-c", _FENCED_RUN, str(here.parent / "src" / "polya_verify")],
         env=env,
         capture_output=True,
         text=True,
@@ -261,7 +246,8 @@ def test_bessel_zeros_replays_and_certificates_run_without_mpmath():
     )
     assert done.returncode == 0, done.stderr
     fenced = json.loads(done.stdout.splitlines()[-1])
-    assert fenced == _exact_layer_outputs()
+    assert fenced == exact_outputs.exact_outputs()
+    assert fenced == json.loads(exact_outputs.PATH.read_text(encoding="utf-8"))
     assert [r["verdict"] for r in fenced["replays"]] == ["Verified"] * 6
 
 

@@ -30,7 +30,6 @@ REFERENCE = {
     "two_pow_1_3": 1.2599210498948732,
     "two_pow_2_3": 1.5874010519681996,
     "zeta5": 1.03692775514337,
-    "neg_a1": 2.338107410459767,
 }
 
 
@@ -119,6 +118,8 @@ def test_unknown_constant_raises():
         enclose("feigenbaum")
     with pytest.raises(UnknownConstant):
         enclose("π")  # display spellings are not ids; pi is
+    with pytest.raises(UnknownConstant):
+        enclose("neg_a1")  # the Airy zero enters only as the rationals K < C1
 
 
 def test_interval_addition_and_subtraction():

@@ -6,23 +6,25 @@ from fractions import Fraction
 
 import pytest
 
-from polya_verify import bounds, cli, constants, geometry, harness, polycert
-from polya_verify.harness import (
+from polya_verify import bounds, cli, constants, exact, geometry, harness, polycert
+from polya_verify.constants import arctan_recip
+from polya_verify.exact import (
     CellSubdivisionFailure,
     EvidenceItem,
     OutOfRegion,
+    certify_all,
+    certify_g_floor,
+    identity_vanishes,
+    xb_ge_3_exact,
+)
+from polya_verify.harness import (
     UnknownCase,
     _tan_lower,
     _tan_upper,
-    arctan_enclosure,
-    certify_all,
-    certify_g_floor,
     g_remark_check,
-    identity_vanishes,
     rect_monotonicity_scan,
     replay_case,
     sweep_triangles,
-    xb_ge_3_exact,
 )
 
 PI2_24 = math.pi**2 / 24.0
@@ -34,14 +36,16 @@ PI2_24 = math.pi**2 / 24.0
 
 
 def test_arctan_enclosure_brackets_and_contracts():
-    for x in (Fraction(1, 8), Fraction(3, 10), Fraction(1, 2), Fraction(1)):
-        lo, hi = arctan_enclosure(x, terms=6)
-        assert lo < hi
-        assert float(lo) <= math.atan(float(x)) <= float(hi)
-        lo2, hi2 = arctan_enclosure(x, terms=12)
-        assert hi2 - lo2 < hi - lo
+    for m in (8, 3, 2, 1):
+        iv = arctan_recip(m, 6)
+        assert iv.lo < iv.hi
+        assert float(iv.lo) <= math.atan(1.0 / m) <= float(iv.hi)
+        assert arctan_recip(m, 12).width < iv.width
+    # the bracket is the pair of partial sums S_3 and S_4 of the series
+    s3 = Fraction(1, 8) - Fraction(1, 3 * 8**3) + Fraction(1, 5 * 8**5)
+    assert arctan_recip(8, 4) == constants.RationalInterval(s3 - Fraction(1, 7 * 8**7), s3)
     with pytest.raises(ValueError):
-        arctan_enclosure(Fraction(3, 2))
+        arctan_recip(0, 4)
 
 
 def test_tan_brackets_on_the_unit_interval():
@@ -101,10 +105,10 @@ def _f_obtuse_2(a, b):
 
 
 def test_band_function_exact_values():
-    assert harness._g_acute_1a(Fraction(0), Fraction(1)) == Fraction(27, 20)
-    corner = harness._g_acute_1a(Fraction(1, 2), Fraction(29, 10))
+    assert exact._g_acute_1a(Fraction(0), Fraction(1)) == Fraction(27, 20)
+    corner = exact._g_acute_1a(Fraction(1, 2), Fraction(29, 10))
     assert corner == Fraction(501126, 495785)
-    as_float = harness._g_acute_1a(0.5, 2.9)
+    as_float = exact._g_acute_1a(0.5, 2.9)
     assert as_float == pytest.approx(float(corner), rel=1e-12)
 
 
@@ -120,7 +124,7 @@ def test_case_functions_assemble_the_lower_bound_product():
     # each case scalar times pi^2/24 equals eigenvalue bound times torsion
     # bound over area for the matching chart
     for a, b in [(0.1, 1.2), (0.3, 0.95), (0.5, 2.0)]:
-        g = float(harness._g_acute_1a(a, b))
+        g = float(exact._g_acute_1a(a, b))
         n = math.hypot(1.0 - a, b)
         rhs = (
             bounds.eig_lb_diameter_height(n, b / n).value
@@ -254,7 +258,7 @@ def test_integer_cell_loop_matches_the_fraction_loop(floor, box, max_depth):
 def test_band_floor_rejects_a_box_outside_its_corner_bound(box):
     # on [1, 6/5] x [1/100, 1/50], (1-a)^2 grows with a, so the corner
     # bound is no bound: it would certify g >= 1 where g(6/5, 1/100) ~ 0.03
-    assert harness._g_acute_1a(Fraction(6, 5), Fraction(1, 100)) < Fraction(1, 30)
+    assert exact._g_acute_1a(Fraction(6, 5), Fraction(1, 100)) < Fraction(1, 30)
     with pytest.raises(ValueError, match="0 <= a0 < a1 <= 1"):
         certify_g_floor(floor=1, box=box)
 
@@ -278,30 +282,30 @@ def test_evidence_item_rejects_unknown_methods():
 
 def test_item_derives_pass_flag_and_margin_from_its_comparisons():
     method = "exact-rational"
-    tight = harness._item("x", method, "", (Fraction(1, 3), "<", Fraction(1, 3)))
+    tight = exact._item("x", method, "", (Fraction(1, 3), "<", Fraction(1, 3)))
     assert not tight.passed and tight.margin == 0.0
-    loose = harness._item("x", method, "", (Fraction(1, 3), "<=", Fraction(1, 3)))
+    loose = exact._item("x", method, "", (Fraction(1, 3), "<=", Fraction(1, 3)))
     assert loose.passed and loose.margin == 0.0
     # "==" adds no slack: the margin is the inequality's
-    mixed = harness._item("x", method, "", (2, "==", 2), (Fraction(1, 4), "<", 1))
+    mixed = exact._item("x", method, "", (2, "==", 2), (Fraction(1, 4), "<", 1))
     assert mixed.passed and mixed.margin == 0.75
     # the smallest slack counts, and a failing comparison makes it negative
-    worst = harness._item("x", method, "", (0, "<", 5), (3, "<=", Fraction(5, 2)))
+    worst = exact._item("x", method, "", (0, "<", 5), (3, "<=", Fraction(5, 2)))
     assert not worst.passed and worst.margin == -0.5
-    identity = harness._item("x", method, "", (1, "==", 1))
+    identity = exact._item("x", method, "", (1, "==", 1))
     assert identity.passed and identity.margin == 0.0
-    assert not harness._item("x", method, "", holds=False).passed
-    assert not harness._item("x", method, "", (1, "==", 2)).passed
+    assert not exact._item("x", method, "", holds=False).passed
+    assert not exact._item("x", method, "", (1, "==", 2)).passed
 
 
 @pytest.mark.parametrize("method", ["exact-rational", "certificate"])
 def test_exact_items_refuse_float_operands(method):
     for comparison in ((0.5, "<", 1), (Fraction(1, 2), "<=", 1.0), (0.5, "==", 0.5)):
         with pytest.raises(TypeError, match="float operand"):
-            harness._item("x", method, "", (0, "<", 1), comparison)
+            exact._item("x", method, "", (0, "<", 1), comparison)
     # numeric methods keep taking floats
     for numeric in ("grid+modulus", "oracle"):
-        item = harness._item("x", numeric, "", (0.25, "<", 1), (Fraction(1, 2), "<=", 1.0))
+        item = exact._item("x", numeric, "", (0.25, "<", 1), (Fraction(1, 2), "<=", 1.0))
         assert item.passed and item.margin == 0.5
 
 
@@ -377,7 +381,7 @@ def test_replay_windows_come_from_the_certificate_plan(monkeypatch):
     # (600/1000)^3 = 0.216 < 391/1215, an upper bound of arctan(1/3): the
     # narrowed Q_mgeq3 window no longer covers the angle range, and both
     # replays that rely on it must say so
-    monkeypatch.setitem(harness._CERT_PLAN, "Q_mgeq3", Fraction(600, 1000))
+    monkeypatch.setitem(exact._CERT_PLAN, "Q_mgeq3", Fraction(600, 1000))
     for case_id in ("acute-2", "obtuse-3"):
         report = replay_case(case_id)
         assert report.verdict == "Failed"
@@ -390,7 +394,7 @@ def test_both_monotone_map_replays_check_the_tiling(monkeypatch):
     # a first window of (0, 2/5] stops short of the re-centering point
     # 444/1000: the two derivative certificates still hold but no longer
     # tile (0, 7/10], and both replays that rely on the angle map must say so
-    monkeypatch.setitem(harness._CERT_PLAN, "negP1prime_mono", Fraction(2, 5))
+    monkeypatch.setitem(exact._CERT_PLAN, "negP1prime_mono", Fraction(2, 5))
     for case_id in ("acute-2", "obtuse-3"):
         report = replay_case(case_id)
         assert report.verdict == "Failed"

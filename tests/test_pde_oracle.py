@@ -176,6 +176,24 @@ def test_off_base_triangle_meshes_keep_the_maximum_angle_condition(a, b):
     assert pde_oracle._mesh_area(mesh) == pytest.approx(b / 2.0, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "a, b, raises", [(-1000.0, 1e-3, True), (-100.0, 1e-4, True), (-100.0, 0.1, False)]
+)
+def test_meshing_cutoff_agrees_between_similar_triangles(a, b, raises):
+    # the cutoff reads the apex height over the longest side relative to that
+    # side, so a triangle and its chart copy (that side scaled to [0, 1])
+    # fall on the same side of it; relative heights 1e-9, 1e-8 and 9.8e-6
+    length = math.hypot(1.0 - a, b)
+    chart = Triangle((1.0 - a) / length**2, b / length**2)
+    if raises:
+        for shape in (Triangle(a, b), chart):
+            with pytest.raises(DegenerateShape, match="meshing cutoff"):
+                spectral(shape, 5)
+    else:
+        res, ref = spectral(Triangle(a, b), 5), spectral(chart, 5)
+        assert res.F == pytest.approx(ref.F, rel=1e-12, abs=0.0)
+
+
 def test_mesh_refinement_quadruples_elements():
     shape = Triangle(0.4, 0.6)
     mesh = mesh_domain(shape, level=3)
