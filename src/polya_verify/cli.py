@@ -55,6 +55,8 @@ def _compute(args: argparse.Namespace) -> dict:
             "levels": res.levels,
             "error_gauge": dict(res.error_gauge),
             "observed_order": dict(res.observed_order),
+            "eigen_iterations": res.per_level["eigen_iterations"],
+            "eigen_residual": res.per_level["eigen_residual"],
         }
     rect = Rectangle(args.a, args.b)
     tor = closed_forms.rect_torsion(rect, n_terms=args.terms)

@@ -31,8 +31,10 @@ The eigenproblem uses the consistent mass matrix (variational, so discrete
 eigenvalues sit above the true ones); the torsion load is mass-lumped.  In
 the band order a level's stiffness has half-bandwidth at most 2^level.  One
 banded Cholesky factorization per level (LAPACK dpbtrf, no pivoting) serves
-both the torsion solve and unshifted inverse power iteration for the
-eigenvalue (dpbtrs), which starts from the torsion function (the lumped
+both the torsion solve and the eigen solve (dpbtrs): Lanczos on K^-1 M,
+which is self-adjoint in the M inner product (the spectral transformation
+of Ericsson & Ruhe, 1980, at shift zero).  Its largest Ritz value is
+1 / lambda1, and its basis starts from the torsion function (the lumped
 load is M times the constant vector) or from the prolonged eigenvector, so
 repeated runs are byte-identical.
 
@@ -57,7 +59,8 @@ from .geometry import Rectangle, Sector, Triangle
 
 MAX_LEVEL = 9
 _EIG_TOL = 1e-12
-_EIG_MAXIT = 400
+_EIG_MAXIT = 400  # Lanczos steps per level
+_BASIS = 20  # Lanczos basis vectors before a restart
 
 # Reference layouts: base vertices, base elements, and the piece of each
 # base element.  Pieces meet only along edges on which their maps agree.
@@ -91,7 +94,8 @@ class NonContracting(RuntimeError):
 
 
 class EigenNotConverged(RuntimeError):
-    """Raised when inverse iteration misses _EIG_TOL within _EIG_MAXIT steps."""
+    """Raised when the Lanczos eigenvalue misses _EIG_TOL within _EIG_MAXIT
+    steps, or when its start vector has no positive finite M-norm."""
 
 
 class NotPositiveDefinite(RuntimeError):
@@ -127,7 +131,9 @@ class SpectralResult:
     (``richardson``), about 2 on regular shapes; on the altitude-split mesh
     it reads 1.88 for lambda1 at ``Triangle(0.5, 0.04)``, level 7, and
     lower on coarser levels of thin triangles, where the gauge's order-2
-    premise is weaker.
+    premise is weaker.  ``per_level`` holds each level's values and work
+    counts (see ``spectral``); its ``eigen_residual`` measures the eigen
+    solve on that level's mesh, not the discretization error.
     """
 
     lambda1: float
@@ -520,40 +526,86 @@ def _solve_system(system: _System, x0: Optional[np.ndarray] = None) -> dict:
     dpbtrf factors in place a fresh band that the reference's ``band_at``
     fills from the stiffness values, so the system is left as it was, and
     every solve is one dpbtrs call on that factor.  A nonpositive pivot
-    raises NotPositiveDefinite.  Inverse iteration starts from ``x0`` (on
-    all vertices) or, without it, from the torsion function.  Each step
-    takes two mass products: with ``K y = M x``, the Rayleigh quotient of y
-    is ``(y . M x) / (y . M y)``.  It raises EigenNotConverged if the
-    quotient has not settled to _EIG_TOL within _EIG_MAXIT iterations.
+    raises NotPositiveDefinite.  The eigenpair comes from Lanczos on
+    ``K^-1 M`` in the M inner product, started from ``x0`` (on all
+    vertices) or, without it, from the torsion function.  The basis V is
+    M-orthonormal and carries its images MV; a step solves ``K w = M v_j``,
+    takes one mass product ``M w`` and one full Gram-Schmidt pass with
+    ``h = MV w``, so ``alpha_j = h_j`` and ``beta_j = |w|_M``.  The
+    eigenvalue is 1 / mu for the largest eigenvalue mu of the tridiagonal
+    T of these (LAPACK dstev), the eigenvector is ``V y``, and
+    ``eigen_residual`` is ``beta_j |y_j| / mu``, the relative M-norm
+    residual of that pair.  The loop stops when the eigenvalue changes by
+    at most _EIG_TOL relative, or when ``beta_j <= _EIG_TOL mu`` (the
+    basis spans an invariant subspace to that tolerance).  A basis of
+    min(_BASIS, n) vectors restarts from its Ritz vector, and the stop test
+    skips a restart's first step, whose Ritz value repeats the last.
+    EigenNotConverged is raised after _EIG_MAXIT steps, or when the start
+    vector has no positive finite M-norm (a zero ``x0``, say).
     """
     ref = system.reference
     mass, idx = system.mass, ref.interior
-    w, n = ref.half_width, len(idx)
-    band = _scatter(system.stiffness, ref.band_at, (w + 1) * n)
-    factor, info = lapack.dpbtrf(band.reshape((w + 1, n), order="F"), overwrite_ab=1)
+    width, n = ref.half_width, len(idx)
+    band = _scatter(system.stiffness, ref.band_at, (width + 1) * n)
+    factor, info = lapack.dpbtrf(
+        band.reshape((width + 1, n), order="F"), overwrite_ab=1
+    )
     if info > 0:
         raise NotPositiveDefinite(
             f"stiffness at level {system.level}: Cholesky pivot {info} of "
             f"{n} is not positive"
         )
     u = lapack.dpbtrs(factor, system.load)[0]
+    size = min(_BASIS, n)
+    # rows of the M-orthonormal basis and their mass images; np.empty leaves
+    # the rows a solve never reaches unallocated
+    basis, images = np.empty((size, n)), np.empty((size, n))
+    # T, the projection of K^-1 M on the basis: its diagonal and off-diagonal
+    alpha, off = np.empty(size), np.zeros(size)
     x = u if x0 is None else x0[idx]
-    lam_prev = math.inf
-    for iteration in range(1, _EIG_MAXIT + 1):
-        mx = mass @ x
-        y = lapack.dpbtrs(factor, mx)[0]
-        yy = float(y @ (mass @ y))
-        if yy <= 0.0 or not math.isfinite(yy):
-            raise RuntimeError("inverse power iteration broke down")
-        lam = float(y @ mx) / yy
-        x = y / math.sqrt(yy)
-        if abs(lam - lam_prev) <= _EIG_TOL * abs(lam):
-            break
-        lam_prev = lam
+    mx = mass @ x
+    k = 0  # basis rows in use; 0 (re)starts the basis from x
+    lam = lam_prev = math.inf
+    for step in range(1, _EIG_MAXIT + 1):
+        if k == 0:
+            norm = float(x @ mx)
+            if not (0.0 < norm < math.inf):
+                raise EigenNotConverged(
+                    f"start vector at level {system.level} has squared M-norm {norm!r}"
+                )
+            norm = math.sqrt(norm)
+            basis[0], images[0] = x / norm, mx / norm
+            k, fresh = 1, True
+        w = lapack.dpbtrs(factor, images[k - 1])[0]
+        mw = mass @ w
+        h = images[:k] @ w
+        w -= h @ basis[:k]
+        mw -= h @ images[:k]
+        beta = math.sqrt(max(float(w @ mw), 0.0))
+        alpha[k - 1] = h[k - 1]
+        # dstev reads at least one off-diagonal entry, unused when k is 1
+        mus, ys, _ = lapack.dstev(alpha[:k], off[: max(k - 1, 1)])
+        mu, y = float(mus[-1]), ys[:, -1]
+        lam_prev, lam = lam, 1.0 / mu
+        # a fresh basis's first Ritz value repeats the last one
+        settled = not fresh and abs(lam - lam_prev) <= _EIG_TOL * lam
+        invariant = beta <= _EIG_TOL * mu
+        fresh = False
+        if settled or invariant or k == size:
+            # the Ritz vector: the result, or the start of a fresh basis
+            x, mx = y @ basis[:k], y @ images[:k]
+            if settled or invariant:
+                break
+            k = 0
+        else:
+            off[k - 1] = beta
+            np.divide(w, beta, out=basis[k])
+            np.divide(mw, beta, out=images[k])
+            k += 1
     else:
         raise EigenNotConverged(
-            f"relative eigenvalue change {abs(lam - lam_prev) / abs(lam):.1e} "
-            f"after {_EIG_MAXIT} iterations exceeds {_EIG_TOL:.0e}"
+            f"relative eigenvalue change {abs(lam - lam_prev) / lam:.1e} "
+            f"after {_EIG_MAXIT} Lanczos steps exceeds {_EIG_TOL:.0e}"
         )
     eigvec = np.zeros(len(ref.vertices))
     eigvec[idx] = x
@@ -562,7 +614,8 @@ def _solve_system(system: _System, x0: Optional[np.ndarray] = None) -> dict:
         "T": float(system.load @ u),
         "torsion_max": float(u.max()),
         "eigvec": eigvec,
-        "eigen_iterations": iteration,
+        "eigen_iterations": step,
+        "eigen_residual": beta * abs(float(y[-1])) / mu,
         "elements": len(ref.elements),
         "dofs": len(idx),
         "lu_nnz": factor.size,
@@ -624,8 +677,10 @@ def spectral(shape, max_level: int) -> SpectralResult:
     Solves on levels max_level-2 .. max_level with one factorization per
     level, warm-starting each eigenvalue solve from the prolonged
     eigenvector of the previous level, then Richardson-extrapolates.
-    ``per_level["eigen_iterations"]`` counts the inverse iterations of each
-    level, ``per_level["elements"]`` its elements, ``per_level["dofs"]``
+    ``per_level["eigen_iterations"]`` counts the Lanczos steps of each
+    level (one solve and one mass product each), ``eigen_residual`` the
+    relative M-norm residual of its final Ritz pair (``_solve_system``),
+    ``per_level["elements"]`` its elements, ``per_level["dofs"]``
     its interior vertices n, the unknowns of its solves, and
     ``per_level["lu_nnz"]`` the entries of its stored banded Cholesky
     factor, (w + 1) n for half-bandwidth w.  Every level's system comes

@@ -561,6 +561,8 @@ def test_cli_compute_triangle(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["F"] == pytest.approx(math.pi**2 / 15.0, rel=1e-3)
     assert set(payload["observed_order"]) == {"lambda1", "T"}
+    assert len(payload["eigen_iterations"]) == len(payload["levels"]) == 3
+    assert all(0.0 <= r < 1e-6 for r in payload["eigen_residual"])
 
 
 @pytest.mark.parametrize(

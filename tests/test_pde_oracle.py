@@ -1,13 +1,17 @@
 """Finite element oracle: convergence, invariances, and failure modes."""
 
 import dataclasses
+import json
 import math
 import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg
 
+import oracle_outputs
 from polya_verify import geometry, harness, pde_oracle
 from polya_verify.closed_forms import (
     bessel_first_zero,
@@ -391,6 +395,120 @@ def test_unconverged_eigen_iteration_raises_and_flags_the_sweep_row(monkeypatch)
     assert len(rows) == 1
     assert rows[0].error.startswith("EigenNotConverged")
     assert math.isnan(rows[0].F)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [Triangle(0.3, 0.4), Rectangle(0.5, 0.5), Sector(math.pi / 3.0, 1.0)],
+    ids=["triangle", "square", "sector"],
+)
+@pytest.mark.parametrize("level", [2, 3, 4])
+def test_lanczos_eigenvalue_matches_the_dense_pencil(shape, level):
+    # at level 2 the square has 9 unknowns and its symmetric start spans an
+    # invariant subspace; the sector has 3, so its basis fills the space
+    system = pde_oracle._system(shape, level)
+    solved = pde_oracle._solve_system(system)
+    dense = scipy.linalg.eigh(
+        _stiffness_matrix(system).toarray(),
+        system.mass.toarray(),
+        eigvals_only=True,
+        subset_by_index=[0, 0],
+    )[0]
+    assert abs(solved["lambda1"] - dense) <= 1e-11 * dense
+
+
+def test_a_capped_basis_restarts_to_the_same_eigenvalue(monkeypatch):
+    # a restart's first Ritz value repeats the last one, so a stop test that
+    # ran on it would stop on the three-vector estimate
+    system = pde_oracle._system(Triangle(0.5, 0.04), 5)
+    free = pde_oracle._solve_system(system)
+    monkeypatch.setattr(pde_oracle, "_BASIS", 3)
+    capped = pde_oracle._solve_system(system)
+    assert abs(capped["lambda1"] - free["lambda1"]) <= 1e-12 * free["lambda1"]
+    assert capped["eigen_iterations"] > free["eigen_iterations"]
+
+
+def test_thin_triangle_levels_take_few_lanczos_steps():
+    res = spectral(Triangle(0.25, 0.005), max_level=6)
+    assert all(steps <= 20 for steps in res.per_level["eigen_iterations"])
+
+
+def test_eigen_residual_is_the_residual_of_the_returned_pair():
+    res = spectral(Triangle(0.5, EQ_B), max_level=5)
+    residuals = res.per_level["eigen_residual"]
+    assert len(residuals) == len(res.levels)
+    assert all(isinstance(r, float) and 0.0 <= r < 1e-6 for r in residuals)
+    # ||K^-1 M x - x / lambda||_M lambda for the M-unit eigenvector x
+    system = pde_oracle._system(Triangle(0.5, EQ_B), 5)
+    solved = pde_oracle._solve_system(system)
+    x = solved["eigvec"][system.reference.interior]
+    mass = system.mass
+    r = sp.linalg.spsolve(_stiffness_matrix(system), mass @ x) - x / solved["lambda1"]
+    measured = math.sqrt(r @ (mass @ r)) * solved["lambda1"]
+    assert x @ (mass @ x) == pytest.approx(1.0, rel=1e-12)
+    assert solved["eigen_residual"] == pytest.approx(measured, rel=1e-3)
+
+
+@pytest.mark.parametrize("start", [0.0, math.nan], ids=["zero", "nan"])
+def test_a_start_vector_without_a_positive_m_norm_raises(start):
+    system = pde_oracle._system(Triangle(0.3, 0.4), 3)
+    x0 = np.full(len(system.reference.vertices), start)
+    with pytest.raises(EigenNotConverged, match="start vector at level 3"):
+        pde_oracle._solve_system(system, x0)
+
+
+def _relative(new, old, tol):
+    return abs(new - old) <= tol * abs(old)
+
+
+def _assert_values_match(new, old, where):
+    """lambda1, T, torsion_max and F within 1e-11 relative; each error gauge
+    within 1e-11 of the value it gauges."""
+    for key in ("lambda1", "T", "torsion_max", "F"):
+        assert _relative(new[key], old[key], 1e-11), (where, key)
+    assert new["error_gauge"].keys() == old["error_gauge"].keys()
+    for key, gauge in old["error_gauge"].items():
+        shift = abs(new["error_gauge"][key] - gauge)
+        assert shift <= 1e-11 * abs(old[key]), (where, key)
+
+
+def test_oracle_outputs_match_the_committed_copy():
+    old = json.loads(oracle_outputs.PATH.read_text(encoding="utf-8"))
+    new = oracle_outputs.oracle_outputs()
+    for report, pinned in zip(new["replays"], old["replays"], strict=True):
+        assert report["verdict"] == pinned["verdict"]
+        for item, kept in zip(report["evidence"], pinned["evidence"], strict=True):
+            # margins here are differences of F-sized values
+            assert abs(item.pop("margin") - kept.pop("margin")) <= 1e-11, item
+            assert item == kept
+    assert len(new["survey"]) == len(old["survey"]) == 60
+    for row, pinned in zip(new["survey"], old["survey"]):
+        where = (row["a"], row["b"])
+        assert where == (pinned["a"], pinned["b"])
+        for key in ("tri_class", "error"):
+            assert row[key] == pinned[key], (where, key)
+        _assert_values_match(row, pinned, where)
+        scale = 1e-11 * pinned["F"]
+        for key in ("margin_low", "margin_high"):
+            assert abs(row[key] - pinned[key]) <= scale, (where, key)
+        assert row["bound_gaps"].keys() == pinned["bound_gaps"].keys()
+        for key, gap in pinned["bound_gaps"].items():
+            assert abs(row["bound_gaps"][key] - gap) <= scale, (where, key)
+    assert new["spectral"].keys() == old["spectral"].keys()
+    for where, pinned in old["spectral"].items():
+        res = new["spectral"][where]
+        _assert_values_match(res, pinned, where)
+        for key in ("h_sequence", "levels", "area"):
+            assert res[key] == pinned[key], (where, key)
+        for key, order in pinned["observed_order"].items():
+            assert abs(res["observed_order"][key] - order) <= 1e-6, (where, key)
+        assert res["per_level"].keys() == pinned["per_level"].keys()
+        for key, values in pinned["per_level"].items():
+            if key in ("lambda1", "T", "torsion_max"):
+                pairs = zip(res["per_level"][key], values, strict=True)
+                assert all(_relative(v, p, 1e-11) for v, p in pairs), (where, key)
+            else:
+                assert res["per_level"][key] == values, (where, key)
 
 
 def test_richardson_extrapolation_recovers_quadratic_limits():
