@@ -1,10 +1,10 @@
 """Command line front end: compute, sweep, certify, and replay.
 
-Exit codes: 0 on success, 1 when a requested check fails (a certificate
-finds a positive value, or a replayed case reports Failed) or when compute,
-sweep or certify rejects its input (such as a negative --depth), 2 when a
-certificate run exhausts its depth budget without deciding.  Rejected input
-prints one line naming the command: "certify: dx must be positive, got 0".
+Exit codes: 0 on success; 1 when a requested check fails (a certificate
+finds a positive value, or a replayed case reports Failed), or when compute,
+sweep or certify rejects its input or the oracle fails in compute, each in
+one line naming the command ("compute: NonContracting: ..."); 2 when a
+certificate run exhausts its depth budget without deciding.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 
 from . import closed_forms, harness, pde_oracle, polycert
 from .geometry import Rectangle, Triangle
+from .pde_oracle import EigenNotConverged, NonContracting, NotPositiveDefinite
 
 
 def _emit(payload: dict, out: Optional[str]) -> None:
@@ -33,6 +34,8 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         payload = _compute(args)
     except ValueError as exc:
         raise SystemExit(f"compute: {exc}")
+    except (NonContracting, EigenNotConverged, NotPositiveDefinite) as exc:
+        raise SystemExit(f"compute: {type(exc).__name__}: {exc}")
     _emit(payload, args.out)
     return 0
 

@@ -33,10 +33,10 @@ the band order a level's stiffness has half-bandwidth at most 2^level.  One
 banded Cholesky factorization per level (LAPACK dpbtrf, no pivoting) serves
 both the torsion solve and the eigen solve (dpbtrs): Lanczos on K^-1 M,
 which is self-adjoint in the M inner product (the spectral transformation
-of Ericsson & Ruhe, 1980, at shift zero).  Its largest Ritz value is
-1 / lambda1, and its basis starts from the torsion function (the lumped
-load is M times the constant vector) or from the prolonged eigenvector, so
-repeated runs are byte-identical.
+of Ericsson & Ruhe, 1980, at shift zero), stopped on the residual bound of
+its largest Ritz value 1 / lambda1 (Parlett, 1998).  Its basis starts from
+the torsion function (the lumped load is M times the constant vector) or
+from the prolonged eigenvector, so repeated runs are byte-identical.
 
 Richardson extrapolation over three consecutive levels provides the
 reported value and an error gauge (distance between the extrapolated and
@@ -94,8 +94,8 @@ class NonContracting(RuntimeError):
 
 
 class EigenNotConverged(RuntimeError):
-    """Raised when the Lanczos eigenvalue misses _EIG_TOL within _EIG_MAXIT
-    steps, or when its start vector has no positive finite M-norm."""
+    """Raised when the Lanczos error estimate still exceeds _EIG_TOL after
+    _EIG_MAXIT steps, or when its start vector has no positive finite M-norm."""
 
 
 class NotPositiveDefinite(RuntimeError):
@@ -132,8 +132,8 @@ class SpectralResult:
     it reads 1.88 for lambda1 at ``Triangle(0.5, 0.04)``, level 7, and
     lower on coarser levels of thin triangles, where the gauge's order-2
     premise is weaker.  ``per_level`` holds each level's values and work
-    counts (see ``spectral``); its ``eigen_residual`` measures the eigen
-    solve on that level's mesh, not the discretization error.
+    counts (see ``spectral``); its ``eigen_residual`` measures, and stops,
+    the eigen solve on that level's mesh, not the discretization error.
     """
 
     lambda1: float
@@ -534,14 +534,15 @@ def _solve_system(system: _System, x0: Optional[np.ndarray] = None) -> dict:
     ``h = MV w``, so ``alpha_j = h_j`` and ``beta_j = |w|_M``.  The
     eigenvalue is 1 / mu for the largest eigenvalue mu of the tridiagonal
     T of these (LAPACK dstev), the eigenvector is ``V y``, and
-    ``eigen_residual`` is ``beta_j |y_j| / mu``, the relative M-norm
-    residual of that pair.  The loop stops when the eigenvalue changes by
-    at most _EIG_TOL relative, or when ``beta_j <= _EIG_TOL mu`` (the
-    basis spans an invariant subspace to that tolerance).  A basis of
-    min(_BASIS, n) vectors restarts from its Ritz vector, and the stop test
-    skips a restart's first step, whose Ritz value repeats the last.
-    EigenNotConverged is raised after _EIG_MAXIT steps, or when the start
-    vector has no positive finite M-norm (a zero ``x0``, say).
+    ``eigen_residual`` is ``r / mu`` for its M-norm residual
+    ``r = beta_j |y_j|``.  The loop stops when ``r^2 <= _EIG_TOL mu gap``,
+    with gap = mu less T's second eigenvalue, which estimates the gap that
+    puts mu within ``r^2 / gap`` of an eigenvalue (Parlett, 1998).  An
+    invariant subspace (beta_j near 0) gives r near 0.  A basis of
+    min(_BASIS, n) vectors restarts from its Ritz vector, and that
+    one-vector basis keeps the last gap (mu stands in on the first start).
+    EigenNotConverged is raised after _EIG_MAXIT steps, or for a start
+    vector without a positive finite M-norm (a zero ``x0``, say).
     """
     ref = system.reference
     mass, idx = system.mass, ref.interior
@@ -564,8 +565,7 @@ def _solve_system(system: _System, x0: Optional[np.ndarray] = None) -> dict:
     alpha, off = np.empty(size), np.zeros(size)
     x = u if x0 is None else x0[idx]
     mx = mass @ x
-    k = 0  # basis rows in use; 0 (re)starts the basis from x
-    lam = lam_prev = math.inf
+    k, gap = 0, math.inf  # basis rows in use (0 (re)starts it from x); T's gap
     for step in range(1, _EIG_MAXIT + 1):
         if k == 0:
             norm = float(x @ mx)
@@ -575,7 +575,7 @@ def _solve_system(system: _System, x0: Optional[np.ndarray] = None) -> dict:
                 )
             norm = math.sqrt(norm)
             basis[0], images[0] = x / norm, mx / norm
-            k, fresh = 1, True
+            k = 1
         w = lapack.dpbtrs(factor, images[k - 1])[0]
         mw = mass @ w
         h = images[:k] @ w
@@ -586,16 +586,13 @@ def _solve_system(system: _System, x0: Optional[np.ndarray] = None) -> dict:
         # dstev reads at least one off-diagonal entry, unused when k is 1
         mus, ys, _ = lapack.dstev(alpha[:k], off[: max(k - 1, 1)])
         mu, y = float(mus[-1]), ys[:, -1]
-        lam_prev, lam = lam, 1.0 / mu
-        # a fresh basis's first Ritz value repeats the last one
-        settled = not fresh and abs(lam - lam_prev) <= _EIG_TOL * lam
-        invariant = beta <= _EIG_TOL * mu
-        fresh = False
-        if settled or invariant or k == size:
-            # the Ritz vector: the result, or the start of a fresh basis
+        # one vector keeps the gap of the basis it restarted from, or takes mu
+        gap = float(mus[-1] - mus[-2]) if k > 1 else min(gap, mu)
+        r = beta * abs(float(y[-1]))
+        if r * r <= _EIG_TOL * mu * gap:
+            break
+        if k == size:  # restart from the Ritz vector
             x, mx = y @ basis[:k], y @ images[:k]
-            if settled or invariant:
-                break
             k = 0
         else:
             off[k - 1] = beta
@@ -604,18 +601,18 @@ def _solve_system(system: _System, x0: Optional[np.ndarray] = None) -> dict:
             k += 1
     else:
         raise EigenNotConverged(
-            f"relative eigenvalue change {abs(lam - lam_prev) / lam:.1e} "
-            f"after {_EIG_MAXIT} Lanczos steps exceeds {_EIG_TOL:.0e}"
+            f"estimated relative eigenvalue error {r * r / (mu * gap):.1e} after "
+            f"{_EIG_MAXIT} Lanczos steps exceeds {_EIG_TOL:.0e}"
         )
     eigvec = np.zeros(len(ref.vertices))
-    eigvec[idx] = x
+    eigvec[idx] = y @ basis[:k]
     return {
-        "lambda1": lam,
+        "lambda1": 1.0 / mu,
         "T": float(system.load @ u),
         "torsion_max": float(u.max()),
         "eigvec": eigvec,
         "eigen_iterations": step,
-        "eigen_residual": beta * abs(float(y[-1])) / mu,
+        "eigen_residual": r / mu,
         "elements": len(ref.elements),
         "dofs": len(idx),
         "lu_nnz": factor.size,
@@ -679,7 +676,7 @@ def spectral(shape, max_level: int) -> SpectralResult:
     eigenvector of the previous level, then Richardson-extrapolates.
     ``per_level["eigen_iterations"]`` counts the Lanczos steps of each
     level (one solve and one mass product each), ``eigen_residual`` the
-    relative M-norm residual of its final Ritz pair (``_solve_system``),
+    relative M-norm residual of its final Ritz pair, which sets its stop,
     ``per_level["elements"]`` its elements, ``per_level["dofs"]``
     its interior vertices n, the unknowns of its solves, and
     ``per_level["lu_nnz"]`` the entries of its stored banded Cholesky

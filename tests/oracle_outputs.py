@@ -3,7 +3,9 @@
 ``oracle_outputs()`` gathers what the finite-element oracle returns on a
 fixed set of inputs: the 60 rows of the 2 x 60 chart survey at level 6, the
 value fields of ``spectral`` at levels 5, 6 and 7 on four shapes, and the
-reports of the three replays that call the oracle.  Work counts
+reports of the three replays that call the oracle.  ``replay_report``
+keeps each of those reports for the rest of the session, so the tests
+that read them share one run of each replay.  Work counts
 (``eigen_iterations``, ``eigen_residual``) are left out, so a change of the
 eigen solver that keeps the values keeps this file.  The test that reads it
 compares floats within stated tolerances, not exactly.  After a deliberate
@@ -15,6 +17,7 @@ change of these outputs, rewrite the committed copy with
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 from pathlib import Path
@@ -34,6 +37,12 @@ LEVELS = (5, 6, 7)
 SURVEY_GRID, SURVEY_LEVEL = {"na": 2, "nb": 60}, 6
 REPLAYS = ("upper-triangle", "upper-tangential", "sharpness-thinning")
 WORK_COUNTS = ("eigen_iterations", "eigen_residual")
+
+
+@functools.cache
+def replay_report(case_id: str):
+    """The report of one oracle-backed replay, run once per session."""
+    return harness.replay_case(case_id)
 
 
 def _spectral(shape, level: int) -> dict:
@@ -58,7 +67,7 @@ def oracle_outputs() -> dict:
             for name, shape in SHAPES.items()
             for level in LEVELS
         },
-        "replays": [harness.replay_case(case).to_json_dict() for case in REPLAYS],
+        "replays": [replay_report(case).to_json_dict() for case in REPLAYS],
     }
     return json.loads(json.dumps(out))
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracle_outputs
 from polya_verify import bounds, cli, constants, exact, geometry, harness, polycert
 from polya_verify.constants import arctan_recip
 from polya_verify.exact import (
@@ -415,11 +416,10 @@ def test_upper_triangle_sample_reaches_the_equilateral_corner():
     assert max(t.b for t in tris) == apex
 
 
-@pytest.mark.parametrize(
-    "case_id", ("upper-triangle", "upper-tangential", "sharpness-thinning")
-)
+@pytest.mark.parametrize("case_id", oracle_outputs.REPLAYS)
 def test_oracle_backed_replays_pass(case_id):
-    report = replay_case(case_id)
+    # the same report is pinned by test_oracle_outputs_match_the_committed_copy
+    report = oracle_outputs.replay_report(case_id)
     assert report.verdict == "VerifiedNumerically"
     assert "oracle" in {item.method for item in report.evidence}
     assert all(item.passed for item in report.evidence), [
@@ -571,8 +571,12 @@ def test_cli_compute_triangle(capsys):
         (["--shape", "rect", "--a", "0.5", "--b", "0.5", "--terms", "0"], "n_terms"),
         (["--shape", "rect", "--a", "-1", "--b", "0.5"], "half-widths"),
         (["--shape", "triangle", "--a", "0.3", "--b", "0.4", "--level", "1"], "max_level"),
+        (
+            ["--shape", "triangle", "--a", "-1", "--b", "3", "--level", "3"],
+            "NonContracting: level differences do not contract",
+        ),
     ],
-    ids=["terms-0", "a-negative", "level-1"],
+    ids=["terms-0", "a-negative", "level-1", "non-contracting"],
 )
 def test_cli_compute_reports_bad_input_in_one_line(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:

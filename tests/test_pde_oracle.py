@@ -397,29 +397,63 @@ def test_unconverged_eigen_iteration_raises_and_flags_the_sweep_row(monkeypatch)
     assert math.isnan(rows[0].F)
 
 
-@pytest.mark.parametrize(
-    "shape",
-    [Triangle(0.3, 0.4), Rectangle(0.5, 0.5), Sector(math.pi / 3.0, 1.0)],
-    ids=["triangle", "square", "sector"],
-)
-@pytest.mark.parametrize("level", [2, 3, 4])
-def test_lanczos_eigenvalue_matches_the_dense_pencil(shape, level):
-    # at level 2 the square has 9 unknowns and its symmetric start spans an
-    # invariant subspace; the sector has 3, so its basis fills the space
-    system = pde_oracle._system(shape, level)
-    solved = pde_oracle._solve_system(system)
-    dense = scipy.linalg.eigh(
+def _dense_lambda1(system):
+    """The smallest eigenvalue of the system's dense pencil (K, M)."""
+    return scipy.linalg.eigh(
         _stiffness_matrix(system).toarray(),
         system.mass.toarray(),
         eigvals_only=True,
         subset_by_index=[0, 0],
     )[0]
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        Triangle(0.3, 0.4),
+        Rectangle(0.5, 0.5),
+        Sector(math.pi / 3.0, 1.0),
+        Triangle(0.25, 0.005),
+    ],
+    ids=["triangle", "square", "sector", "thin"],
+)
+@pytest.mark.parametrize("level", [2, 3, 4])
+def test_lanczos_eigenvalue_matches_the_dense_pencil(shape, level):
+    # at level 2 the square has 9 unknowns and its symmetric start spans an
+    # invariant subspace; the sector has 3, so its basis fills the space.
+    # The thin triangle has the smallest gap, lambda2 / lambda1 = 1.23 at
+    # level 4, and the stop rule's error bound divides by the gap
+    system = pde_oracle._system(shape, level)
+    solved = pde_oracle._solve_system(system)
+    dense = _dense_lambda1(system)
     assert abs(solved["lambda1"] - dense) <= 1e-11 * dense
 
 
+def test_a_solve_restarted_from_its_own_eigenvector_stops_in_one_step():
+    # the returned pair already meets the residual bound, so one step
+    # confirms it; a stop on a repeated eigenvalue would need two
+    system = pde_oracle._system(Triangle(0.3, 0.4), 5)
+    first = pde_oracle._solve_system(system)
+    again = pde_oracle._solve_system(system, first["eigvec"])
+    assert again["eigen_iterations"] == 1
+    assert abs(again["lambda1"] - first["lambda1"]) <= 1e-12 * first["lambda1"]
+
+
+def test_a_restart_keeps_the_gap_of_its_full_basis(monkeypatch):
+    # a one-vector basis has no gap of its own; with mu in place of the gap
+    # its first step stops on a Ritz pair the full basis had just rejected
+    # (2.9e-12 here, against 1.3e-12 with the carried gap)
+    monkeypatch.setattr(pde_oracle, "_BASIS", 2)
+    system = pde_oracle._system(Triangle(0.25, 0.005), 4)
+    solved = pde_oracle._solve_system(system)
+    dense = _dense_lambda1(system)
+    assert abs(solved["lambda1"] - dense) <= 2 * pde_oracle._EIG_TOL * dense
+
+
 def test_a_capped_basis_restarts_to_the_same_eigenvalue(monkeypatch):
-    # a restart's first Ritz value repeats the last one, so a stop test that
-    # ran on it would stop on the three-vector estimate
+    # the stop reads the residual bound, not a repeated value, and a
+    # restart's one-vector basis keeps the gap of the three-vector basis, so
+    # the loop does not stop on that basis's estimate
     system = pde_oracle._system(Triangle(0.5, 0.04), 5)
     free = pde_oracle._solve_system(system)
     monkeypatch.setattr(pde_oracle, "_BASIS", 3)
