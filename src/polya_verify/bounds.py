@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import Union
 
 from . import closed_forms
+from .closed_forms import AngleOutOfRange
 from .constants import C1
 
 Number = Union[int, float, Fraction]
@@ -20,10 +21,6 @@ Number = Union[int, float, Fraction]
 
 class DomainError(ValueError):
     """Raised when an input lies outside the formula's domain."""
-
-
-class AngleOutOfRange(ValueError):
-    """Raised when an angle argument is outside the admissible range."""
 
 
 KINDS = ("LowerOnT", "LowerOnLambda", "LowerOnF", "UpperOnF", "UpperOnLambda")

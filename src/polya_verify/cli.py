@@ -1,10 +1,11 @@
 """Command line front end: compute, sweep, certify, and replay.
 
 Exit codes: 0 on success; 1 when a requested check fails (a certificate
-finds a positive value, or a replayed case reports Failed), or when compute,
-sweep or certify rejects its input or the oracle fails in compute, each in
-one line naming the command ("compute: NonContracting: ..."); 2 when a
-certificate run exhausts its depth budget without deciding.
+finds a positive value, a replayed case reports Failed, or a survey row
+flags a solver failure), or when any command fails: bad input, an oracle
+failure or an unwritable --out each end in one line, "<command>: <Error>:
+<message>" ("compute: NonContracting: ...", "sweep: FileNotFoundError:
+..."); 2 when a certificate run exhausts its depth budget without deciding.
 """
 
 from __future__ import annotations
@@ -30,13 +31,7 @@ def _emit(payload: dict, out: Optional[str]) -> None:
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
-    try:
-        payload = _compute(args)
-    except ValueError as exc:
-        raise SystemExit(f"compute: {exc}")
-    except (NonContracting, EigenNotConverged, NotPositiveDefinite) as exc:
-        raise SystemExit(f"compute: {type(exc).__name__}: {exc}")
-    _emit(payload, args.out)
+    _emit(_compute(args), args.out)
     return 0
 
 
@@ -84,7 +79,7 @@ def _parse_grid(text: str) -> dict:
         na, nb = text.lower().split("x")
         return {"na": int(na), "nb": int(nb)}
     except ValueError:
-        raise SystemExit(f"--grid expects NAxNB, got {text!r}")
+        raise ValueError(f"--grid expects NAxNB, got {text!r}") from None
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -93,12 +88,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         grid["b_min"] = args.bmin
     if args.bmax is not None:
         grid["b_max"] = args.bmax
-    try:
-        rows = harness.sweep_triangles(
-            grid=grid, max_level=args.level, threads=args.threads, csv_path=args.out
-        )
-    except ValueError as exc:
-        raise SystemExit(f"sweep: {exc}")
+    rows = harness.sweep_triangles(
+        grid=grid, max_level=args.level, threads=args.threads, csv_path=args.out
+    )
     errors = [r for r in rows if r.error]
     sys.stdout.write(
         f"swept {len(rows)} triangles, {len(errors)} solver failure(s), "
@@ -141,8 +133,6 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     except polycert.DepthExhausted as exc:
         _emit({"ok": False, "error": "depth exhausted", "detail": str(exc)}, args.out)
         return 2
-    except ValueError as exc:
-        raise SystemExit(f"certify: {exc}")
     _emit(cert.to_json_dict(), args.out)
     return 0 if cert.ok else 1
 
@@ -227,7 +217,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError, NonContracting, EigenNotConverged, NotPositiveDefinite) as exc:
+        raise SystemExit(f"{args.command}: {type(exc).__name__}: {exc}")
 
 
 if __name__ == "__main__":

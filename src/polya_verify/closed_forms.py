@@ -26,7 +26,7 @@ from .geometry import Rectangle, Sector
 
 
 class AngleOutOfRange(ValueError):
-    """Raised when a sector angle is outside the supported open range."""
+    """Raised when an angle argument is outside the admissible range."""
 
 
 class ConvergenceFailure(RuntimeError):

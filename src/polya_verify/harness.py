@@ -563,6 +563,8 @@ def rect_monotonicity_scan(
     """
     if a_values is None:
         a_values = [1.0 + 0.5 * k for k in range(19)]
+    if len(a_values) == 0:
+        raise ValueError("rect_monotonicity_scan needs at least one aspect, got an empty a_values")
     series = [
         closed_forms.rect_F(Rectangle(a, 1.0), n_terms=n_terms) for a in a_values
     ]
@@ -602,6 +604,8 @@ def g_remark_check(a_values: Optional[Sequence[float]] = None, n_terms: int = 25
     """
     if a_values is None:
         a_values = [1.0 + 0.5 * k for k in range(19)]
+    if len(a_values) == 0:
+        raise ValueError("g_remark_check needs at least one aspect, got an empty a_values")
     rows = []
     for a in a_values:
         r = Rectangle(a, 1.0)

@@ -689,20 +689,18 @@ def spectral(shape, max_level: int) -> SpectralResult:
     if max_level > MAX_LEVEL:
         raise LevelTooHigh(f"max_level {max_level} exceeds the cap {MAX_LEVEL}")
     levels = [max_level - 2, max_level - 1, max_level]
-    layout, _ = _piece_maps(shape)
-    parent_maps = [_reference(layout, level).parents for level in levels[1:]]
     base = None if isinstance(shape, Sector) else mesh_domain(shape, 0)
     systems = [_system(shape, level, base) for level in levels]
 
     per_level: dict = {}
     warm: Optional[np.ndarray] = None
-    for system, parents in zip(systems, parent_maps + [None]):
+    for system in systems:
+        if warm is not None:
+            warm = _prolong(warm, system.reference.parents)
         solved = _solve_system(system, warm)
-        eigvec = solved.pop("eigvec")
+        warm = solved.pop("eigvec")
         for key, value in solved.items():
             per_level.setdefault(key, []).append(value)
-        if parents is not None:
-            warm = _prolong(eigvec, parents)
     lam_seq, tor_seq = per_level["lambda1"], per_level["T"]
 
     lam_ex = richardson(lam_seq)

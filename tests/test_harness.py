@@ -7,7 +7,17 @@ from fractions import Fraction
 import pytest
 
 import oracle_outputs
-from polya_verify import bounds, cli, constants, exact, geometry, harness, polycert
+from polya_verify import (
+    bounds,
+    cli,
+    closed_forms,
+    constants,
+    exact,
+    geometry,
+    harness,
+    pde_oracle,
+    polycert,
+)
 from polya_verify.constants import arctan_recip
 from polya_verify.exact import (
     CellSubdivisionFailure,
@@ -517,6 +527,16 @@ def test_sweep_rejects_a_level_outside_the_oracle_range(tmp_path, level):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("grid", ["2x", "2x3x4"])
+def test_sweep_rejects_a_malformed_grid(tmp_path, grid):
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--grid", grid, "--out", str(out)])
+    text = str(exc.value.code)
+    assert text == f"sweep: ValueError: --grid expects NAxNB, got {grid!r}"
+    assert not out.exists()
+
+
 def test_rectangle_scan_shape():
     scan = rect_monotonicity_scan(a_values=[1.0, 2.0, 3.0], n_terms=200)
     assert scan["min_increment_with_slack"] >= 0.0
@@ -524,6 +544,25 @@ def test_rectangle_scan_shape():
     assert scan["all_above_floor"]
     assert scan["F_values"][0] == pytest.approx(0.6937195061973225, rel=1e-6)
     assert 0.0 < scan["gap_to_limit"] < 0.02
+
+
+def test_rectangle_scan_rejects_an_empty_grid(monkeypatch):
+    # an empty grid used to sum every series and fail with IndexError
+    def no_sum(*args, **kwargs):
+        raise AssertionError("summed a series before rejecting the grid")
+
+    monkeypatch.setattr(closed_forms, "rect_F", no_sum)
+    with pytest.raises(ValueError, match="empty a_values"):
+        rect_monotonicity_scan(a_values=[])
+
+
+def test_exit_time_chain_rejects_an_empty_grid(monkeypatch):
+    def no_sum(*args, **kwargs):
+        raise AssertionError("summed a series before rejecting the grid")
+
+    monkeypatch.setattr(closed_forms, "rect_center_torsion", no_sum)
+    with pytest.raises(ValueError, match="empty a_values"):
+        g_remark_check(a_values=[])
 
 
 def test_exit_time_chain_flags():
@@ -673,3 +712,35 @@ def test_cli_sweep_writes_csv(tmp_path, capsys):
         assert out.read_bytes() == library.read_bytes()
         printed = capsys.readouterr().out
         assert printed.startswith(f"swept {len(rows)} triangles, 0 solver failure(s)")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--shape", "rect", "--a", "0.5", "--b", "0.5"],
+        ["sweep", "--grid", "2x3", "--level", "3"],
+        ["certify", "--depth", "2"],
+        ["replay", "--case", "obtuse-2"],
+    ],
+    ids=["compute", "sweep", "certify", "replay"],
+)
+def test_cli_reports_an_unwritable_out_in_one_line(argv, tmp_path, capsys):
+    # an --out in a missing directory used to end every command in a traceback
+    out = tmp_path / "missing" / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--out", str(out)])
+    text = str(exc.value.code)
+    assert text.startswith(f"{argv[0]}: FileNotFoundError")
+    assert "\n" not in text
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
+def test_cli_replay_reports_an_oracle_failure_in_one_line(monkeypatch, capsys):
+    monkeypatch.setattr(pde_oracle, "_EIG_MAXIT", 2)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["replay", "--case", "upper-tangential"])
+    text = str(exc.value.code)
+    assert text.startswith("replay: EigenNotConverged")
+    assert "\n" not in text
+    assert capsys.readouterr().out == ""
