@@ -187,7 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help="survey workers (default 1; N > 1 runs a thread pool)",
+        help="survey workers (default 1; N > 1 runs a thread pool, which is "
+        "no faster: each banded factorization holds the interpreter lock)",
     )
     p_sweep.set_defaults(func=_cmd_sweep)
 

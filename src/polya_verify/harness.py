@@ -11,6 +11,7 @@ triangle and rectangle families against the oracle.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -498,7 +499,8 @@ def sweep_triangles(
     against pi^2/24 and pi^2/12, and gaps for each applicable analytic
     bound.  Rows where the solver fails are flagged and kept.  Rows come
     back sorted by (a, b); csv_path writes the fixed-format table.  One
-    worker by default; ``threads`` above 1 runs a thread pool of that size.
+    worker by default; ``threads`` above 1 runs a thread pool of that size
+    (no faster: each banded factorization holds the interpreter lock).
     Raises ValueError, before any solve, for an unknown grid key, for
     non-finite or degenerate heights, for a grid that holds no chart
     triangle and for a max_level outside [2, pde_oracle.MAX_LEVEL].
@@ -531,15 +533,17 @@ def sweep_triangles(
                 tasks.append((a, b, max_level))
     if not tasks:
         raise ValueError(f"the {na}x{nb} grid holds no chart triangle")
-    if threads <= 1:
-        rows = [_sweep_one(t) for t in tasks]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_sweep_one, tasks))
-    rows.sort(key=lambda r: (r.a, r.b))
-    if csv_path:
-        with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(_csv_text(rows))
+    # opened before the first solve, so an unwritable path fails at once
+    out = open(csv_path, "w", encoding="utf-8", newline="") if csv_path else None
+    with out or contextlib.nullcontext():
+        if threads <= 1:
+            rows = [_sweep_one(t) for t in tasks]
+        else:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+                rows = list(pool.map(_sweep_one, tasks))
+        rows.sort(key=lambda r: (r.a, r.b))
+        if out is not None:
+            out.write(_csv_text(rows))
     return rows
 
 

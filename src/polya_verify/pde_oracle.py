@@ -59,8 +59,8 @@ from .geometry import Rectangle, Sector, Triangle
 
 MAX_LEVEL = 9
 _EIG_TOL = 1e-12
-_EIG_MAXIT = 400  # Lanczos steps per level
-_BASIS = 20  # Lanczos basis vectors before a restart
+_EIG_MAXIT = 64  # Lanczos steps per level, so also basis rows
+_BLOCK = 16  # Lanczos basis rows added at a time
 
 # Reference layouts: base vertices, base elements, and the piece of each
 # base element.  Pieces meet only along edges on which their maps agree.
@@ -402,13 +402,11 @@ def _reference_system(layout: str, level: int) -> _ReferenceSystem:
     n_pieces = int(ref.pieces.max()) + 1
 
     def per_piece(values, at, size):
+        # one bincount: piece p's entries go to bins p (size + 1) + at
         values = values.reshape(len(ref.pieces), -1)
-        return np.stack(
-            [
-                _scatter(np.where((ref.pieces == p)[:, None], values, 0.0), at, size)
-                for p in range(n_pieces)
-            ]
-        )
+        at = at + np.repeat(ref.pieces, values.shape[1]) * (size + 1)
+        total = _scatter(values, at, n_pieces * (size + 1))
+        return total.reshape(n_pieces, size + 1)[:, :size]
 
     def on_pattern(blocks):
         return per_piece(blocks, ref.slot, len(ref.indices))
@@ -537,10 +535,10 @@ def _solve_system(system: _System, x0: Optional[np.ndarray] = None) -> dict:
     ``eigen_residual`` is ``r / mu`` for its M-norm residual
     ``r = beta_j |y_j|``.  The loop stops when ``r^2 <= _EIG_TOL mu gap``,
     with gap = mu less T's second eigenvalue, which estimates the gap that
-    puts mu within ``r^2 / gap`` of an eigenvalue (Parlett, 1998).  An
-    invariant subspace (beta_j near 0) gives r near 0.  A basis of
-    min(_BASIS, n) vectors restarts from its Ritz vector, and that
-    one-vector basis keeps the last gap (mu stands in on the first start).
+    puts mu within ``r^2 / gap`` of an eigenvalue (Parlett, 1998); mu
+    stands in for the gap of the one-vector basis.  An invariant subspace
+    (beta_j near 0) gives r near 0.  Every basis vector is kept, one per
+    step; the storage grows _BLOCK rows at a time, which changes no value.
     EigenNotConverged is raised after _EIG_MAXIT steps, or for a start
     vector without a positive finite M-norm (a zero ``x0``, say).
     """
@@ -557,25 +555,21 @@ def _solve_system(system: _System, x0: Optional[np.ndarray] = None) -> dict:
             f"{n} is not positive"
         )
     u = lapack.dpbtrs(factor, system.load)[0]
-    size = min(_BASIS, n)
-    # rows of the M-orthonormal basis and their mass images; np.empty leaves
-    # the rows a solve never reaches unallocated
-    basis, images = np.empty((size, n)), np.empty((size, n))
-    # T, the projection of K^-1 M on the basis: its diagonal and off-diagonal
-    alpha, off = np.empty(size), np.zeros(size)
     x = u if x0 is None else x0[idx]
     mx = mass @ x
-    k, gap = 0, math.inf  # basis rows in use (0 (re)starts it from x); T's gap
-    for step in range(1, _EIG_MAXIT + 1):
-        if k == 0:
-            norm = float(x @ mx)
-            if not (0.0 < norm < math.inf):
-                raise EigenNotConverged(
-                    f"start vector at level {system.level} has squared M-norm {norm!r}"
-                )
-            norm = math.sqrt(norm)
-            basis[0], images[0] = x / norm, mx / norm
-            k = 1
+    norm = float(x @ mx)
+    if not (0.0 < norm < math.inf):
+        raise EigenNotConverged(
+            f"start vector at level {system.level} has squared M-norm {norm!r}"
+        )
+    norm = math.sqrt(norm)
+    # rows of the M-orthonormal basis and their mass images, grown _BLOCK
+    # rows at a time
+    basis, images = np.empty((_BLOCK, n)), np.empty((_BLOCK, n))
+    basis[0], images[0] = x / norm, mx / norm
+    # T, the projection of K^-1 M on the basis: its diagonal and off-diagonal
+    alpha, off = np.empty(_EIG_MAXIT), np.zeros(_EIG_MAXIT)
+    for k in range(1, _EIG_MAXIT + 1):  # k basis rows in use, one step each
         w = lapack.dpbtrs(factor, images[k - 1])[0]
         mw = mass @ w
         h = images[:k] @ w
@@ -586,24 +580,21 @@ def _solve_system(system: _System, x0: Optional[np.ndarray] = None) -> dict:
         # dstev reads at least one off-diagonal entry, unused when k is 1
         mus, ys, _ = lapack.dstev(alpha[:k], off[: max(k - 1, 1)])
         mu, y = float(mus[-1]), ys[:, -1]
-        # one vector keeps the gap of the basis it restarted from, or takes mu
-        gap = float(mus[-1] - mus[-2]) if k > 1 else min(gap, mu)
+        gap = float(mus[-1] - mus[-2]) if k > 1 else mu
         r = beta * abs(float(y[-1]))
         if r * r <= _EIG_TOL * mu * gap:
             break
-        if k == size:  # restart from the Ritz vector
-            x, mx = y @ basis[:k], y @ images[:k]
-            k = 0
-        else:
-            off[k - 1] = beta
-            np.divide(w, beta, out=basis[k])
-            np.divide(mw, beta, out=images[k])
-            k += 1
-    else:
-        raise EigenNotConverged(
-            f"estimated relative eigenvalue error {r * r / (mu * gap):.1e} after "
-            f"{_EIG_MAXIT} Lanczos steps exceeds {_EIG_TOL:.0e}"
-        )
+        if k == _EIG_MAXIT:
+            raise EigenNotConverged(
+                f"estimated relative eigenvalue error {r * r / (mu * gap):.1e} "
+                f"after {_EIG_MAXIT} Lanczos steps exceeds {_EIG_TOL:.0e}"
+            )
+        if k == len(basis):
+            basis = np.concatenate((basis, np.empty((_BLOCK, n))))
+            images = np.concatenate((images, np.empty((_BLOCK, n))))
+        off[k - 1] = beta
+        np.divide(w, beta, out=basis[k])
+        np.divide(mw, beta, out=images[k])
     eigvec = np.zeros(len(ref.vertices))
     eigvec[idx] = y @ basis[:k]
     return {
@@ -611,7 +602,7 @@ def _solve_system(system: _System, x0: Optional[np.ndarray] = None) -> dict:
         "T": float(system.load @ u),
         "torsion_max": float(u.max()),
         "eigvec": eigvec,
-        "eigen_iterations": step,
+        "eigen_iterations": k,
         "eigen_residual": r / mu,
         "elements": len(ref.elements),
         "dofs": len(idx),

@@ -537,6 +537,21 @@ def test_sweep_rejects_a_malformed_grid(tmp_path, grid):
     assert not out.exists()
 
 
+def test_sweep_fails_on_a_missing_out_directory_before_any_solve(tmp_path, monkeypatch):
+    # a row keeps the sweep going on any failure, so the calls are recorded
+    calls = []
+
+    def no_solve(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("solved a row before opening the table")
+
+    monkeypatch.setattr(pde_oracle, "spectral", no_solve)
+    out = tmp_path / "missing" / "sweep.csv"
+    with pytest.raises(FileNotFoundError):
+        sweep_triangles(grid={"na": 2, "nb": 3}, max_level=4, csv_path=str(out))
+    assert calls == []
+
+
 def test_rectangle_scan_shape():
     scan = rect_monotonicity_scan(a_values=[1.0, 2.0, 3.0], n_terms=200)
     assert scan["min_increment_with_slack"] >= 0.0

@@ -418,15 +418,18 @@ def _dense_lambda1(system):
     ids=["triangle", "square", "sector", "thin"],
 )
 @pytest.mark.parametrize("level", [2, 3, 4])
-def test_lanczos_eigenvalue_matches_the_dense_pencil(shape, level):
+def test_lanczos_eigenvalue_matches_the_dense_pencil(shape, level, monkeypatch):
     # at level 2 the square has 9 unknowns and its symmetric start spans an
     # invariant subspace; the sector has 3, so its basis fills the space.
     # The thin triangle has the smallest gap, lambda2 / lambda1 = 1.23 at
-    # level 4, and the stop rule's error bound divides by the gap
+    # level 4, and the stop rule's error bound divides by the gap.  A
+    # one-row block grows the basis on every step
     system = pde_oracle._system(shape, level)
-    solved = pde_oracle._solve_system(system)
     dense = _dense_lambda1(system)
-    assert abs(solved["lambda1"] - dense) <= 1e-11 * dense
+    for block in (pde_oracle._BLOCK, 1):
+        monkeypatch.setattr(pde_oracle, "_BLOCK", block)
+        solved = pde_oracle._solve_system(system)
+        assert abs(solved["lambda1"] - dense) <= 1e-11 * dense, block
 
 
 def test_a_solve_restarted_from_its_own_eigenvector_stops_in_one_step():
@@ -439,27 +442,23 @@ def test_a_solve_restarted_from_its_own_eigenvector_stops_in_one_step():
     assert abs(again["lambda1"] - first["lambda1"]) <= 1e-12 * first["lambda1"]
 
 
-def test_a_restart_keeps_the_gap_of_its_full_basis(monkeypatch):
-    # a one-vector basis has no gap of its own; with mu in place of the gap
-    # its first step stops on a Ritz pair the full basis had just rejected
-    # (2.9e-12 here, against 1.3e-12 with the carried gap)
-    monkeypatch.setattr(pde_oracle, "_BASIS", 2)
-    system = pde_oracle._system(Triangle(0.25, 0.005), 4)
-    solved = pde_oracle._solve_system(system)
-    dense = _dense_lambda1(system)
-    assert abs(solved["lambda1"] - dense) <= 2 * pde_oracle._EIG_TOL * dense
-
-
-def test_a_capped_basis_restarts_to_the_same_eigenvalue(monkeypatch):
-    # the stop reads the residual bound, not a repeated value, and a
-    # restart's one-vector basis keeps the gap of the three-vector basis, so
-    # the loop does not stop on that basis's estimate
-    system = pde_oracle._system(Triangle(0.5, 0.04), 5)
-    free = pde_oracle._solve_system(system)
-    monkeypatch.setattr(pde_oracle, "_BASIS", 3)
-    capped = pde_oracle._solve_system(system)
-    assert abs(capped["lambda1"] - free["lambda1"]) <= 1e-12 * free["lambda1"]
-    assert capped["eigen_iterations"] > free["eigen_iterations"]
+@pytest.mark.parametrize(
+    "shape",
+    [Triangle(0.25, 0.005), Sector(math.pi / 3.0, 1.0)],
+    ids=["thin", "sector"],
+)
+def test_the_basis_block_changes_storage_only(shape, monkeypatch):
+    # a block of 1 grows the basis on every step, one of 3 grows it
+    # mid-solve; the values are those of the default block, bit for bit
+    system = pde_oracle._system(shape, 4)
+    default = pde_oracle._solve_system(system)
+    assert default["eigen_iterations"] > 3
+    for block in (1, 3):
+        monkeypatch.setattr(pde_oracle, "_BLOCK", block)
+        grown = pde_oracle._solve_system(system)
+        for key in ("lambda1", "T", "eigen_iterations", "eigen_residual"):
+            assert grown[key] == default[key], (block, key)
+        assert np.array_equal(grown["eigvec"], default["eigvec"])
 
 
 def test_thin_triangle_levels_take_few_lanczos_steps():
