@@ -17,15 +17,21 @@ read-only arrays.  Every mesh is its level-0 image prolonged through
 the parent maps one level at a time, and on a sector each new arc midpoint
 is projected back to the circle.
 
-The cached reference also holds the CSC pattern of its interior system,
-the plan that scatters element blocks and loads onto it and the place of
-each pattern entry in LAPACK's band storage; one routine makes the element
-parts (stiffness xx and yy, mass and lumped load) and one bincount scatter
-sums them, onto the pattern and from it into the band.  Red refinement
-commutes with affine maps, so a triangle or rectangle solve only combines
-cached per-piece components, scattered once per layout and level, with the
-coefficients of its maps, which are all diagonal.  A projected sector mesh
-is no such image; its parts are scattered per solve.
+The cached reference also holds its edges, carried from level to level
+by index arithmetic (the midpoint of coarse edge e is the new vertex
+nv + e, and the new edges of each element follow from its coarse ones),
+the CSC pattern of its interior system (the diagonal and both
+orientations of every interior edge), the place of each edge and vertex
+on that pattern, and the place of each pattern entry in LAPACK's band
+storage.  One routine makes the element parts by local edge and vertex
+(stiffness xx and yy, and the areas that give the consistent mass and the
+lumped load); bincount sums them onto the edges and vertices, the places
+put those sums on the pattern, and one bincount scatter takes the
+stiffness from the pattern into the band.  Red refinement commutes with
+affine maps, so a triangle or rectangle solve only combines cached
+per-piece components, assembled once per layout and level, with the
+coefficients of its maps, which are all diagonal.  A projected sector
+mesh is no such image; its parts are assembled per solve.
 
 The eigenproblem uses the consistent mass matrix (variational, so discrete
 eigenvalues sit above the true ones); the torsion load is mass-lumped.  In
@@ -61,6 +67,8 @@ MAX_LEVEL = 9
 _EIG_TOL = 1e-12
 _EIG_MAXIT = 64  # Lanczos steps per level, so also basis rows
 _BLOCK = 16  # Lanczos basis rows added at a time
+# local vertices k + 1 and k + 2 (mod 3), the ends of local edge k
+_NEXT, _LAST = [1, 2, 0], [2, 0, 1]
 
 # Reference layouts: base vertices, base elements, and the piece of each
 # base element.  Pieces meet only along edges on which their maps agree.
@@ -157,14 +165,24 @@ class _Reference:
     points at most one step apart in each axis, so the half-bandwidth is
     2^level - 1 for ``split``, 2^level for ``square``, ``fan2`` and
     ``fan3``, and 2^level - 2 for ``fan1``; ``half_width`` is its exact
-    value w.  Stiffness and mass share one symmetric CSC pattern over them
-    (``indptr``, ``indices``); entry k of the raveled (ne, 3, 3) element
-    blocks sums into the pattern at ``slot[k]``, entry k of the raveled
-    (ne, 3) element loads into the unknown ``load_at[k]``, and pattern entry
-    k, at (i, j) with i <= j, into the raveled Fortran (w + 1, n) band that
-    dpbtrf reads at ``band_at[k] = w + i - j + (w + 1) j``.
-    An entry that touches a boundary vertex, or lies below the diagonal,
-    goes to one past the end, a discard bin.
+    value w.
+
+    ``edges`` holds each vertex pair once, as (lo, hi); local edge k of
+    element t, which joins its local vertices k + 1 and k + 2 (mod 3) and
+    lies opposite vertex k, is edge ``edge_of[t, k]``, and
+    ``edge_boundary`` marks the edges that lie in one element.  The edges
+    of level 0 come from one sort, and every later level carries them
+    (``_refine_arrays``); the new vertices of a level are the midpoints of
+    the coarse edges, in their order, so ``parents`` is the coarse
+    ``edges``.  Stiffness and mass share one symmetric CSC pattern over
+    the unknowns (``indptr``, ``indices``): the diagonal and both
+    orientations of every edge between two unknowns.  An edge's (i, j) and
+    (j, i) sit at ``edge_at[:, e]`` and a vertex's (i, i) at
+    ``diag_at[v]``; pattern entry k, at (i, j) with i <= j, goes into the
+    raveled Fortran (w + 1, n) band that dpbtrf reads at
+    ``band_at[k] = w + i - j + (w + 1) j``.  An edge or vertex on the
+    boundary, or an entry below the diagonal, goes to one past the end, a
+    discard bin.
     """
 
     vertices: np.ndarray
@@ -172,11 +190,14 @@ class _Reference:
     flags: np.ndarray
     pieces: np.ndarray  # piece of each element
     parents: Optional[np.ndarray]  # parent pairs of the vertices new at this level
+    edges: np.ndarray  # (E, 2) vertex pairs (lo, hi)
+    edge_of: np.ndarray  # (ne, 3) edge of each local edge
+    edge_boundary: np.ndarray  # (E,) edges that lie in one element
     interior: np.ndarray  # interior vertices in band order
     indptr: np.ndarray
     indices: np.ndarray
-    slot: np.ndarray
-    load_at: np.ndarray
+    edge_at: np.ndarray  # (2, E) places of (i, j) and (j, i)
+    diag_at: np.ndarray  # (nv,) place of (i, i)
     half_width: int
     band_at: np.ndarray
 
@@ -187,6 +208,9 @@ class _ReferenceSystem:
 
     Stiffness and mass lie on the reference's pattern; ``stiffness`` holds
     the xx and yy parts of every piece, the only ones a diagonal map weights.
+    Each is the sums of one piece's element parts over the reference's
+    edges and vertices, put on the pattern through ``edge_at`` and
+    ``diag_at``; the load, A/3 per vertex, is twice the mass diagonal.
     """
 
     stiffness: np.ndarray  # (pieces, 2, nnz)
@@ -257,42 +281,73 @@ def _piece_maps(shape) -> tuple[str, tuple]:
     )
 
 
-def _refine_arrays(
-    vertices: np.ndarray, elements: np.ndarray, flags: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One red refinement; returns new vertices, elements, boundary flags,
-    and midpoint parents.
+def _edges(elements: np.ndarray) -> dict:
+    """The edges of a base mesh by one sort: each vertex pair once, as
+    (lo, hi) in lexicographic order, the edge of each local edge of every
+    element, and the edges that lie in one element."""
+    pairs = np.stack([elements[:, _NEXT], elements[:, _LAST]], axis=2)
+    edges, inverse, counts = np.unique(
+        np.sort(pairs, axis=2).reshape(-1, 2),
+        axis=0,
+        return_inverse=True,
+        return_counts=True,
+    )
+    return {
+        "edges": edges,
+        "edge_of": inverse.reshape(elements.shape),
+        "edge_boundary": counts == 1,
+    }
 
-    Old vertices keep their flags; a midpoint is on the boundary iff its
-    parent edge belongs to a single element.  Child k of every element
-    forms block k of the new elements.
+
+def _refine_arrays(coarse: _Reference) -> dict:
+    """One red refinement of a reference mesh, carrying its edges.
+
+    The midpoint of coarse edge e is the new vertex nv + e, so the parents
+    of the new vertices are the coarse ``edges``, and a midpoint lies on the
+    boundary iff its edge does; old vertices keep their flags.  Child k of
+    every element forms block k of the new elements.  Coarse edge e, with
+    ends lo < hi, gives the halves (lo, nv + e) and (hi, nv + e), numbered e
+    and E + e, which keep its boundary flag; coarse element t gives three
+    inner edges, the one that joins the midpoints of its local edges k + 1
+    and k + 2 numbered 2E + k ne + t.  The new ``edge_of`` follows from the
+    coarse one, without a sort.
     """
-    ne = len(elements)
-    nv = len(vertices)
-    pairs = np.concatenate(
-        [elements[:, [0, 1]], elements[:, [1, 2]], elements[:, [2, 0]]]
+    vertices, elements, edges = coarse.vertices, coarse.elements, coarse.edges
+    nv, ne, n_edges = len(vertices), len(elements), len(edges)
+    e0, e1, e2 = elements.T
+    m12, m20, m01 = (nv + coarse.edge_of).T  # midpoint of the edge opposite each vertex
+
+    def half(v, k):
+        # the half of local edge k that holds local vertex v, at its lo or hi end
+        other = elements[:, 3 - k - v]
+        return coarse.edge_of[:, k] + n_edges * (elements[:, v] > other)
+
+    i0, i1, i2 = 2 * n_edges + np.arange(3 * ne).reshape(3, ne)
+    blocks = (
+        ((e0, m01, m20), (i0, half(0, 1), half(0, 2))),
+        ((m01, e1, m12), (half(1, 0), i1, half(1, 2))),
+        ((m20, m12, e2), (half(2, 0), half(2, 1), i2)),
+        ((m01, m12, m20), (i2, i0, i1)),
     )
-    pairs.sort(axis=1)
-    # the order of the keys lo * nv + hi is the lexicographic order of (lo, hi)
-    keys, inverse, counts = np.unique(
-        pairs[:, 0] * nv + pairs[:, 1], return_inverse=True, return_counts=True
-    )
-    uniq = np.column_stack(np.divmod(keys, nv))
-    mids = 0.5 * (vertices[uniq[:, 0]] + vertices[uniq[:, 1]])
-    m01 = nv + inverse[:ne]
-    m12 = nv + inverse[ne : 2 * ne]
-    m20 = nv + inverse[2 * ne :]
-    e0, e1, e2 = elements[:, 0], elements[:, 1], elements[:, 2]
-    children = np.concatenate(
-        [
-            np.column_stack([e0, m01, m20]),
-            np.column_stack([m01, e1, m12]),
-            np.column_stack([m20, m12, e2]),
-            np.column_stack([m01, m12, m20]),
-        ]
-    )
-    new_flags = np.concatenate([flags, counts == 1])
-    return np.vstack([vertices, mids]), children, new_flags, uniq
+    inner = np.concatenate([(m20, m01), (m01, m12), (m12, m20)], axis=1)
+    midpoints = nv + np.arange(n_edges)
+    return {
+        "vertices": _prolong(vertices, edges),
+        "elements": np.concatenate([np.column_stack(c) for c, _ in blocks]),
+        "flags": np.concatenate([coarse.flags, coarse.edge_boundary]),
+        "parents": edges,
+        "edges": np.concatenate(
+            [
+                np.column_stack([edges[:, 0], midpoints]),
+                np.column_stack([edges[:, 1], midpoints]),
+                np.sort(inner, axis=0).T,
+            ]
+        ),
+        "edge_of": np.concatenate([np.column_stack(e) for _, e in blocks]),
+        "edge_boundary": np.concatenate(
+            [coarse.edge_boundary, coarse.edge_boundary, np.zeros(3 * ne, dtype=bool)]
+        ),
+    }
 
 
 @functools.cache
@@ -300,90 +355,135 @@ def _reference(layout: str, level: int) -> _Reference:
     """The cached reference mesh of ``layout`` at ``level`` (read-only)."""
     if level == 0:
         vertices, elements, pieces = _LAYOUTS[layout]
-        vertices = np.array(vertices, dtype=float)
         elements = np.array(elements, dtype=np.int64)
+        mesh = {
+            "vertices": np.array(vertices, dtype=float),
+            "elements": elements,
+            "flags": np.ones(len(vertices), dtype=bool),
+            "parents": None,
+            **_edges(elements),
+        }
         pieces = np.array(pieces, dtype=np.int64)
-        flags = np.ones(len(vertices), dtype=bool)
-        parents = None
     else:
         coarse = _reference(layout, level - 1)
-        vertices, elements, flags, parents = _refine_arrays(
-            coarse.vertices, coarse.elements, coarse.flags
-        )
+        mesh = _refine_arrays(coarse)
         pieces = np.tile(coarse.pieces, 4)
-    interior = np.flatnonzero(~flags)
+    vertices = mesh["vertices"]
+    interior = np.flatnonzero(~mesh["flags"])
     # reference coordinates are dyadic, so the sort keys are exact
     points = vertices[interior]
     long = int(np.argmax(np.ptp(vertices, axis=0)))
     interior = interior[np.lexsort((points[:, 1 - long], points[:, long]))]
     return _frozen(
         _Reference(
-            vertices=vertices,
-            elements=elements,
-            flags=flags,
+            **mesh,
             pieces=pieces,
-            parents=parents,
             interior=interior,
-            **_scatter_plan(elements, interior, len(vertices)),
+            **_scatter_plan(mesh["edges"], interior, len(vertices)),
         )
     )
 
 
-def _scatter_plan(elements: np.ndarray, interior: np.ndarray, nv: int) -> dict:
-    """Interior CSC pattern of a mesh, its band map and the scatter plan."""
+def _scatter_plan(edges: np.ndarray, interior: np.ndarray, nv: int) -> dict:
+    """Interior CSC pattern of a mesh, its band map and the places of its
+    edges and vertices on it.
+
+    The pattern is the diagonal and both orientations of every edge whose
+    ends are both unknowns; one sort of their CSC keys ``col * n + row``
+    orders it, and the inverse of that sort places each pair.
+    """
     n = len(interior)
     unknown = np.full(nv, -1, dtype=np.int64)
     unknown[interior] = np.arange(n)
-    rows = unknown[np.repeat(elements, 3, axis=1)].ravel()
-    cols = unknown[np.tile(elements, (1, 3))].ravel()
-    keep = (rows >= 0) & (cols >= 0)
-    pattern, kept = np.unique(cols[keep] * n + rows[keep], return_inverse=True)
-    slot = np.full(len(rows), len(pattern), dtype=np.int32)
-    slot[keep] = kept
-    load_at = unknown[elements].ravel()
-    load_at[load_at < 0] = n
-    cols, rows = np.divmod(pattern, n)
+    i, j = unknown[edges[:, 0]], unknown[edges[:, 1]]
+    inside = np.flatnonzero((i >= 0) & (j >= 0))
+    i, j = i[inside], j[inside]
+    rows = np.concatenate([np.arange(n), i, j])
+    cols = np.concatenate([np.arange(n), j, i])
+    order = np.argsort(cols * n + rows)
+    nnz = len(order)
+    at = np.empty(nnz, dtype=np.int32)
+    at[order] = np.arange(nnz, dtype=np.int32)
+    diag_at = np.full(nv, nnz, dtype=np.int32)
+    diag_at[interior] = at[:n]
+    edge_at = np.full((2, len(edges)), nnz, dtype=np.int32)
+    edge_at[:, inside] = at[n:].reshape(2, -1)
+    rows, cols = rows[order], cols[order]
     w = int(np.max(cols - rows, initial=0))
     band_at = np.where(rows <= cols, w + rows - cols + (w + 1) * cols, (w + 1) * n)
     columns = np.bincount(cols, minlength=n)
     return {
         "indptr": np.concatenate([[0], np.cumsum(columns)]).astype(np.int32),
         "indices": rows.astype(np.int32),
-        "slot": slot,
-        "load_at": load_at.astype(np.int32),
+        "edge_at": edge_at,
+        "diag_at": diag_at,
         "half_width": w,
         "band_at": band_at.astype(np.int32),
     }
 
 
 def _element_geometry(vertices: np.ndarray, elements: np.ndarray):
-    v = vertices[elements]  # (ne, 3, 2)
-    x, y = v[:, :, 0], v[:, :, 1]
-    bvec = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-    cvec = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
+    x, y = vertices[:, 0][elements], vertices[:, 1][elements]  # (ne, 3) each
+    bvec = y[:, _NEXT] - y[:, _LAST]
+    cvec = x[:, _LAST] - x[:, _NEXT]
     area2 = x[:, 0] * bvec[:, 0] + x[:, 1] * bvec[:, 1] + x[:, 2] * bvec[:, 2]
     return bvec, cvec, area2 / 2.0
 
 
-_MASS_REF = (np.ones((3, 3)) + np.eye(3)) / 12.0
-
-
 def _element_parts(vertices: np.ndarray, elements: np.ndarray):
-    """Element stiffness parts, consistent mass and lumped load.
+    """Element stiffness parts by local edge and vertex, and element areas.
 
-    The stiffness parts are the (ne, 3, 3) blocks xx and yy; the mass is
-    one (ne, 3, 3) block and the loads are (ne, 3).
+    Local edge k joins local vertices k + 1 and k + 2 (mod 3).  Each of the
+    parts xx and yy is a pair of (ne, 3) arrays: ``b_{k+1} b_{k+2} / 4A``
+    on edge k and ``b_k^2 / 4A`` on vertex k for xx, the same in c for yy.
+    A vertex keeps its own value rather than minus its edges' sum, which
+    would cancel on thin elements.  The consistent mass is A/12 on each
+    edge and A/6 on each vertex, and the lumped load A/3 on each vertex,
+    so the areas A give both.
     """
     bvec, cvec, areas = _element_geometry(vertices, elements)
     if np.any(areas <= 0):
         raise DegenerateShape("mesh contains an element with nonpositive area")
+    scale = 4.0 * areas[:, None]
 
-    def outer(u, v):
-        return u[:, :, None] * v[:, None, :] / (4.0 * areas)[:, None, None]
+    def part(u):
+        return u[:, _NEXT] * u[:, _LAST] / scale, u * u / scale
 
-    mass = areas[:, None, None] * _MASS_REF
-    load = np.repeat(areas / 3.0, 3).reshape(-1, 3)
-    return (outer(bvec, bvec), outer(cvec, cvec)), mass, load
+    return part(bvec), part(cvec), areas
+
+
+def _assemble(ref: _Reference, parts, group=None) -> np.ndarray:
+    """Element parts on the reference's pattern, (groups, parts, nnz).
+
+    Each part is a pair of element arrays that broadcast to (ne, 3): the
+    values of each local edge and of each local vertex.  bincount sums them
+    onto the reference's edges and vertices, in input order, so the sums
+    are reproducible; ``edge_at`` puts an edge's sum on its (i, j) and
+    (j, i), and ``diag_at`` a vertex's on its (i, i).  With ``group``, the
+    group 0, 1, ... of each element, each group gets its own sums; without
+    it there is one group.
+    """
+    n_edges, nv, nnz = len(ref.edges), len(ref.vertices), len(ref.indices)
+    edge_bins, vertex_bins, groups = ref.edge_of, ref.elements, 1
+    if group is not None:
+        groups = int(group.max()) + 1
+        edge_bins = edge_bins + (group * n_edges)[:, None]
+        vertex_bins = vertex_bins + (group * nv)[:, None]
+    # intp places spare numpy a conversion per row
+    edge_at, diag_at = ref.edge_at.astype(np.intp), ref.diag_at.astype(np.intp)
+
+    def total(bins, values, size):
+        values = np.broadcast_to(values, bins.shape).ravel()
+        return np.bincount(bins.ravel(), values, groups * size).reshape(groups, size)
+
+    out = np.empty((groups, len(parts), nnz + 1))
+    for k, (on_edges, on_vertices) in enumerate(parts):
+        on_edges = total(edge_bins, on_edges, n_edges)
+        on_vertices = total(vertex_bins, on_vertices, nv)
+        for g in range(groups):
+            out[g, k][edge_at] = on_edges[g]
+            out[g, k][diag_at] = on_vertices[g]
+    return out[..., :nnz]
 
 
 def _scatter(values: np.ndarray, at: np.ndarray, size: int):
@@ -398,24 +498,15 @@ def _scatter(values: np.ndarray, at: np.ndarray, size: int):
 def _reference_system(layout: str, level: int) -> _ReferenceSystem:
     """The cached per-piece interior system of ``layout`` at ``level``."""
     ref = _reference(layout, level)
-    parts, mass, load = _element_parts(ref.vertices, ref.elements)
-    n_pieces = int(ref.pieces.max()) + 1
-
-    def per_piece(values, at, size):
-        # one bincount: piece p's entries go to bins p (size + 1) + at
-        values = values.reshape(len(ref.pieces), -1)
-        at = at + np.repeat(ref.pieces, values.shape[1]) * (size + 1)
-        total = _scatter(values, at, n_pieces * (size + 1))
-        return total.reshape(n_pieces, size + 1)[:, :size]
-
-    def on_pattern(blocks):
-        return per_piece(blocks, ref.slot, len(ref.indices))
-
+    xx, yy, areas = _element_parts(ref.vertices, ref.elements)
+    mass = (areas[:, None] / 12.0, areas[:, None] / 6.0)
+    mass = _assemble(ref, [mass], ref.pieces)[:, 0]
     return _frozen(
         _ReferenceSystem(
-            stiffness=np.stack([on_pattern(part) for part in parts], axis=1),
-            mass=on_pattern(mass),
-            load=per_piece(load, ref.load_at, len(ref.interior)),
+            stiffness=_assemble(ref, (xx, yy), ref.pieces),
+            mass=mass,
+            # the lumped load, A/3 per vertex, is twice the mass diagonal
+            load=2.0 * mass[:, ref.diag_at[ref.interior]],
         )
     )
 
@@ -437,7 +528,8 @@ def _system(shape, level: int, base: Optional[Mesh] = None) -> _System:
     reference mass and load; its h halves per level from the longest edge
     of its level-0 mesh ``base`` (built here when not given), and its area
     is that mesh's.  A sector's mesh is built at ``level`` and its element
-    Laplacian ``Kxx + Kyy``, mass and load are scattered directly.
+    Laplacian ``Kxx + Kyy``, mass and load are assembled directly; its h
+    is its longest edge and its area the sum of its element areas.
     """
     layout, maps = _piece_maps(shape)
     ref = _reference(layout, level)
@@ -448,10 +540,12 @@ def _system(shape, level: int, base: Optional[Mesh] = None) -> _System:
         )
     if isinstance(shape, Sector):
         mesh = mesh_domain(shape, level)
-        (xx, yy), mass, load = _element_parts(mesh.vertices, mesh.elements)
-        stiffness = _scatter(xx + yy, ref.slot, len(ref.indices))
-        mass = _scatter(mass, ref.slot, len(ref.indices))
-        load = _scatter(load, ref.load_at, n)
+        (kxx, vxx), (kyy, vyy), areas = _element_parts(mesh.vertices, mesh.elements)
+        mass = (areas[:, None] / 12.0, areas[:, None] / 6.0)
+        stiffness, mass = _assemble(ref, ((kxx + kyy, vxx + vyy), mass))[0]
+        load = 2.0 * mass[ref.diag_at[ref.interior]]
+        h = _longest_edge(mesh.vertices, ref.edges)
+        area = float(areas.sum())
     else:
         mesh = base if base is not None else mesh_domain(shape, 0)
         system = _reference_system(layout, level)
@@ -467,6 +561,8 @@ def _system(shape, level: int, base: Optional[Mesh] = None) -> _System:
         )
         mass = _combine(system.mass, m_coef)
         load = _combine(system.load, m_coef)
+        h = _longest_edge(mesh.vertices, _reference(layout, 0).edges) / 2.0**level
+        area = _mesh_area(mesh)
     return _System(
         stiffness=stiffness,
         # symmetric values on a symmetric pattern: read as CSR it is the same matrix
@@ -474,8 +570,8 @@ def _system(shape, level: int, base: Optional[Mesh] = None) -> _System:
         load=load,
         reference=ref,
         level=level,
-        h=_mesh_h(mesh) / 2.0 ** (level - mesh.level),
-        area=_mesh_area(mesh),
+        h=h,
+        area=area,
     )
 
 
@@ -649,9 +745,9 @@ def _mesh_area(mesh: Mesh) -> float:
     return float(areas.sum())
 
 
-def _mesh_h(mesh: Mesh) -> float:
-    v = mesh.vertices[mesh.elements]
-    return float(np.linalg.norm(v - np.roll(v, -1, axis=1), axis=2).max())
+def _longest_edge(vertices: np.ndarray, edges: np.ndarray) -> float:
+    lengths = np.linalg.norm(vertices[edges[:, 0]] - vertices[edges[:, 1]], axis=1)
+    return float(lengths.max())
 
 
 def _prolong(x: np.ndarray, parents: np.ndarray) -> np.ndarray:

@@ -707,13 +707,61 @@ def test_band_order_bounds_the_half_width_and_the_band_is_exact(monkeypatch, lay
         assert np.array_equal(dense, np.triu(_stiffness_matrix(system).toarray()))
 
 
+@pytest.mark.parametrize("layout", sorted(_LAYOUT_SHAPES))
+def test_reference_edges_are_carried_through_refinement(layout):
+    for level in range(7):
+        ref = pde_oracle._reference(layout, level)
+        elements, edges, edge_of = ref.elements, ref.edges, ref.edge_of
+        nv, n_edges = len(ref.vertices), len(edges)
+        # the edges are the elements' sorted vertex pairs, each once
+        pairs = np.concatenate(
+            [elements[:, [1, 2]], elements[:, [2, 0]], elements[:, [0, 1]]]
+        )
+        assert np.all(edges[:, 0] < edges[:, 1])
+        assert len(np.unique(edges, axis=0)) == n_edges
+        order = np.lexsort((edges[:, 1], edges[:, 0]))
+        assert np.array_equal(edges[order], np.unique(np.sort(pairs, axis=1), axis=0))
+        # local edge k joins local vertices k + 1 and k + 2
+        for k in range(3):
+            ends = np.sort(elements[:, [(k + 1) % 3, (k + 2) % 3]], axis=1)
+            assert np.array_equal(edges[edge_of[:, k]], ends)
+        count = np.bincount(edge_of.ravel(), minlength=n_edges)
+        assert np.all((count == 1) | (count == 2))
+        assert np.array_equal(ref.edge_boundary, count == 1)
+        if level > 0:
+            coarse = pde_oracle._reference(layout, level - 1)
+            assert np.array_equal(ref.parents, coarse.edges)
+        # interior pairs go to their pattern entries, and every other pair
+        # to the discard bin nnz
+        n, nnz = len(ref.interior), len(ref.indices)
+        assert ref.edge_at.dtype == ref.diag_at.dtype == np.int32
+        assert ref.edge_at.shape == (2, n_edges) and ref.diag_at.shape == (nv,)
+        unknown = np.full(nv, -1)
+        unknown[ref.interior] = np.arange(n)
+        rows, columns = ref.indices, np.repeat(np.arange(n), np.diff(ref.indptr))
+        i, j = unknown[edges[:, 0]], unknown[edges[:, 1]]
+        inside = (i >= 0) & (j >= 0)
+        for at, row, column in ((ref.edge_at[0], i, j), (ref.edge_at[1], j, i)):
+            assert np.all(at[~inside] == nnz)
+            assert np.array_equal(rows[at[inside]], row[inside])
+            assert np.array_equal(columns[at[inside]], column[inside])
+        assert np.all(ref.diag_at[ref.flags] == nnz)
+        diagonal = ref.diag_at[ref.interior]
+        assert np.array_equal(rows[diagonal], np.arange(n))
+        assert np.array_equal(columns[diagonal], np.arange(n))
+        # and each pattern entry is the place of one pair
+        placed = np.concatenate([ref.edge_at[:, inside].ravel(), diagonal])
+        assert np.array_equal(np.sort(placed), np.arange(nnz))
+
+
 def test_cached_reference_arrays_are_read_only():
     mesh = mesh_domain(Triangle(0.3, 0.4), 3)
     system = pde_oracle._reference_system("split", 3)
     ref = pde_oracle._reference("split", 3)
     arrays = (
         mesh.elements, mesh.boundary_flags, system.stiffness, ref.interior,
-        ref.indptr, ref.indices, ref.slot, ref.load_at, ref.band_at,
+        ref.indptr, ref.indices, ref.edges, ref.edge_of, ref.edge_boundary,
+        ref.edge_at, ref.diag_at, ref.band_at,
     )
     assert not any(array.flags.writeable for array in arrays)
 
