@@ -13,6 +13,7 @@ from __future__ import annotations
 import concurrent.futures
 import contextlib
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -503,7 +504,8 @@ def sweep_triangles(
     (no faster: each banded factorization holds the interpreter lock).
     Raises ValueError, before any solve, for an unknown grid key, for
     non-finite or degenerate heights, for a grid that holds no chart
-    triangle and for a max_level outside [2, pde_oracle.MAX_LEVEL].
+    triangle and for a max_level that is no integer in
+    [2, pde_oracle.MAX_LEVEL].
     """
     cfg = {"na": 60, "nb": 60, "b_min": 0.02, "b_max": math.sqrt(3.0) / 2.0}
     unknown = sorted(set(grid or ()) - set(cfg))
@@ -516,9 +518,13 @@ def sweep_triangles(
         )
     if cfg["b_min"] < 1e-3:
         raise ValueError(f"b_min below 1e-3 is degenerate, got {cfg['b_min']}")
-    if not 2 <= max_level <= pde_oracle.MAX_LEVEL:
+    if not (
+        isinstance(max_level, numbers.Integral)
+        and 2 <= max_level <= pde_oracle.MAX_LEVEL
+    ):
         raise ValueError(
-            f"max_level must lie in [2, {pde_oracle.MAX_LEVEL}], got {max_level}"
+            f"max_level must be an integer in [2, {pde_oracle.MAX_LEVEL}], "
+            f"got {max_level!r}"
         )
     na, nb = int(cfg["na"]), int(cfg["nb"])
     tasks = []

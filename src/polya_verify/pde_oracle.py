@@ -20,18 +20,20 @@ is projected back to the circle.
 The cached reference also holds its edges, carried from level to level
 by index arithmetic (the midpoint of coarse edge e is the new vertex
 nv + e, and the new edges of each element follow from its coarse ones),
-the CSC pattern of its interior system (the diagonal and both
-orientations of every interior edge), the place of each edge and vertex
-on that pattern, and the place of each pattern entry in LAPACK's band
-storage.  One routine makes the element parts by local edge and vertex
-(stiffness xx and yy, and the areas that give the consistent mass and the
-lumped load); bincount sums them onto the edges and vertices, the places
-put those sums on the pattern, and one bincount scatter takes the
-stiffness from the pattern into the band.  Red refinement commutes with
-affine maps, so a triangle or rectangle solve only combines cached
-per-piece components, assembled once per layout and level, with the
-coefficients of its maps, which are all diagonal.  A projected sector
-mesh is no such image; its parts are assembled per solve.
+and its interior edges, those whose ends are both unknowns.  A system is
+stored on its entries, one value per unknown (the diagonal) and one per
+interior edge; the reference maps each entry to its place in LAPACK's
+band storage, and the mass's CSR pattern (the diagonal and both
+orientations of every interior edge) to the entry each place reads.  One
+routine makes the element parts by local edge and vertex (stiffness xx
+and yy, and the areas that give the consistent mass and the lumped
+load); bincount sums them onto the edges and vertices, and the entries
+are those sums on the unknowns and the interior edges.  Red refinement
+commutes with affine maps, so a triangle or rectangle solve only
+combines cached per-piece components, assembled once per layout and
+level, with the coefficients of its maps, which are all diagonal.  A
+projected sector mesh is no such image; its parts are assembled per
+solve.
 
 The eigenproblem uses the consistent mass matrix (variational, so discrete
 eigenvalues sit above the true ones); the torsion load is mass-lumped.  In
@@ -54,6 +56,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
@@ -174,15 +177,14 @@ class _Reference:
     of level 0 come from one sort, and every later level carries them
     (``_refine_arrays``); the new vertices of a level are the midpoints of
     the coarse edges, in their order, so ``parents`` is the coarse
-    ``edges``.  Stiffness and mass share one symmetric CSC pattern over
-    the unknowns (``indptr``, ``indices``): the diagonal and both
-    orientations of every edge between two unknowns.  An edge's (i, j) and
-    (j, i) sit at ``edge_at[:, e]`` and a vertex's (i, i) at
-    ``diag_at[v]``; pattern entry k, at (i, j) with i <= j, goes into the
-    raveled Fortran (w + 1, n) band that dpbtrf reads at
-    ``band_at[k] = w + i - j + (w + 1) j``.  An edge or vertex on the
-    boundary, or an entry below the diagonal, goes to one past the end, a
-    discard bin.
+    ``edges``.  ``inside`` lists the edges whose two ends are both
+    unknowns.  A system's entries are its n unknowns, in band order, then
+    these m edges; entry k, at (i, j) with i <= j, goes into the raveled
+    Fortran (w + 1, n) band that dpbtrf reads at
+    ``band_at[k] = w + i - j + (w + 1) j``.  The mass is a CSR matrix on
+    the pattern (``indptr``, ``indices``) of the diagonal and both
+    orientations of every interior edge, and pattern place k holds entry
+    ``gather[k]``.
     """
 
     vertices: np.ndarray
@@ -194,35 +196,34 @@ class _Reference:
     edge_of: np.ndarray  # (ne, 3) edge of each local edge
     edge_boundary: np.ndarray  # (E,) edges that lie in one element
     interior: np.ndarray  # interior vertices in band order
+    inside: np.ndarray  # (m,) edges between two unknowns
+    half_width: int
+    band_at: np.ndarray  # (n + m,) band place of each entry
     indptr: np.ndarray
     indices: np.ndarray
-    edge_at: np.ndarray  # (2, E) places of (i, j) and (j, i)
-    diag_at: np.ndarray  # (nv,) place of (i, i)
-    half_width: int
-    band_at: np.ndarray
+    gather: np.ndarray  # entry of each pattern place
 
 
 @dataclass(frozen=True, eq=False)
 class _ReferenceSystem:
     """Per-piece components of one layout's interior system at one level.
 
-    Stiffness and mass lie on the reference's pattern; ``stiffness`` holds
+    Stiffness and mass lie on the reference's entries; ``stiffness`` holds
     the xx and yy parts of every piece, the only ones a diagonal map weights.
     Each is the sums of one piece's element parts over the reference's
-    edges and vertices, put on the pattern through ``edge_at`` and
-    ``diag_at``; the load, A/3 per vertex, is twice the mass diagonal.
+    unknowns and interior edges.
     """
 
-    stiffness: np.ndarray  # (pieces, 2, nnz)
-    mass: np.ndarray  # (pieces, nnz)
-    load: np.ndarray  # (pieces, n)
+    stiffness: np.ndarray  # (pieces, 2, n + m)
+    mass: np.ndarray  # (pieces, n + m)
 
 
 @dataclass(frozen=True, eq=False)
 class _System:
-    """Interior stiffness (its values on the reference's pattern), mass and
-    load of one shape at one level, ready to solve, with the mesh's largest
-    edge ``h`` and its area."""
+    """Interior stiffness (its values on the reference's entries), mass and
+    lumped load (A/3 per vertex, twice the mass diagonal) of one shape at
+    one level, ready to solve, with the mesh's largest edge ``h`` and its
+    area."""
 
     stiffness: np.ndarray
     mass: sp.csr_matrix
@@ -231,6 +232,11 @@ class _System:
     level: int
     h: float
     area: float
+
+
+def _check_integer(name: str, level) -> None:
+    if not isinstance(level, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {level!r}")
 
 
 def _frozen(record):
@@ -385,40 +391,34 @@ def _reference(layout: str, level: int) -> _Reference:
 
 
 def _scatter_plan(edges: np.ndarray, interior: np.ndarray, nv: int) -> dict:
-    """Interior CSC pattern of a mesh, its band map and the places of its
-    edges and vertices on it.
+    """Interior edges of a mesh, the band place of each entry, and the mass
+    pattern with the entry of each of its places.
 
-    The pattern is the diagonal and both orientations of every edge whose
-    ends are both unknowns; one sort of their CSC keys ``col * n + row``
-    orders it, and the inverse of that sort places each pair.
+    The entries are the n unknowns and then the m edges whose ends are both
+    unknowns.  The pattern holds the diagonal and both orientations of
+    every interior edge; one sort of their CSR keys ``row * n + col``
+    orders it.
     """
     n = len(interior)
     unknown = np.full(nv, -1, dtype=np.int64)
     unknown[interior] = np.arange(n)
     i, j = unknown[edges[:, 0]], unknown[edges[:, 1]]
     inside = np.flatnonzero((i >= 0) & (j >= 0))
-    i, j = i[inside], j[inside]
-    rows = np.concatenate([np.arange(n), i, j])
-    cols = np.concatenate([np.arange(n), j, i])
-    order = np.argsort(cols * n + rows)
-    nnz = len(order)
-    at = np.empty(nnz, dtype=np.int32)
-    at[order] = np.arange(nnz, dtype=np.int32)
-    diag_at = np.full(nv, nnz, dtype=np.int32)
-    diag_at[interior] = at[:n]
-    edge_at = np.full((2, len(edges)), nnz, dtype=np.int32)
-    edge_at[:, inside] = at[n:].reshape(2, -1)
-    rows, cols = rows[order], cols[order]
-    w = int(np.max(cols - rows, initial=0))
-    band_at = np.where(rows <= cols, w + rows - cols + (w + 1) * cols, (w + 1) * n)
-    columns = np.bincount(cols, minlength=n)
+    lo = np.concatenate([np.arange(n), np.minimum(i, j)[inside]])
+    hi = np.concatenate([np.arange(n), np.maximum(i, j)[inside]])
+    w = int(np.max(hi - lo, initial=0))
+    # each edge entry twice, once per orientation
+    entry = np.concatenate([np.arange(len(lo)), np.arange(n, len(lo))])
+    rows, cols = np.concatenate([lo, hi[n:]]), np.concatenate([hi, lo[n:]])
+    order = np.argsort(rows * n + cols)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
     return {
-        "indptr": np.concatenate([[0], np.cumsum(columns)]).astype(np.int32),
-        "indices": rows.astype(np.int32),
-        "edge_at": edge_at,
-        "diag_at": diag_at,
+        "inside": inside.astype(np.int32),
         "half_width": w,
-        "band_at": band_at.astype(np.int32),
+        "band_at": (w + lo - hi + (w + 1) * hi).astype(np.int32),
+        "indptr": indptr.astype(np.int32),
+        "indices": cols[order].astype(np.int32),
+        "gather": entry[order].astype(np.int32),
     }
 
 
@@ -453,45 +453,32 @@ def _element_parts(vertices: np.ndarray, elements: np.ndarray):
 
 
 def _assemble(ref: _Reference, parts, group=None) -> np.ndarray:
-    """Element parts on the reference's pattern, (groups, parts, nnz).
+    """Element parts on the reference's entries, (groups, parts, n + m).
 
     Each part is a pair of element arrays that broadcast to (ne, 3): the
     values of each local edge and of each local vertex.  bincount sums them
     onto the reference's edges and vertices, in input order, so the sums
-    are reproducible; ``edge_at`` puts an edge's sum on its (i, j) and
-    (j, i), and ``diag_at`` a vertex's on its (i, i).  With ``group``, the
-    group 0, 1, ... of each element, each group gets its own sums; without
-    it there is one group.
+    are reproducible; the entries are the sums on the unknowns and on the
+    interior edges.  With ``group``, the group 0, 1, ... of each element,
+    each group gets its own sums; without it there is one group.
     """
-    n_edges, nv, nnz = len(ref.edges), len(ref.vertices), len(ref.indices)
+    n_edges, nv = len(ref.edges), len(ref.vertices)
     edge_bins, vertex_bins, groups = ref.edge_of, ref.elements, 1
     if group is not None:
         groups = int(group.max()) + 1
         edge_bins = edge_bins + (group * n_edges)[:, None]
         vertex_bins = vertex_bins + (group * nv)[:, None]
-    # intp places spare numpy a conversion per row
-    edge_at, diag_at = ref.edge_at.astype(np.intp), ref.diag_at.astype(np.intp)
 
     def total(bins, values, size):
         values = np.broadcast_to(values, bins.shape).ravel()
         return np.bincount(bins.ravel(), values, groups * size).reshape(groups, size)
 
-    out = np.empty((groups, len(parts), nnz + 1))
+    n = len(ref.interior)
+    out = np.empty((groups, len(parts), n + len(ref.inside)))
     for k, (on_edges, on_vertices) in enumerate(parts):
-        on_edges = total(edge_bins, on_edges, n_edges)
-        on_vertices = total(vertex_bins, on_vertices, nv)
-        for g in range(groups):
-            out[g, k][edge_at] = on_edges[g]
-            out[g, k][diag_at] = on_vertices[g]
-    return out[..., :nnz]
-
-
-def _scatter(values: np.ndarray, at: np.ndarray, size: int):
-    """Sum raveled ``values`` onto ``at``, dropping the entries sent to ``size``.
-
-    bincount sums in input order, so the result is reproducible.
-    """
-    return np.bincount(at, weights=values.ravel(), minlength=size + 1)[:size]
+        out[:, k, :n] = total(vertex_bins, on_vertices, nv)[:, ref.interior]
+        out[:, k, n:] = total(edge_bins, on_edges, n_edges)[:, ref.inside]
+    return out
 
 
 @functools.cache
@@ -500,13 +487,10 @@ def _reference_system(layout: str, level: int) -> _ReferenceSystem:
     ref = _reference(layout, level)
     xx, yy, areas = _element_parts(ref.vertices, ref.elements)
     mass = (areas[:, None] / 12.0, areas[:, None] / 6.0)
-    mass = _assemble(ref, [mass], ref.pieces)[:, 0]
     return _frozen(
         _ReferenceSystem(
             stiffness=_assemble(ref, (xx, yy), ref.pieces),
-            mass=mass,
-            # the lumped load, A/3 per vertex, is twice the mass diagonal
-            load=2.0 * mass[:, ref.diag_at[ref.interior]],
+            mass=_assemble(ref, [mass], ref.pieces)[:, 0],
         )
     )
 
@@ -520,16 +504,17 @@ def _combine(parts, coefficients) -> np.ndarray:
 
 
 def _system(shape, level: int, base: Optional[Mesh] = None) -> _System:
-    """Interior system of ``shape`` at ``level`` on its layout's pattern.
+    """Interior system of ``shape`` at ``level`` on its layout's entries.
 
     A triangle or rectangle combines its layout's cached components: a
     piece with diagonal map A contributes ``|det A| (G11 Kxx + G22 Kyy)``
     to the stiffness, with ``G = A^-1 A^-T``, and ``|det A|`` times its
-    reference mass and load; its h halves per level from the longest edge
-    of its level-0 mesh ``base`` (built here when not given), and its area
-    is that mesh's.  A sector's mesh is built at ``level`` and its element
-    Laplacian ``Kxx + Kyy``, mass and load are assembled directly; its h
-    is its longest edge and its area the sum of its element areas.
+    reference mass; its h halves per level from the longest edge of its
+    level-0 mesh ``base`` (built here when not given), and its area is
+    that mesh's.  A sector's mesh is built at ``level`` and its element
+    Laplacian ``Kxx + Kyy`` and mass are assembled directly; its h is its
+    longest edge and its area the sum of its element areas.  The lumped
+    load is twice the mass diagonal, its first n entries.
     """
     layout, maps = _piece_maps(shape)
     ref = _reference(layout, level)
@@ -543,7 +528,6 @@ def _system(shape, level: int, base: Optional[Mesh] = None) -> _System:
         (kxx, vxx), (kyy, vyy), areas = _element_parts(mesh.vertices, mesh.elements)
         mass = (areas[:, None] / 12.0, areas[:, None] / 6.0)
         stiffness, mass = _assemble(ref, ((kxx + kyy, vxx + vyy), mass))[0]
-        load = 2.0 * mass[ref.diag_at[ref.interior]]
         h = _longest_edge(mesh.vertices, ref.edges)
         area = float(areas.sum())
     else:
@@ -560,14 +544,12 @@ def _system(shape, level: int, base: Optional[Mesh] = None) -> _System:
             system.stiffness.reshape(-1, system.stiffness.shape[-1]), k_coef
         )
         mass = _combine(system.mass, m_coef)
-        load = _combine(system.load, m_coef)
         h = _longest_edge(mesh.vertices, _reference(layout, 0).edges) / 2.0**level
         area = _mesh_area(mesh)
     return _System(
         stiffness=stiffness,
-        # symmetric values on a symmetric pattern: read as CSR it is the same matrix
-        mass=sp.csr_matrix((mass, ref.indices, ref.indptr), shape=(n, n)),
-        load=load,
+        mass=sp.csr_matrix((mass[ref.gather], ref.indices, ref.indptr), shape=(n, n)),
+        load=2.0 * mass[:n],
         reference=ref,
         level=level,
         h=h,
@@ -582,8 +564,10 @@ def mesh_domain(shape, level: int) -> Mesh:
     through the reference parent maps: new vertices are the midpoints of
     their parents, and on a sector those on the rim are projected back to
     the circle.  A triangle whose apex lies off its base is meshed as its
-    congruent copy with the longest side on the x-axis.
+    congruent copy with the longest side on the x-axis.  A non-integer
+    ``level`` raises ValueError.
     """
+    _check_integer("level", level)
     if level < 0:
         raise ValueError(f"level must be nonnegative, got {level}")
     if level > MAX_LEVEL:
@@ -618,7 +602,7 @@ def _solve_system(system: _System, x0: Optional[np.ndarray] = None) -> dict:
     factorization of its stiffness.
 
     dpbtrf factors in place a fresh band that the reference's ``band_at``
-    fills from the stiffness values, so the system is left as it was, and
+    fills from the stiffness entries, so the system is left as it was, and
     every solve is one dpbtrs call on that factor.  A nonpositive pivot
     raises NotPositiveDefinite.  The eigenpair comes from Lanczos on
     ``K^-1 M`` in the M inner product, started from ``x0`` (on all
@@ -641,7 +625,8 @@ def _solve_system(system: _System, x0: Optional[np.ndarray] = None) -> dict:
     ref = system.reference
     mass, idx = system.mass, ref.interior
     width, n = ref.half_width, len(idx)
-    band = _scatter(system.stiffness, ref.band_at, (width + 1) * n)
+    band = np.zeros((width + 1) * n)
+    band[ref.band_at] = system.stiffness
     factor, info = lapack.dpbtrf(
         band.reshape((width + 1, n), order="F"), overwrite_ab=1
     )
@@ -769,8 +754,10 @@ def spectral(shape, max_level: int) -> SpectralResult:
     ``per_level["lu_nnz"]`` the entries of its stored banded Cholesky
     factor, (w + 1) n for half-bandwidth w.  Every level's system comes
     from ``_system``, so a triangle or rectangle is solved from one level-0
-    mesh, without building its refined meshes.
+    mesh, without building its refined meshes.  A non-integer
+    ``max_level`` raises ValueError before any solve.
     """
+    _check_integer("max_level", max_level)
     if max_level < 2:
         raise ValueError("spectral needs max_level >= 2")
     if max_level > MAX_LEVEL:

@@ -329,21 +329,34 @@ def test_spectral_reports_eigen_iterations_per_level():
     assert all(isinstance(n, int) and 0 < n <= pde_oracle._EIG_MAXIT for n in iterations)
 
 
+def _entry_pairs(ref):
+    """The unknowns (i, j) of each entry of a system on ``ref``: the
+    diagonal, then the interior edges."""
+    unknown = np.full(len(ref.vertices), -1)
+    unknown[ref.interior] = np.arange(len(ref.interior))
+    ends = unknown[ref.edges[ref.inside]]
+    return (
+        np.concatenate([unknown[ref.interior], ends[:, 0]]),
+        np.concatenate([unknown[ref.interior], ends[:, 1]]),
+    )
+
+
 def _stiffness_matrix(system):
-    """The stiffness of ``system``, values on its reference's pattern, as a
+    """The stiffness of ``system``, values on its reference's entries, as a
     sparse matrix."""
     ref = system.reference
     n = len(ref.interior)
-    return sp.csc_matrix((system.stiffness, ref.indices, ref.indptr), shape=(n, n))
+    i, j = _entry_pairs(ref)
+    values = system.stiffness
+    upper = sp.coo_matrix((values, (i, j)), shape=(n, n))
+    lower = sp.coo_matrix((values[n:], (j[n:], i[n:])), shape=(n, n))
+    return (upper + lower).tocsc()
 
 
 def _negated_diagonal(system, k):
     """``system`` with the k-th diagonal entry of its stiffness negated."""
-    ref = system.reference
-    column = ref.indices[ref.indptr[k] : ref.indptr[k + 1]]
-    at = ref.indptr[k] + np.flatnonzero(column == k)
     stiffness = system.stiffness.copy()
-    stiffness[at] = -stiffness[at]
+    stiffness[k] = -stiffness[k]
     return dataclasses.replace(system, stiffness=stiffness)
 
 
@@ -567,6 +580,38 @@ def test_level_limits_are_enforced():
         spectral(Triangle(0.5, 0.5), max_level=1)
 
 
+_LEVEL_CALLS = {
+    "spectral": (lambda level: spectral(Triangle(0.3, 0.4), level), 5.5),
+    "mesh_domain": (lambda level: mesh_domain(Triangle(0.3, 0.4), level), 2.5),
+    "sweep": (
+        lambda level: harness.sweep_triangles(
+            grid={"na": 2, "nb": 1, "b_min": 0.5}, max_level=level, threads=1
+        ),
+        4.5,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LEVEL_CALLS))
+def test_non_integer_levels_raise_value_error_before_any_solve(name, monkeypatch):
+    call, level = _LEVEL_CALLS[name]
+    solves = []
+    solve = pde_oracle._solve_system
+
+    def counting_solve(*args):
+        solves.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(pde_oracle, "_solve_system", counting_solve)
+    with pytest.raises(ValueError, match="must be an integer"):
+        call(level)
+    assert not solves
+    # a numpy integer is an integer
+    result = call(np.int64(4))
+    if name == "sweep":
+        assert len(result) == 1 and not result[0].error
+
+
 def test_thin_triangle_still_solves():
     res = spectral(Triangle(0.5, 0.05), max_level=7)
     assert res.F > math.pi**2 / 24.0
@@ -645,14 +690,14 @@ def test_cached_assembly_matches_elementwise_assembly(shape, elements):
     assert np.allclose(system.load[order], load, rtol=1e-13, atol=0.0)
 
     # the same mesh solved from the element-by-element system, taken to the
-    # band order and read on the reference's pattern
+    # band order and read on the reference's entries
     rank = np.argsort(order)
     stiffness = stiffness[rank][:, rank]
-    columns = np.repeat(np.arange(len(idx)), np.diff(ref.indptr))
+    i, j = _entry_pairs(ref)
     plain = pde_oracle._solve_system(
         dataclasses.replace(
             system,
-            stiffness=np.asarray(stiffness[ref.indices, columns]).ravel(),
+            stiffness=np.asarray(stiffness[i, j]).ravel(),
             mass=mass[rank][:, rank],
             load=load[rank],
         )
@@ -690,9 +735,6 @@ def test_band_order_bounds_the_half_width_and_the_band_is_exact(monkeypatch, lay
         assert np.all(columns - ref.indices <= 2**level)
         w = ref.half_width
         assert w == np.max(columns - ref.indices, initial=0) <= 2**level
-        # the map is built without unknowns too, and it sends the entries
-        # below the diagonal, and only those, to the discard bin
-        assert np.array_equal(ref.band_at == (w + 1) * n, ref.indices > columns)
         if n == 0:
             continue
         system = pde_oracle._system(shape, level)
@@ -731,27 +773,30 @@ def test_reference_edges_are_carried_through_refinement(layout):
         if level > 0:
             coarse = pde_oracle._reference(layout, level - 1)
             assert np.array_equal(ref.parents, coarse.edges)
-        # interior pairs go to their pattern entries, and every other pair
-        # to the discard bin nnz
-        n, nnz = len(ref.interior), len(ref.indices)
-        assert ref.edge_at.dtype == ref.diag_at.dtype == np.int32
-        assert ref.edge_at.shape == (2, n_edges) and ref.diag_at.shape == (nv,)
+        # the entries are the unknowns, then the edges between two unknowns
+        n, w = len(ref.interior), ref.half_width
+        assert ref.inside.dtype == ref.band_at.dtype == ref.gather.dtype == np.int32
         unknown = np.full(nv, -1)
         unknown[ref.interior] = np.arange(n)
-        rows, columns = ref.indices, np.repeat(np.arange(n), np.diff(ref.indptr))
         i, j = unknown[edges[:, 0]], unknown[edges[:, 1]]
-        inside = (i >= 0) & (j >= 0)
-        for at, row, column in ((ref.edge_at[0], i, j), (ref.edge_at[1], j, i)):
-            assert np.all(at[~inside] == nnz)
-            assert np.array_equal(rows[at[inside]], row[inside])
-            assert np.array_equal(columns[at[inside]], column[inside])
-        assert np.all(ref.diag_at[ref.flags] == nnz)
-        diagonal = ref.diag_at[ref.interior]
-        assert np.array_equal(rows[diagonal], np.arange(n))
-        assert np.array_equal(columns[diagonal], np.arange(n))
-        # and each pattern entry is the place of one pair
-        placed = np.concatenate([ref.edge_at[:, inside].ravel(), diagonal])
-        assert np.array_equal(np.sort(placed), np.arange(nnz))
+        assert np.array_equal(ref.inside, np.flatnonzero((i >= 0) & (j >= 0)))
+        i, j = _entry_pairs(ref)
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        assert np.array_equal(i[:n], np.arange(n)) and np.all(lo[n:] < hi[n:])
+        # each entry has its own place, in the upper band (w + 1, n)
+        assert len(ref.band_at) == len(i) == len(np.unique(ref.band_at))
+        assert np.all(hi - lo <= w)
+        assert np.array_equal(ref.band_at, w + lo - hi + (w + 1) * hi)
+        # the mass pattern reads each diagonal entry once and each edge
+        # entry twice, at (i, j) and at (j, i)
+        rows = np.repeat(np.arange(n), np.diff(ref.indptr))
+        assert len(np.unique(rows * n + ref.indices)) == len(rows)
+        assert np.array_equal(
+            np.bincount(ref.gather, minlength=len(i)),
+            np.repeat([1, 2], [n, len(i) - n]),
+        )
+        assert np.array_equal(np.minimum(rows, ref.indices), lo[ref.gather])
+        assert np.array_equal(np.maximum(rows, ref.indices), hi[ref.gather])
 
 
 def test_cached_reference_arrays_are_read_only():
@@ -760,8 +805,8 @@ def test_cached_reference_arrays_are_read_only():
     ref = pde_oracle._reference("split", 3)
     arrays = (
         mesh.elements, mesh.boundary_flags, system.stiffness, ref.interior,
-        ref.indptr, ref.indices, ref.edges, ref.edge_of, ref.edge_boundary,
-        ref.edge_at, ref.diag_at, ref.band_at,
+        system.mass, ref.indptr, ref.indices, ref.edges, ref.edge_of,
+        ref.edge_boundary, ref.inside, ref.band_at, ref.gather,
     )
     assert not any(array.flags.writeable for array in arrays)
 
