@@ -88,9 +88,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         grid["b_min"] = args.bmin
     if args.bmax is not None:
         grid["b_max"] = args.bmax
-    rows = harness.sweep_triangles(
-        grid=grid, max_level=args.level, threads=args.threads, csv_path=args.out
-    )
+    rows = harness.sweep_triangles(grid=grid, max_level=args.level, csv_path=args.out)
     errors = [r for r in rows if r.error]
     sys.stdout.write(
         f"swept {len(rows)} triangles, {len(errors)} solver failure(s), "
@@ -176,20 +174,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.set_defaults(func=_cmd_compute)
 
     p_sweep = sub.add_parser(
-        "sweep", help="survey the triangle chart and write a CSV table"
+        "sweep", help="survey the triangle chart row by row and write a CSV table"
     )
     p_sweep.add_argument("--grid", default="60x60", help="NAxNB grid size")
-    p_sweep.add_argument("--bmin", type=float, default=None)
-    p_sweep.add_argument("--bmax", type=float, default=None)
+    p_sweep.add_argument("--bmin", type=float, default=None, help="lowest height, >= 1e-3")
+    p_sweep.add_argument("--bmax", type=float, default=None, help="highest height, >= 1e-3")
     p_sweep.add_argument("--out", required=True, help="CSV output path")
     p_sweep.add_argument("--level", type=int, default=7)
-    p_sweep.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="survey workers (default 1; N > 1 runs a thread pool, which is "
-        "no faster: each banded factorization holds the interpreter lock)",
-    )
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_cert = sub.add_parser(

@@ -10,7 +10,6 @@ triangle and rectangle families against the oracle.
 
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
 import math
 import numbers
@@ -450,8 +449,7 @@ def _analytic_bound_gaps(tri: Triangle, data, res) -> dict:
     return gaps
 
 
-def _sweep_one(task) -> SweepRow:
-    a, b, max_level = task
+def _sweep_one(a: float, b: float, max_level: int) -> SweepRow:
     tri = Triangle(a, b)
     cls = geometry.classify(tri).value
     try:
@@ -499,25 +497,25 @@ def sweep_triangles(
     point (base the longest side) gets oracle values, enclosure margins
     against pi^2/24 and pi^2/12, and gaps for each applicable analytic
     bound.  Rows where the solver fails are flagged and kept.  Rows come
-    back sorted by (a, b); csv_path writes the fixed-format table.  One
-    worker by default; ``threads`` above 1 runs a thread pool of that size
-    (no faster: each banded factorization holds the interpreter lock).
-    Raises ValueError, before any solve, for an unknown grid key, for
-    non-finite or degenerate heights, for a grid that holds no chart
-    triangle and for a max_level that is no integer in
-    [2, pde_oracle.MAX_LEVEL].
+    back sorted by (a, b); csv_path writes the fixed-format table.  The
+    rows are solved one after another.  ``threads`` must be 1: perfbench
+    passes it, and it goes with the next benchmark change (ROADMAP item 5).
+    Raises ValueError, before any solve, for an unknown grid key, for a
+    grid size that is no integer, for non-finite or degenerate heights,
+    for a grid that holds no chart triangle, for a max_level that is no
+    integer in [2, pde_oracle.MAX_LEVEL] and for any other ``threads``.
     """
     cfg = {"na": 60, "nb": 60, "b_min": 0.02, "b_max": math.sqrt(3.0) / 2.0}
     unknown = sorted(set(grid or ()) - set(cfg))
     if unknown:
         raise ValueError(f"unknown grid keys {unknown}; the keys are {sorted(cfg)}")
     cfg.update(grid or {})
-    if not (math.isfinite(cfg["b_min"]) and math.isfinite(cfg["b_max"])):
-        raise ValueError(
-            f"b_min and b_max must be finite, got {cfg['b_min']} and {cfg['b_max']}"
-        )
-    if cfg["b_min"] < 1e-3:
-        raise ValueError(f"b_min below 1e-3 is degenerate, got {cfg['b_min']}")
+    na, nb = cfg["na"], cfg["nb"]
+    if not (isinstance(na, numbers.Integral) and isinstance(nb, numbers.Integral)):
+        raise ValueError(f"na and nb must be integers, got {na!r} and {nb!r}")
+    for key in ("b_min", "b_max"):  # heights are linear between the two
+        if not (math.isfinite(cfg[key]) and cfg[key] >= 1e-3):
+            raise ValueError(f"{key} must be finite and at least 1e-3, got {cfg[key]}")
     if not (
         isinstance(max_level, numbers.Integral)
         and 2 <= max_level <= pde_oracle.MAX_LEVEL
@@ -526,8 +524,9 @@ def sweep_triangles(
             f"max_level must be an integer in [2, {pde_oracle.MAX_LEVEL}], "
             f"got {max_level!r}"
         )
-    na, nb = int(cfg["na"]), int(cfg["nb"])
-    tasks = []
+    if threads != 1:
+        raise ValueError(f"threads must be 1, got {threads!r}")
+    points = []
     for i in range(na):
         a = 0.5 * i / (na - 1) if na > 1 else 0.0
         for j in range(nb):
@@ -536,17 +535,13 @@ def sweep_triangles(
             else:
                 b = cfg["b_min"]
             if (a - 1.0) ** 2 + b * b <= 1.0 + 1e-12:
-                tasks.append((a, b, max_level))
-    if not tasks:
+                points.append((a, b))
+    if not points:
         raise ValueError(f"the {na}x{nb} grid holds no chart triangle")
     # opened before the first solve, so an unwritable path fails at once
     out = open(csv_path, "w", encoding="utf-8", newline="") if csv_path else None
     with out or contextlib.nullcontext():
-        if threads <= 1:
-            rows = [_sweep_one(t) for t in tasks]
-        else:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-                rows = list(pool.map(_sweep_one, tasks))
+        rows = [_sweep_one(a, b, max_level) for a, b in points]
         rows.sort(key=lambda r: (r.a, r.b))
         if out is not None:
             out.write(_csv_text(rows))

@@ -477,17 +477,53 @@ def test_tiny_sweep_is_deterministic_and_sorted(tmp_path):
 
 def test_sweep_rejects_unknown_grid_keys(monkeypatch):
     # a misspelt key used to survey the default heights without a word
-    def no_solve(task):
-        raise AssertionError(f"solved {task} before rejecting the grid")
+    def no_solve(*args):
+        raise AssertionError(f"solved {args} before rejecting the grid")
 
     monkeypatch.setattr(harness, "_sweep_one", no_solve)
     with pytest.raises(ValueError, match=r"unknown grid keys \['bmin'\]"):
         sweep_triangles(grid={"na": 2, "nb": 3, "bmin": 0.5}, max_level=3)
 
 
-def test_sweep_rejects_degenerate_heights():
-    with pytest.raises(ValueError):
+def test_sweep_rejects_degenerate_heights(tmp_path, monkeypatch):
+    # a nonpositive b_max used to solve the rows below it, then fail on
+    # Triangle(0.5, -0.4) outside the row's try and leave an empty table
+    solves = []
+    monkeypatch.setattr(pde_oracle, "spectral", lambda *args, **kw: solves.append(args))
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(ValueError, match="b_min"):
         sweep_triangles(grid={"b_min": 1e-5, "na": 2, "nb": 2}, max_level=4)
+    grid = {"na": 2, "nb": 3, "b_min": 0.5, "b_max": -0.4}
+    with pytest.raises(ValueError, match="b_max"):
+        sweep_triangles(grid=grid, max_level=4, csv_path=str(out))
+    argv = ["sweep", "--grid", "2x3", "--bmin", "0.5", "--bmax", "-0.4"]
+    with pytest.raises(SystemExit, match="b_max"):
+        cli.main(argv + ["--out", str(out)])
+    assert solves == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "grid, threads, match",
+    [
+        ({"na": 2.9, "nb": 1, "b_min": 0.5}, 1, "na and nb must be integers"),
+        ({"na": 2, "nb": 1.5, "b_min": 0.5}, 1, "na and nb must be integers"),
+        ({"na": 2, "nb": 1, "b_min": 0.5}, 2, "threads must be 1"),
+        ({"na": 2, "nb": 1, "b_min": 0.5}, 0, "threads must be 1"),
+    ],
+    ids=["na-2.9", "nb-1.5", "threads-2", "threads-0"],
+)
+def test_sweep_rejects_a_non_integer_grid_or_another_thread_count_before_any_solve(
+    tmp_path, monkeypatch, grid, threads, match
+):
+    # a non-integer size used to be truncated: na 2.9, nb 1.5 surveyed 2 x 1
+    solves = []
+    monkeypatch.setattr(pde_oracle, "spectral", lambda *args, **kw: solves.append(args))
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(ValueError, match=match):
+        sweep_triangles(grid=grid, max_level=4, threads=threads, csv_path=str(out))
+    assert solves == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -720,13 +756,18 @@ def test_cli_sweep_writes_csv(tmp_path, capsys):
     rows = sweep_triangles(grid=grid, max_level=4, csv_path=str(library))
     assert len(rows) == 4  # a = 0 lies off the chart
     argv = ["sweep", "--grid", "2x4", "--bmin", "0.3", "--bmax", "0.8", "--level", "4"]
-    # a pool of two workers, and zero, which runs one
-    for threads in ("2", "0"):
-        out = tmp_path / f"cli-{threads}.csv"
-        assert cli.main(argv + ["--threads", threads, "--out", str(out)]) == 0
-        assert out.read_bytes() == library.read_bytes()
-        printed = capsys.readouterr().out
-        assert printed.startswith(f"swept {len(rows)} triangles, 0 solver failure(s)")
+    out = tmp_path / "cli.csv"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == library.read_bytes()
+    printed = capsys.readouterr().out
+    assert printed.startswith(f"swept {len(rows)} triangles, 0 solver failure(s)")
+    # the survey runs one worker; argparse rejects the option it replaced
+    other = tmp_path / "threads.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--threads", "2", "--out", str(other)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+    assert not other.exists()
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,6 @@
 import dataclasses
 import json
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -829,23 +828,12 @@ def test_non_finite_shapes_raise_degenerate_shape(shape):
         mesh_domain(shape, 2)
 
 
-@pytest.mark.parametrize("workers", [2, 4])
-def test_sweep_rows_do_not_depend_on_the_thread_count(workers):
-    # a cold cache and frequent thread switches, so that the workers race to
-    # build the shared reference systems
+def test_a_cold_survey_builds_each_reference_system_once():
     pde_oracle._reference.cache_clear()
     pde_oracle._reference_system.cache_clear()
-    grid = {"na": 4, "nb": 4, "b_min": 0.05}
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        many = harness.sweep_triangles(grid=grid, max_level=5, threads=workers)
-    finally:
-        sys.setswitchinterval(interval)
-    one = harness.sweep_triangles(grid=grid, max_level=5, threads=1)
-    assert len(one) == 9
-    assert not any(row.error for row in one)
-    assert many == one
+    rows = harness.sweep_triangles(grid={"na": 4, "nb": 4, "b_min": 0.05}, max_level=5)
+    assert len(rows) == 9
+    assert not any(row.error for row in rows)
     memo = pde_oracle._reference_system
     assert memo.cache_info().currsize == 3
     for level in (3, 4, 5):
