@@ -2,8 +2,8 @@
 
 Every enclosure is a pair of exact rationals that bracket the target value:
 alternating partial sums with remainder control for the arctangent series
-behind pi, an Euler-Maclaurin tail bracket for zeta(5), and rational
-bisection for algebraic roots.  Bessel zeros are bracketed by sign changes
+behind pi, an Euler-Maclaurin tail bracket for zeta(5), and integer
+n-th roots for algebraic roots.  Bessel zeros are bracketed by sign changes
 of the ascending series summed in exact integers with directed rounding,
 so their dyadic endpoints carry certified signs.  No bracket comes from a
 floating-point search, and the module imports only the standard library.
@@ -14,6 +14,7 @@ K < C1 taken below it; the premise C1 < |a_1| is not yet certified.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -149,7 +150,7 @@ def point(x: RationalLike) -> RationalInterval:
 
 
 # ---------------------------------------------------------------------------
-# Series and bisection builders
+# Series and root builders
 # ---------------------------------------------------------------------------
 
 
@@ -159,10 +160,12 @@ def arctan_recip(m: int, n: int) -> RationalInterval:
     S_n sums the first n terms of the alternating series
     sum_k (-1)^k m^-(2k+1) / (2k+1), whose terms shrink, so the limit lies
     between any two consecutive partial sums; for an even n, S_n is the
-    lower end.
+    lower end.  The pair needs n >= 1: any other n raises ValueError.
     """
     if m < 1:
         raise ValueError(f"arctan_recip needs an integer m >= 1, got {m}")
+    if not isinstance(n, int) or n < 1:
+        raise ValueError(f"arctan_recip needs an integer n >= 1, got {n!r}")
     x2 = Fraction(1, m * m)
     term = Fraction(1, m)
     prev = total = Fraction(0)
@@ -188,20 +191,39 @@ def _pi_interval(eps: Fraction) -> RationalInterval:
     return point(16) * a - point(4) * b
 
 
+def _iroot(x: int, n: int) -> int:
+    """floor(x**(1/n)) for an integer x >= 0, by Newton's method on integers."""
+    if x == 0:
+        return 0
+    r = 1 << -(-x.bit_length() // n)  # 2**ceil(bits/n) > x**(1/n)
+    while True:
+        y = ((n - 1) * r + x // r ** (n - 1)) // n
+        if y >= r:
+            return r
+        r = y
+
+
 def _root_bracket(c: Fraction, n: int, eps: Fraction) -> tuple[Fraction, Fraction]:
-    """Rational (lo, hi) with lo**n <= c <= hi**n and hi - lo <= eps, by bisection."""
-    lo, hi = Fraction(0), max(Fraction(1), c)
-    while hi - lo > eps:
-        mid = (lo + hi) / 2
-        if mid**n <= c:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+    """Rational (lo, hi) with lo**n <= c <= hi**n and hi - lo <= eps, for c >= 0.
+
+    On the dyadic grid s = M / 2**j of [0, M], M = max(1, c), with j the
+    least j >= 0 for which s <= eps, lo = k s for the largest k <= 2**j - 1
+    with (k s)**n <= c: k is the integer n-th root of floor(c / s**n),
+    capped so that hi = (k + 1) s stays at M when c = 1.  This is the
+    bracket that bisecting [0, M] ends on, computed on integers.
+    """
+    m = max(Fraction(1), c)
+    j = (math.ceil(m / eps) - 1).bit_length()  # least j with m / 2**j <= eps
+    k = min(_iroot(math.floor(c * (1 << j * n) / m**n), n), (1 << j) - 1)
+    s = m / (1 << j)
+    return k * s, (k + 1) * s
 
 
 def _nth_root_interval(c: RationalInterval, n: int, eps: Fraction) -> RationalInterval:
-    """Enclosure of c**(1/n) for nonnegative c, monotone in the endpoints."""
+    """Enclosure of c**(1/n) for nonnegative c, monotone in the endpoints.
+
+    Each end is a _root_bracket of width eps/2, found by integer root.
+    """
     if c.lo < 0:
         raise ValueError("nth root of an interval with negative endpoint")
     return RationalInterval(

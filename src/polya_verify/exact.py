@@ -149,13 +149,23 @@ def _report(case_id: str, region: str, evidence: list, notes: str = "") -> CaseR
 def identity_vanishes(fn: Callable[..., Fraction], degrees: Sequence[int]) -> bool:
     """Exact zero test for a polynomial map given per-variable degree caps.
 
-    Evaluates fn on a rational grid with (degree + 1) nodes per variable;
-    a polynomial of at most those degrees vanishing on the grid is zero.
+    Evaluates fn on the integer grid with nodes 1, ..., degree + 1 per
+    variable; a polynomial of at most those degrees vanishing on the grid
+    is zero.  fn must use +, -, * and nonnegative integer powers, so that
+    its values stay exact; a value that is not an int or a Fraction (say a
+    float from true division) raises TypeError.
     """
-    grids = [
-        [Fraction(i + 1, deg + 2) for i in range(deg + 1)] for deg in degrees
-    ]
-    return all(fn(*pt) == 0 for pt in itertools.product(*grids))
+    grids = [range(1, deg + 2) for deg in degrees]
+    for pt in itertools.product(*grids):
+        value = fn(*pt)
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(
+                f"identity_vanishes needs exact values, got "
+                f"{type(value).__name__} at {pt}"
+            )
+        if value != 0:
+            return False
+    return True
 
 
 def _g_acute_1a(a: Number, b: Number) -> Number:

@@ -113,6 +113,51 @@ def test_bessel_zero_enclosures_reach_any_width(cid, nu, eps, digits):
         assert lo <= zero <= hi
 
 
+def _bisected_root_bracket(c, n, eps):
+    """The bisection loop _root_bracket replaced, kept as its reference."""
+    lo, hi = Fraction(0), max(Fraction(1), c)
+    while hi - lo > eps:
+        mid = (lo + hi) / 2
+        if mid**n <= c:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+ROOT_RADICANDS = [
+    Fraction(0),
+    Fraction(1, 4),
+    Fraction(1, 3),
+    Fraction(999999999999, 10**12),
+    Fraction(1),
+    Fraction(1000000000001, 10**12),
+    Fraction(2),
+    Fraction(3),
+    Fraction(4),
+    Fraction(8),
+    Fraction(9),
+    Fraction(27, 8),
+    Fraction(27),
+    Fraction(64),
+    Fraction(314159265359, 10**11),
+    Fraction(271828182846, 987654321012),
+    Fraction(123456789012, 7),
+]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_root_bracket_matches_the_bisection_it_replaced(n):
+    widths = [Fraction(1, 10**d) for d in range(41)]
+    widths += [Fraction(3, 7), Fraction(1, 3 * 2**60)]
+    for c in ROOT_RADICANDS:
+        for eps in widths:
+            lo, hi = constants._root_bracket(c, n, eps)
+            assert (lo, hi) == _bisected_root_bracket(c, n, eps), (c, n, eps)
+            assert lo**n <= c <= hi**n
+            assert hi - lo <= eps
+
+
 def test_unknown_constant_raises():
     with pytest.raises(UnknownConstant):
         enclose("feigenbaum")

@@ -55,8 +55,10 @@ def test_arctan_enclosure_brackets_and_contracts():
     # the bracket is the pair of partial sums S_3 and S_4 of the series
     s3 = Fraction(1, 8) - Fraction(1, 3 * 8**3) + Fraction(1, 5 * 8**5)
     assert arctan_recip(8, 4) == constants.RationalInterval(s3 - Fraction(1, 7 * 8**7), s3)
-    with pytest.raises(ValueError):
-        arctan_recip(0, 4)
+    # the bracket needs m >= 1 and the two partial sums S_(n-1), S_n, so n >= 1
+    for m, n in ((0, 4), (3, 0), (3, -2), (3, 2.5)):
+        with pytest.raises(ValueError):
+            arctan_recip(m, n)
 
 
 def test_tan_brackets_on_the_unit_interval():
@@ -79,6 +81,12 @@ def test_identity_vanishes_separates_zero_from_nonzero():
         lambda x: (x + 1) ** 2 - x * x - 2 * x - 1, degrees=(2,)
     )
     assert not identity_vanishes(lambda x: x - Fraction(1, 7), degrees=(1,))
+
+
+def test_identity_vanishes_refuses_an_inexact_value():
+    # true division leaves the exact numbers, so the zero test would read floats
+    with pytest.raises(TypeError):
+        identity_vanishes(lambda x: x / 3 * 3 - x, degrees=(1,))
 
 
 def test_xb_threshold_is_exactly_three_tenths():
