@@ -134,51 +134,62 @@ def sector_torsion(s: Sector, n_terms: int = 64) -> SeriesValue:
 _BRACKET_MAXIT = 50
 
 
-def _series_sign(nu: Fraction, x: Fraction, bits: int) -> tuple[int, int, int]:
-    """Sign of J_nu(x) from an integer enclosure of the normalized series.
+def _series_sign(p: int, q: int, X: int, S: int, bits: int) -> tuple[int, int, int]:
+    """Sign of J_nu(x), nu = p/q, x = X/2^S, from an integer enclosure of a series.
 
     S(x) = sum_m (-t)^m / (m! (nu+1)_m) with t = x^2/4 equals
     Gamma(nu+1) (2/x)^nu J_nu(x), so it shares the positive zeros of J_nu
-    and needs no Gamma.  With nu = p/q and t = a/c, term m is term m-1
-    times a q / (c m (p + m q)).  Each term's magnitude is carried at scale
-    2^bits as a pair of integers, the update rounded down for the lower
-    bound and up for the upper one; even terms add to both ends of the sum,
-    odd terms subtract the upper bound from the low end and the lower bound
-    from the high end.  The sum stops once the next term ratio is at most
-    1/2 and the last upper bound is at most one unit.  The omitted terms
-    then alternate and shrink, so their sum is at most half that bound, by
-    which the enclosure widens.
+    and needs no Gamma.  With N = X^2 q, term m is term m-1 times
+    N / (2^(2S+2) m (p + m q)).  Each term's magnitude is carried at scale
+    2^bits as a pair of integers: the update multiplies by N, shifts right
+    by 2S + 2 and divides by m (p + m q), rounded down for the lower bound
+    and up for the upper one.  Rounding twice is rounding once, since
+    floor(floor(z)/n) = floor(z/n) and ceil(ceil(z)/n) = ceil(z/n) for a
+    positive integer n, so each bound is the exact product rounded once.
+    Even terms add to both ends of the sum, odd terms subtract the upper
+    bound from the low end and the lower bound from the high end.  The sum
+    stops once the next term ratio is at most 1/2, that is
+    2N <= (m+1)(p+(m+1)q) 2^(2S+2), and the last upper bound is at most one
+    unit.  The omitted terms then alternate and shrink, so their sum is at
+    most half that bound, by which the enclosure widens.
 
     Returns (sign, low, high) with low <= 2^bits S(x) <= high.  The sign is
     0 unless the enclosure excludes 0, so too few bits leave a sign
     unresolved but never make it wrong.
     """
-    p, q = nu.numerator, nu.denominator
-    t = x * x / 4
-    ratio_num, c = t.numerator * q, t.denominator
+    n = X * X * q
+    shift = 2 * S + 2
     lo_term = hi_term = low = high = 1 << bits
     m = 0
     while True:
         m += 1
-        den = c * m * (p + m * q)
-        lo_term = lo_term * ratio_num // den
-        hi_term = -(-hi_term * ratio_num // den)
+        den = m * (p + m * q)
+        lo_term = (lo_term * n >> shift) // den
+        hi_term = -((-hi_term * n >> shift) // den)
         if m % 2:
             low, high = low - hi_term, high - lo_term
         else:
             low, high = low + lo_term, high + hi_term
-        if hi_term <= 1 and 2 * ratio_num <= c * (m + 1) * (p + (m + 1) * q):
+        if hi_term <= 1 and 2 * n <= (m + 1) * (p + (m + 1) * q) << shift:
             break
     low, high = low - hi_term, high + hi_term
     return (1 if low > 0 else -1 if high < 0 else 0), low, high
 
 
-def _outward(lo: Fraction, hi: Fraction) -> tuple[float, float]:
-    """Floats enclosing the exact bracket [lo, hi]."""
-    flo, fhi = float(lo), float(hi)
-    if flo > lo:
+def _at_scale(v: float, S: int) -> int:
+    """The integer X with X / 2^S = v, for a float v exact at scale 2^-S."""
+    num, den = v.as_integer_ratio()
+    return (num << S) // den
+
+
+def _outward(lo: int, hi: int, S: int) -> tuple[float, float]:
+    """Floats enclosing the exact bracket [lo, hi] / 2^S."""
+    flo, fhi = lo / (1 << S), hi / (1 << S)  # each correctly rounded
+    num, den = flo.as_integer_ratio()
+    if num << S > lo * den:
         flo = math.nextafter(flo, -math.inf)
-    if fhi < hi:
+    num, den = fhi.as_integer_ratio()
+    if num << S < hi * den:
         fhi = math.nextafter(fhi, math.inf)
     return flo, fhi
 
@@ -189,44 +200,55 @@ def bessel_zero_bracket(nu: float | Fraction, tol: float | Fraction = 1e-12) -> 
     A hunt from x = nu, below the first zero, in steps shorter than the gap
     between zeros finds the first sign change of the series.  Illinois
     regula falsi on the series values then narrows the bracket.  Each trial
-    point is rounded to a multiple of 2^-bits that keeps a quarter of tol
-    (or of the bracket) clear of both ends, so once one end is that close
-    to the zero the next trial lands past it.  The order enters the series
-    as an exact Fraction, and every point is a dyadic rational, so the
-    series is summed in integers (_series_sign).  Its directed rounding
-    encloses the true sum, and a sign counts only when the enclosure
-    excludes 0: each endpoint carries the true sign of J_nu, and too few
-    bits can only raise ConvergenceFailure, never give a wrong bracket.
-    A trial whose sign is unresolved is replaced by a straddle of it whose
-    signs are checked.  For a float tol the endpoints are floats rounded
+    point is rounded half to even to a multiple of 2^-bits that keeps a
+    quarter of tol (or of the bracket) clear of both ends, so once one end
+    is that close to the zero the next trial lands past it.  Every point is
+    an integer X at one scale 2^-S, S >= bits, at which the float hunt
+    start and step are exact, and the order enters the series as its exact
+    Fraction p/q, so the series (_series_sign) and the regula falsi steps
+    run in integers: the Illinois halvings keep both end values as integers
+    over one shared power of two.  The series' directed rounding encloses
+    the true sum, and a sign counts only when the enclosure excludes 0:
+    each endpoint carries the true sign of J_nu, and too few bits can only
+    raise ConvergenceFailure, never give a wrong bracket.  A trial whose
+    sign is unresolved is replaced by a straddle of it whose signs are
+    checked.  For a float tol the endpoints are the floats X/2^S rounded
     outward; for a Fraction tol they are the exact dyadic endpoints, and
-    the bits grow with the digits tol asks for.  Raises ConvergenceFailure
-    if a sign cannot be resolved, tol is below the working precision, or
-    the bracket is still wider than tol after _BRACKET_MAXIT steps.
+    the bits grow with the digits tol asks for.  A non-finite order or tol
+    raises ValueError.  Raises ConvergenceFailure if a sign cannot be
+    resolved, tol is below the working precision, or the bracket is still
+    wider than tol after _BRACKET_MAXIT steps.
     """
+    for name, value in (("order", nu), ("tol", tol)):
+        if not isinstance(value, Fraction) and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if nu < 0:
         raise ValueError(f"order must be nonnegative, got {nu}")
     if tol <= 0:
         raise ValueError("tol must be positive")
     exact = isinstance(tol, Fraction)
-    order, nu_f = Fraction(nu), float(nu)
+    (p, q), nu_f = Fraction(nu).as_integer_ratio(), float(nu)
     dps = 30 + int(0.5 * (nu_f + 12.0))
     if exact:  # one more digit per decimal digit of 1/tol past 12
         dps += max(0, len(str(tol.denominator // tol.numerator)) - 13)
     bits = math.ceil(dps * math.log2(10))
-    scale = 1 << bits
+    start = nu_f if nu_f > 0 else 0.25
+    step = min(1.0 + 0.1 * nu_f ** (1.0 / 3.0), 2.0)
+    S = max(bits, *(v.as_integer_ratio()[1].bit_length() - 1 for v in (start, step)))
+    shift = S - bits  # a trial point X is a multiple of 2^shift
+    tol_n, tol_d = Fraction(tol).as_integer_ratio()
+    tol_units = (tol_n << bits - 2) // tol_d  # floor(tol 2^bits / 4)
 
-    def evaluate(x: Fraction) -> tuple[int, int]:
+    def evaluate(X: int) -> tuple[int, int]:
         # regula falsi steers by the enclosure's midpoint, doubled
-        sign, low, high = _series_sign(order, x, bits)
+        sign, low, high = _series_sign(p, q, X, S, bits)
         return sign, low + high
 
-    lo = Fraction(nu_f if nu_f > 0 else 0.25)
-    step = Fraction(min(1.0 + 0.1 * nu_f ** (1.0 / 3.0), 2.0))
+    lo, step = _at_scale(start, S), _at_scale(step, S)
     sign_lo, f_lo = evaluate(lo)
     if sign_lo <= 0:
         raise ConvergenceFailure(
-            f"series not positive at hunt start x={float(lo)} for nu={nu}"
+            f"series not positive at hunt start x={start} for nu={nu}"
         )
     hi = lo + step
     sign, f_hi = evaluate(hi)
@@ -239,40 +261,49 @@ def bessel_zero_bracket(nu: float | Fraction, tol: float | Fraction = 1e-12) -> 
         if hunts > 400:
             raise ConvergenceFailure(f"no sign change found for nu={nu}")
     side = 0  # the end the last trial replaced: 1 for lo, -1 for hi
+    halvings = 0  # f_lo and f_hi are the end values times 2^halvings
     steps = 0
     while True:
         if sign == 0:
             raise ConvergenceFailure(f"unresolved series sign for nu={nu}")
-        bracket = (lo, hi) if exact else _outward(lo, hi)
-        if bracket[1] - bracket[0] <= tol:
-            return bracket
+        if exact:
+            if (hi - lo) * tol_d <= tol_n << S:
+                return Fraction(lo, 1 << S), Fraction(hi, 1 << S)
+        else:
+            bracket = _outward(lo, hi, S)
+            if bracket[1] - bracket[0] <= tol:
+                return bracket
         if steps == _BRACKET_MAXIT:
             raise ConvergenceFailure(
-                f"bracket for nu={nu} still {float(hi - lo):.3g} wide after "
+                f"bracket for nu={nu} still {(hi - lo) / (1 << S):.3g} wide after "
                 f"{steps} regula falsi steps"
             )
         steps += 1
-        units = math.floor(min(Fraction(tol), hi - lo) * scale / 4)
+        units = min(tol_units, (hi - lo) >> shift + 2)
         if units == 0:
             raise ConvergenceFailure(f"tol {tol} is finer than the working precision")
-        margin = Fraction(units, scale)
-        x = round((hi - f_hi * (hi - lo) / (f_hi - f_lo)) * scale)
-        x = max(x, math.ceil((lo + margin) * scale))
-        x = min(x, math.floor((hi - margin) * scale))
-        x = Fraction(x, scale)
+        margin = units << shift
+        # f_lo > 0 > f_hi, so the secant's zero is (hi f_lo - lo f_hi) / (f_lo - f_hi)
+        den = (f_lo - f_hi) << shift
+        x, rest = divmod(hi * f_lo - lo * f_hi, den)
+        if 2 * rest > den or (2 * rest == den and x % 2):
+            x += 1
+        x = max(x, -(-(lo + margin) >> shift))
+        x = min(x, (hi - margin) >> shift) << shift
         sign, f = evaluate(x)
         if sign == 0:  # x is within rounding of the zero: straddle it
             lo, hi = x - margin, x + margin
             (sign_lo, f_lo), (sign_hi, f_hi) = evaluate(lo), evaluate(hi)
             sign = -1 if (sign_lo, sign_hi) == (1, -1) else 0
+            halvings = 0
         elif sign > 0:
-            lo, f_lo = x, f
-            if side == 1:
-                f_hi = Fraction(f_hi, 2)
+            lo, f_lo = x, f << halvings
+            if side == 1:  # halve f_hi: double f_lo over one more power of two
+                f_lo, halvings = f_lo << 1, halvings + 1
         elif sign < 0:
-            hi, f_hi = x, f
+            hi, f_hi = x, f << halvings
             if side == -1:
-                f_lo = Fraction(f_lo, 2)
+                f_hi, halvings = f_hi << 1, halvings + 1
         side = sign
 
 

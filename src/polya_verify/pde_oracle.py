@@ -176,12 +176,12 @@ class _Reference:
     ``edge_boundary`` marks the edges that lie in one element.  The edges
     of level 0 come from one sort, and every later level carries them
     (``_refine_arrays``); the new vertices of a level are the midpoints of
-    the coarse edges, in their order, so ``parents`` is the coarse
-    ``edges``.  ``inside`` lists the edges whose two ends are both
-    unknowns.  A system's entries are its n unknowns, in band order, then
-    these m edges; entry k, at (i, j) with i <= j, goes into the raveled
-    Fortran (w + 1, n) band that dpbtrf reads at
-    ``band_at[k] = w + i - j + (w + 1) j``.  The mass is a CSR matrix on
+    the coarse edges, in their order, so the coarse ``edges`` prolong
+    vertex values to the level (``_prolong``).  ``inside`` lists the edges
+    whose two ends are both unknowns.  A system's entries are its n
+    unknowns, in band order, then these m edges; entry k, at (i, j) with
+    i <= j, goes into the raveled Fortran (w + 1, n) band that dpbtrf reads
+    at ``band_at[k] = w + i - j + (w + 1) j``.  The mass is a CSR matrix on
     the pattern (``indptr``, ``indices``) of the diagonal and both
     orientations of every interior edge, and pattern place k holds entry
     ``gather[k]``.
@@ -191,7 +191,6 @@ class _Reference:
     elements: np.ndarray
     flags: np.ndarray
     pieces: np.ndarray  # piece of each element
-    parents: Optional[np.ndarray]  # parent pairs of the vertices new at this level
     edges: np.ndarray  # (E, 2) vertex pairs (lo, hi)
     edge_of: np.ndarray  # (ne, 3) edge of each local edge
     edge_boundary: np.ndarray  # (E,) edges that lie in one element
@@ -341,7 +340,6 @@ def _refine_arrays(coarse: _Reference) -> dict:
         "vertices": _prolong(vertices, edges),
         "elements": np.concatenate([np.column_stack(c) for c, _ in blocks]),
         "flags": np.concatenate([coarse.flags, coarse.edge_boundary]),
-        "parents": edges,
         "edges": np.concatenate(
             [
                 np.column_stack([edges[:, 0], midpoints]),
@@ -366,7 +364,6 @@ def _reference(layout: str, level: int) -> _Reference:
             "vertices": np.array(vertices, dtype=float),
             "elements": elements,
             "flags": np.ones(len(vertices), dtype=bool),
-            "parents": None,
             **_edges(elements),
         }
         pieces = np.array(pieces, dtype=np.int64)
@@ -561,8 +558,8 @@ def mesh_domain(shape, level: int) -> Mesh:
     """Uniform red-refined mesh of a triangle, rectangle, or sector.
 
     The level-0 image of the shape's layout, prolonged one level at a time
-    through the reference parent maps: new vertices are the midpoints of
-    their parents, and on a sector those on the rim are projected back to
+    through the coarse reference's edges: new vertices are the midpoints of
+    those edges, and on a sector those on the rim are projected back to
     the circle.  A triangle whose apex lies off its base is meshed as its
     congruent copy with the longest side on the x-axis.  A non-integer
     ``level`` raises ValueError.
@@ -583,8 +580,8 @@ def mesh_domain(shape, level: int) -> Mesh:
     ref = base
     for fine in range(1, level + 1):
         old = len(vertices)
+        vertices = _prolong(vertices, ref.edges)
         ref = _reference(layout, fine)
-        vertices = _prolong(vertices, ref.parents)
         if isinstance(shape, Sector):
             arc = old + np.flatnonzero(ref.vertices[old:].max(axis=1) == 1.0)
             norms = np.linalg.norm(vertices[arc], axis=1)
@@ -768,9 +765,9 @@ def spectral(shape, max_level: int) -> SpectralResult:
 
     per_level: dict = {}
     warm: Optional[np.ndarray] = None
-    for system in systems:
-        if warm is not None:
-            warm = _prolong(warm, system.reference.parents)
+    for coarse, system in zip([None, *systems], systems):
+        if coarse is not None:
+            warm = _prolong(warm, coarse.reference.edges)
         solved = _solve_system(system, warm)
         warm = solved.pop("eigvec")
         for key, value in solved.items():

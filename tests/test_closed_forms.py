@@ -57,26 +57,50 @@ def test_bessel_zero_bracket_contains_the_zero():
 BRACKET_ORDERS = (0.5, 2.5) + tuple(float(nu) for nu in range(1, 21)) + (50.0, 80.0)
 
 
-@pytest.mark.parametrize("nu", BRACKET_ORDERS)
-def test_bessel_zero_bracket_signs_width_and_cost(monkeypatch, nu):
+def _count_series_signs(monkeypatch):
+    """Record every series evaluation the bracket makes, through the module global."""
     series_sign = closed_forms._series_sign
     calls = []
 
     def counting_series_sign(*args):
-        calls.append(args[1])
+        calls.append(args)
         return series_sign(*args)
 
     monkeypatch.setattr(closed_forms, "_series_sign", counting_series_sign)
+    return calls
+
+
+@pytest.mark.parametrize("nu", BRACKET_ORDERS)
+def test_bessel_zero_bracket_signs_width_and_cost(monkeypatch, nu):
+    calls = _count_series_signs(monkeypatch)
     tol = 1e-12
     lo, hi = bessel_zero_bracket(nu, tol=tol)
     assert 0.0 < hi - lo <= tol
-    assert len(calls) <= 20, len(calls)
+    assert 0 < len(calls) <= 20, len(calls)
     with mpmath.workdps(60):
         assert mpmath.besselj(nu, lo) > 0 > mpmath.besselj(nu, hi)
         assert lo <= mpmath.besseljzero(nu, 1) <= hi
     if nu.is_integer():
         assert abs(float(jn_zeros(int(nu), 1)[0]) - 0.5 * (lo + hi)) <= tol
 
+
+def test_bessel_zero_brackets_of_orders_1_to_20_cost_274_series_evaluations(monkeypatch):
+    calls = _count_series_signs(monkeypatch)
+    for nu in range(1, 21):
+        bessel_zero_bracket(float(nu), tol=1e-12)
+    assert len(calls) == 274
+
+
+@pytest.mark.parametrize("bad", (math.inf, -math.inf, math.nan), ids=str)
+def test_bessel_zero_bracket_rejects_a_non_finite_order_or_tol(bad):
+    with pytest.raises(ValueError, match="order must be finite"):
+        bessel_zero_bracket(bad)
+    with pytest.raises(ValueError, match="tol must be finite"):
+        bessel_zero_bracket(2.0, tol=bad)
+
+
+# orders inexact in binary
+INEXACT_ORDERS = (7.1, 33.3, math.pi / 0.05)
 
 # orders of the series kernel tests: integer, inexact in binary, half-integer, large
 SERIES_ORDERS = (Fraction(0), Fraction(1, 3), Fraction(5, 2), Fraction(20))
@@ -97,13 +121,25 @@ def _near_zero_points(nu, bits=120):
         ]
 
 
+def _series_sign_at(nu, x, S, bits):
+    """The series kernel at the point x, a multiple of 2^-S."""
+    X = x * 2**S
+    assert X.denominator == 1
+    return closed_forms._series_sign(nu.numerator, nu.denominator, int(X), S, bits)
+
+
 @pytest.mark.parametrize("nu", SERIES_ORDERS, ids=str)
 def test_series_sign_encloses_the_normalized_bessel_function(nu):
     bits = 200
-    points = [Fraction(1, 2), nu + 1, 3 * nu + 9]
+    # the kernel takes dyadic points: 4/3 (nu + 1 at nu = 1/3) is taken
+    # at its nearest multiple of 2^-bits
+    points = [
+        Fraction(round(x * 2**bits), 2**bits)
+        for x in (Fraction(1, 2), nu + 1, 3 * nu + 9)
+    ]
     points += [x for x, _ in _near_zero_points(nu)]
     for x in points:
-        sign, low, high = closed_forms._series_sign(nu, x, bits)
+        sign, low, high = _series_sign_at(nu, x, bits, bits)
         with mpmath.workdps(80):
             # Gamma(nu+1) (2/x)^nu J_nu(x), the series the kernel sums
             order, x_mp = _mp(nu), _mp(x)
@@ -117,13 +153,13 @@ def test_series_sign_encloses_the_normalized_bessel_function(nu):
 @pytest.mark.parametrize("nu", SERIES_ORDERS, ids=str)
 def test_series_sign_is_unresolved_not_wrong_at_too_few_bits(nu):
     for x, true_sign in _near_zero_points(nu):
-        signs = {closed_forms._series_sign(nu, x, bits)[0] for bits in range(4, 120, 4)}
+        signs = {_series_sign_at(nu, x, 120, bits)[0] for bits in range(4, 120, 4)}
         assert signs <= {0, true_sign}
         # 2^-60 is far above the series value 1e-30 from the zero
-        assert closed_forms._series_sign(nu, x, 60)[0] == 0
+        assert _series_sign_at(nu, x, 120, 60)[0] == 0
 
 
-@pytest.mark.parametrize("nu", (7.1, 33.3, math.pi / 0.05))
+@pytest.mark.parametrize("nu", INEXACT_ORDERS)
 def test_bessel_zero_bracket_for_orders_inexact_in_binary(nu):
     # the series terms cancel, so the order must enter them exactly:
     # rounding nu + m to a float moves the order-33.3 bracket 2.7e-7 above
@@ -145,6 +181,138 @@ def test_bessel_zero_bracket_rejects_a_tol_below_working_precision():
     # tol/4 clear of the ends on a grid of 2^-120
     with pytest.raises(ConvergenceFailure, match="working precision"):
         bessel_zero_bracket(1.0, tol=1e-40)
+
+
+def _fraction_series_sign(nu, x, bits):
+    """The series kernel on Fraction points that _series_sign replaced."""
+    p, q = nu.numerator, nu.denominator
+    t = x * x / 4
+    ratio_num, c = t.numerator * q, t.denominator
+    lo_term = hi_term = low = high = 1 << bits
+    m = 0
+    while True:
+        m += 1
+        den = c * m * (p + m * q)
+        lo_term = lo_term * ratio_num // den
+        hi_term = -(-hi_term * ratio_num // den)
+        if m % 2:
+            low, high = low - hi_term, high - lo_term
+        else:
+            low, high = low + lo_term, high + hi_term
+        if hi_term <= 1 and 2 * ratio_num <= c * (m + 1) * (p + (m + 1) * q):
+            break
+    low, high = low - hi_term, high + hi_term
+    return (1 if low > 0 else -1 if high < 0 else 0), low, high
+
+
+def _fraction_bracket(nu, tol, series_sign=_fraction_series_sign):
+    """The Fraction bracket that the integer one replaced, kept as its reference."""
+    exact = isinstance(tol, Fraction)
+    order, nu_f = Fraction(nu), float(nu)
+    dps = 30 + int(0.5 * (nu_f + 12.0))
+    if exact:
+        dps += max(0, len(str(tol.denominator // tol.numerator)) - 13)
+    bits = math.ceil(dps * math.log2(10))
+    scale = 1 << bits
+
+    def evaluate(x):
+        sign, low, high = series_sign(order, x, bits)
+        return sign, low + high
+
+    def outward(lo, hi):
+        flo, fhi = float(lo), float(hi)
+        if flo > lo:
+            flo = math.nextafter(flo, -math.inf)
+        if fhi < hi:
+            fhi = math.nextafter(fhi, math.inf)
+        return flo, fhi
+
+    lo = Fraction(nu_f if nu_f > 0 else 0.25)
+    step = Fraction(min(1.0 + 0.1 * nu_f ** (1.0 / 3.0), 2.0))
+    sign_lo, f_lo = evaluate(lo)
+    assert sign_lo > 0
+    hi = lo + step
+    sign, f_hi = evaluate(hi)
+    while sign > 0:
+        lo, f_lo = hi, f_hi
+        hi = lo + step
+        sign, f_hi = evaluate(hi)
+    side = 0
+    for _ in range(closed_forms._BRACKET_MAXIT + 1):
+        assert sign != 0
+        bracket = (lo, hi) if exact else outward(lo, hi)
+        if bracket[1] - bracket[0] <= tol:
+            return bracket
+        units = math.floor(min(Fraction(tol), hi - lo) * scale / 4)
+        assert units > 0
+        margin = Fraction(units, scale)
+        x = round((hi - f_hi * (hi - lo) / (f_hi - f_lo)) * scale)
+        x = max(x, math.ceil((lo + margin) * scale))
+        x = min(x, math.floor((hi - margin) * scale))
+        x = Fraction(x, scale)
+        sign, f = evaluate(x)
+        if sign == 0:
+            lo, hi = x - margin, x + margin
+            (sign_lo, f_lo), (sign_hi, f_hi) = evaluate(lo), evaluate(hi)
+            sign = -1 if (sign_lo, sign_hi) == (1, -1) else 0
+        elif sign > 0:
+            lo, f_lo = x, f
+            if side == 1:
+                f_hi = Fraction(f_hi, 2)
+        elif sign < 0:
+            hi, f_hi = x, f
+            if side == -1:
+                f_lo = Fraction(f_lo, 2)
+        side = sign
+    raise AssertionError(f"no bracket for nu={nu} at tol={tol}")
+
+
+FLOAT_TOLS = (1e-12, 1e-9, Fraction(1, 10**14), Fraction(1, 10**20))
+FRACTION_TOLS = tuple(Fraction(1, 10**k) for k in (12, 20, 30, 40, 50))
+EQUIVALENCE_CASES = (
+    [(nu, FLOAT_TOLS) for nu in (0.0, 1 / 3) + BRACKET_ORDERS + INEXACT_ORDERS]
+    + [
+        (nu, FRACTION_TOLS)
+        for nu in map(Fraction, (0, "1/3", "7/10", "3/2", "5/2", 20))
+    ]
+    # a regula falsi trial lands within rounding of this zero (a straddle)
+    + [(Fraction(3), (Fraction(1, 10**80),))]
+)
+
+
+@pytest.mark.parametrize(
+    "nu,tols", EQUIVALENCE_CASES, ids=[f"{nu!s}" for nu, _ in EQUIVALENCE_CASES]
+)
+def test_bessel_zero_bracket_matches_the_fraction_bracket_it_replaced(nu, tols):
+    for tol in tols:
+        bracket = bessel_zero_bracket(nu, tol)
+        assert repr(bracket) == repr(_fraction_bracket(nu, tol)), tol
+
+
+def _kinked_series(slope_below, slope_above, zero=Fraction(31, 10)):
+    """A stand-in for the series kernel: a line through zero, kinked there."""
+
+    def series_sign(nu, x, bits):
+        slope = slope_below if x < zero else slope_above
+        v = math.floor((zero - x) * slope * 2**bits)
+        return (v > 0) - (v < 0), v, v
+
+    return series_sign
+
+
+@pytest.mark.parametrize("slopes", [(1, 7), (7, 1)], ids=["lo-kept", "hi-kept"])
+def test_illinois_halvings_at_either_end_match_the_fraction_bracket(monkeypatch, slopes):
+    # regula falsi keeps the upper end of every first Bessel zero tried; the
+    # kink makes each end in turn the one kept and halved
+    series = _kinked_series(*slopes)
+    monkeypatch.setattr(
+        closed_forms,
+        "_series_sign",
+        lambda p, q, X, S, bits: series(Fraction(p, q), Fraction(X, 2**S), bits),
+    )
+    for tol in (1e-12, Fraction(1, 10**14)):
+        reference = _fraction_bracket(2.0, tol, series)
+        assert repr(bessel_zero_bracket(2.0, tol)) == repr(reference)
 
 
 def test_bessel_zero_is_increasing_in_the_order():

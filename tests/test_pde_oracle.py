@@ -152,8 +152,8 @@ def test_levels_and_h_sequence_shape():
 
 
 def _parents(shape, level):
-    """Parent pairs of the vertices new at ``level`` in the shape's meshes."""
-    return pde_oracle._reference(pde_oracle._piece_maps(shape)[0], level).parents
+    """Parent pairs of the vertices new at ``level``: the edges of the level below."""
+    return pde_oracle._reference(pde_oracle._piece_maps(shape)[0], level - 1).edges
 
 
 _OFF_BASE = [(-2.0, 0.1), (-0.5, 0.05), (0.0, 0.7), (1.0, 0.4), (1.3, 0.6)]
@@ -771,7 +771,10 @@ def test_reference_edges_are_carried_through_refinement(layout):
         assert np.array_equal(ref.edge_boundary, count == 1)
         if level > 0:
             coarse = pde_oracle._reference(layout, level - 1)
-            assert np.array_equal(ref.parents, coarse.edges)
+            # the new vertices are the midpoints of the coarse edges, in order
+            ends = coarse.vertices[coarse.edges]
+            mids = 0.5 * (ends[:, 0] + ends[:, 1])
+            assert np.array_equal(ref.vertices[len(coarse.vertices) :], mids)
         # the entries are the unknowns, then the edges between two unknowns
         n, w = len(ref.interior), ref.half_width
         assert ref.inside.dtype == ref.band_at.dtype == ref.gather.dtype == np.int32
